@@ -14,13 +14,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import kernels
 
 MAX_EXHAUSTIVE_N = 8
+MAX_TABLE_N = 7  # a canon[mask] table has 2^(n(n-1)/2) int32 entries: 8 MB at n=7
 MAX_CANONICAL_N = 10
 MAX_AMPLITUDE_N = 12
 
@@ -192,16 +193,17 @@ class CanonicalForm:
 
 
 @lru_cache(maxsize=8)
-def _perm_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """All vertex permutations plus their action on edge-mask bit positions."""
-    perms = tuple(itertools.permutations(range(n)))
-    nedge = edge_count(n)
-    maps = np.zeros((len(perms), max(1, nedge)), dtype=np.int32)
-    for p, perm in enumerate(perms):
-        for j in range(n):
-            for i in range(j):
-                maps[p, edge_bit(i, j, n)] = edge_bit(perm[i], perm[j], n)
-    return perms, maps
+def _perm_tables(n: int) -> np.ndarray:
+    """Action of every vertex permutation on edge-mask bit positions:
+    row p maps bit edge_bit(i, j) to edge_bit(perm[i], perm[j])."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    maps = np.zeros((len(perms), max(1, edge_count(n))), dtype=np.int32)
+    for j in range(n):
+        for i in range(j):
+            lo = np.minimum(perms[:, i], perms[:, j])
+            hi = np.maximum(perms[:, i], perms[:, j])
+            maps[:, edge_bit(i, j, n)] = edge_count(n) - 1 - (hi * (hi - 1) // 2 + lo)
+    return maps
 
 
 def _canonical_dfs(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -258,10 +260,6 @@ def canonical_form(g: Graph) -> CanonicalForm:
         raise ValueError(f"canonical_form supports n <= {MAX_CANONICAL_N}")
     if n == 1:
         return CanonicalForm(1, 0, (0,))
-    if n <= MAX_EXHAUSTIVE_N and kernels.HAVE_NUMBA:
-        perms, maps = _perm_tables(n)
-        mask, pidx = kernels.canon_scan(g.mask(), maps)
-        return CanonicalForm(n, int(mask), perms[pidx])
     mask, perm = _canonical_dfs(g)
     return CanonicalForm(n, mask, perm)
 
@@ -286,21 +284,63 @@ def enumerate_graphs(n: int, dedup: bool = False) -> Iterator[Graph]:
         yield Graph.from_mask(n, mask)
 
 
+_SCAN_WORDS = 1024  # visited words inspected per step of the orbit pass
+
+
+def _orbit_pass(n: int, canon: np.ndarray | None = None) -> Iterator[tuple[int, int]]:
+    """(minimum mask, size) of every isomorphism class, in increasing order.
+
+    Walks the masks upwards; the first mask not yet marked is always its
+    orbit's minimum.  All n! images of it are computed at once and marked in
+    a packed visited bitset and, when `canon` is given, labelled with the
+    minimum in ``canon[image]``.
+    """
+    weights = np.left_shift(np.int64(1), _perm_tables(n).astype(np.int64))
+    total = 1 << edge_count(n)
+    visited = np.zeros(max(1, (total + 63) >> 6), dtype=np.uint64)
+    word = 0
+    while word < visited.size:
+        open_words = np.flatnonzero(~visited[word : word + _SCAN_WORDS])
+        if open_words.size == 0:
+            word += _SCAN_WORDS
+            continue
+        word += int(open_words[0])
+        free = int(~visited[word])
+        mask = (word << 6) + (free & -free).bit_length() - 1
+        if mask >= total:
+            return
+        bits = [e for e in range(mask.bit_length()) if (mask >> e) & 1]
+        images = weights[:, bits].sum(axis=1)
+        np.bitwise_or.at(
+            visited,
+            images >> 6,
+            np.left_shift(np.uint64(1), (images & 63).astype(np.uint64)),
+        )
+        if canon is not None:
+            canon[images] = mask
+        # orbit-stabiliser: images repeat once per automorphism of the graph
+        yield mask, images.size // int(np.count_nonzero(images == mask))
+
+
+def class_table(n: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """``canon[mask]``, the minimum mask of mask's isomorphism class for
+    every n-vertex graph, plus the classes' (minimum mask, size) in
+    increasing order."""
+    if not 1 <= n <= MAX_TABLE_N:
+        raise ValueError(f"class table supported for 1 <= n <= {MAX_TABLE_N}")
+    canon = np.empty(1 << edge_count(n), dtype=np.int32)
+    classes = list(_orbit_pass(n, canon))
+    return canon, classes
+
+
 def isomorphism_classes(n: int) -> Iterator[tuple[Graph, int]]:
     """One minimum-mask representative per isomorphism class, with class size."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > MAX_EXHAUSTIVE_N:
         raise ValueError(f"isomorphism classes supported for n <= {MAX_EXHAUSTIVE_N}")
-    nedge = edge_count(n)
-    _perms, maps = _perm_tables(n)
-    visited = np.zeros(max(1, ((1 << nedge) + 63) >> 6), dtype=np.uint64)
-    for mask in range(1 << nedge):
-        if (int(visited[mask >> 6]) >> (mask & 63)) & 1:
-            continue
-        min_mask, size = kernels.orbit_mark(mask, maps, visited)
-        # first unvisited mask is always its orbit's minimum
-        yield Graph.from_mask(n, int(min_mask)), int(size)
+    for mask, size in _orbit_pass(n):
+        yield Graph.from_mask(n, mask), size
 
 
 # ---------------------------------------------------------------------------
@@ -320,20 +360,29 @@ def local_complement(g: Graph, v: int) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
-def lc_orbit(g: Graph) -> list[Graph]:
-    """Isomorphism-class representatives reachable by local complementation."""
-    start = canonical_form(g).mask
+def _lc_closure(n: int, start: int, label: Callable[[Graph], int]) -> list[int]:
+    """Sorted class labels reachable from label `start` by local
+    complementation; `label` maps a graph to its class label."""
     seen = {start}
     frontier = [start]
     while frontier:
-        mask = frontier.pop()
-        cur = Graph.from_mask(g.n, mask)
-        for v in range(g.n):
-            nxt = canonical_form(local_complement(cur, v)).mask
+        cur = Graph.from_mask(n, frontier.pop())
+        for v in range(n):
+            nxt = label(local_complement(cur, v))
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return [Graph.from_mask(g.n, m) for m in sorted(seen)]
+    return sorted(seen)
+
+
+def _dfs_label(g: Graph) -> int:
+    return canonical_form(g).mask
+
+
+def lc_orbit(g: Graph) -> list[Graph]:
+    """Isomorphism-class representatives reachable by local complementation."""
+    masks = _lc_closure(g.n, _dfs_label(g), _dfs_label)
+    return [Graph.from_mask(g.n, m) for m in masks]
 
 
 def lc_orbits(n: int) -> Iterator[tuple[Graph, tuple[int, ...]]]:
@@ -341,15 +390,21 @@ def lc_orbits(n: int) -> Iterator[tuple[Graph, tuple[int, ...]]]:
     isomorphism-class canonical masks."""
     if n > MAX_EXHAUSTIVE_N:
         raise ValueError(f"LC orbit enumeration supported for n <= {MAX_EXHAUSTIVE_N}")
+    if n <= MAX_TABLE_N:
+        canon, classes = class_table(n)
+
+        def label(h: Graph) -> int:
+            return int(canon[h.mask()])
+
+    else:
+        classes, label = _orbit_pass(n), _dfs_label
     seen: set[int] = set()
-    for rep, _size in isomorphism_classes(n):
-        m = rep.mask()
-        if m in seen:
+    for rep, _size in classes:
+        if rep in seen:
             continue
-        closure = lc_orbit(rep)
-        masks = tuple(h.mask() for h in closure)
+        masks = tuple(_lc_closure(n, rep, label))
         seen.update(masks)
-        yield Graph.from_mask(n, min(masks)), masks
+        yield Graph.from_mask(n, masks[0]), masks
 
 
 def lc_orbit_representatives(n: int) -> Iterator[Graph]:

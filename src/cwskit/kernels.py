@@ -292,6 +292,10 @@ def bnb_clique_jit(
     return best_size, best[:best_size].copy(), nodes, exhausted
 
 
+class _Stop(Exception):
+    """Unwinds bnb_clique_py's recursion on budget exhaustion or early stop."""
+
+
 def bnb_clique_py(
     adj_rows: list, m: int, cand_int: int, stop_at: int, budget: int
 ) -> tuple[int, list, int, bool]:
@@ -302,9 +306,6 @@ def bnb_clique_py(
     nodes = 0
     exhausted = True
     rstack = [0] * (m + 1)
-
-    class _Stop(Exception):
-        pass
 
     def colour(p: int):
         orderl = []
@@ -356,114 +357,16 @@ def bnb_clique_py(
 
 
 # ---------------------------------------------------------------------------
-# canonical graph labelling: minimum edge mask over all vertex permutations
-#
-# Edge (i, j) with i < j occupies bit E-1-(j(j-1)/2+i) of the mask, so that
-# integer order on masks equals lexicographic order on the colex edge list
-# and a prefix-pruned search over position assignments is sound.
-
-@njit(cache=True)
-def canon_scan_jit(mask: int, edge_maps: np.ndarray) -> tuple[int, int]:
-    nperm = edge_maps.shape[0]
-    best = mask
-    best_p = 0
-    for p in range(nperm):
-        out = 0
-        t = mask
-        while t:
-            e = 0
-            while (t >> e) & 1 == 0:
-                e += 1
-            t &= t - 1
-            out |= 1 << edge_maps[p, e]
-        if out < best:
-            best = out
-            best_p = p
-    return best, best_p
-
-
-def canon_scan_py(mask: int, edge_maps: np.ndarray) -> tuple[int, int]:
-    best = mask
-    best_p = 0
-    for p in range(edge_maps.shape[0]):
-        row = edge_maps[p]
-        out = 0
-        t = mask
-        while t:
-            e = (t & -t).bit_length() - 1
-            t &= t - 1
-            out |= 1 << int(row[e])
-        if out < best:
-            best = out
-            best_p = p
-    return best, best_p
-
-
-@njit(cache=True)
-def orbit_mark_jit(
-    mask: int, edge_maps: np.ndarray, visited: np.ndarray
-) -> tuple[int, int]:
-    """Mark every permutation image of mask in `visited`; return (min, count)."""
-    nperm = edge_maps.shape[0]
-    one = np.uint64(1)
-    best = mask
-    fresh = 0
-    for p in range(nperm):
-        out = 0
-        t = mask
-        while t:
-            e = 0
-            while (t >> e) & 1 == 0:
-                e += 1
-            t &= t - 1
-            out |= 1 << edge_maps[p, e]
-        if out < best:
-            best = out
-        w = out >> 6
-        b = np.uint64(out & 63)
-        if (visited[w] >> b) & one == np.uint64(0):
-            visited[w] |= one << b
-            fresh += 1
-    return best, fresh
-
-
-def orbit_mark_py(
-    mask: int, edge_maps: np.ndarray, visited: np.ndarray
-) -> tuple[int, int]:
-    best = mask
-    fresh = 0
-    maps = [list(map(int, edge_maps[p])) for p in range(edge_maps.shape[0])]
-    for row in maps:
-        out = 0
-        t = mask
-        while t:
-            e = (t & -t).bit_length() - 1
-            t &= t - 1
-            out |= 1 << row[e]
-        if out < best:
-            best = out
-        w, b = out >> 6, out & 63
-        if not (int(visited[w]) >> b) & 1:
-            visited[w] |= np.uint64(1 << b)
-            fresh += 1
-    return best, fresh
-
-
-# ---------------------------------------------------------------------------
 # public bindings
 
 if HAVE_NUMBA:
     cl_patterns = cl_patterns_jit
     graph_signs = graph_signs_jit
     clique_adjacency = clique_adjacency_jit
-    canon_scan = canon_scan_jit
-    orbit_mark = orbit_mark_jit
 else:
     cl_patterns = cl_patterns_py
     graph_signs = graph_signs_py
     clique_adjacency = clique_adjacency_py
-    canon_scan = canon_scan_py
-    orbit_mark = orbit_mark_py
 
 
 def warmup() -> None:
@@ -478,6 +381,3 @@ def warmup() -> None:
     cand = np.zeros(1, dtype=np.uint64)
     cand[0] = 3
     bnb_clique_jit(adj, 2, cand, 0, -1)
-    maps = np.zeros((1, 1), dtype=np.int32)
-    canon_scan(0, maps)
-    orbit_mark(0, maps, np.zeros(1, dtype=np.uint64))

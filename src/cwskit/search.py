@@ -25,8 +25,10 @@ from .clique import (
 from .errormap import error_set, setup
 from .gf2 import ClassicalCode
 from .graphs import (
+    MAX_TABLE_N,
     Graph,
     canonical_form,
+    class_table,
     edge_count,
     isomorphism_classes,
     lc_orbit_representatives,
@@ -59,6 +61,10 @@ class SearchJob:
     budget: int = -1
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"n must be positive, got {self.n}")
+        if not 1 <= self.d <= self.n + 1:
+            raise ValueError(f"distance must be in 1..{self.n + 1}, got {self.d}")
         if self.graph_source not in COVERING_SOURCES | {"file"}:
             raise ValueError(f"unknown graph source {self.graph_source!r}")
         if self.graph_source == "file" and not self.graph_file:
@@ -146,13 +152,26 @@ def _init_worker(job_fields: dict) -> None:
     _W["exactness"] = job_fields["exactness"]
     _W["seed"] = job_fields["seed"]
     _W["budget"] = job_fields["budget"]
-    _W["canonical_input"] = job_fields["graph_source"] in {"iso", "lc"}
+    _W["graph_source"] = job_fields["graph_source"]
+    _W["canon"] = None
+
+
+def _canon_mask(mask: int, g: Graph) -> int:
+    """Canonical id of a pending graph: iso/lc masks already are one, `all`
+    looks it up in a class table built on first use, `file` runs the DFS."""
+    if _W["graph_source"] in {"iso", "lc"}:
+        return mask
+    if _W["graph_source"] == "all" and g.n <= MAX_TABLE_N:
+        if _W["canon"] is None:
+            _W["canon"], _classes = class_table(g.n)
+        return int(_W["canon"][mask])
+    return canonical_form(g).mask
 
 
 def _process_mask(mask: int) -> dict:
     n = _W["n"]
     g = Graph.from_mask(n, mask)
-    canon = mask if _W["canonical_input"] else canonical_form(g).mask
+    canon = _canon_mask(mask, g)
     arrays = setup(_W["errors"], g)
     cg = make_cws_clique_graph(arrays)
     target_k = _W["target_k"]

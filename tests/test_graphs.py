@@ -12,6 +12,7 @@ from cwskit.graphs import (
     Graph,
     canonical_form,
     canonical_hex,
+    class_table,
     edge_bit,
     edge_count,
     enumerate_graphs,
@@ -31,6 +32,23 @@ def brute_force_label(g: Graph) -> int:
     """Independent canonical label: minimum mask over all relabellings,
     computed through Graph.permute rather than the kernel bit tables."""
     return min(g.permute(p).mask() for p in itertools.permutations(range(g.n)))
+
+
+def brute_force_classes(n: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """Independent class reference: (minimum mask, size) per isomorphism
+    class in increasing order, and every mask's label, each orbit taken as
+    the set of Graph.permute images under all relabellings."""
+    perms = list(itertools.permutations(range(n)))
+    label: dict[int, int] = {}
+    classes = []
+    for mask in range(1 << edge_count(n)):
+        if mask in label:
+            continue
+        g = Graph.from_mask(n, mask)
+        orbit = {g.permute(p).mask() for p in perms}
+        label.update((m, min(orbit)) for m in orbit)
+        classes.append((min(orbit), len(orbit)))
+    return classes, [label[m] for m in range(1 << edge_count(n))]
 
 
 class TestGraphBasics:
@@ -92,13 +110,46 @@ class TestEnumeration:
         assert sum(1 for _ in isomorphism_classes(7)) == 1044
 
     def test_iso_class_sizes_partition_everything(self):
-        for n in (2, 3, 4, 5):
+        for n in range(1, 8):
             total = sum(size for _g, size in isomorphism_classes(n))
             assert total == 1 << edge_count(n)
 
     def test_iso_representatives_are_canonical(self):
         for g, _size in isomorphism_classes(4):
             assert canonical_form(g).mask == g.mask()
+
+
+class TestClassTable:
+    def test_table_matches_brute_force(self):
+        for n in range(1, 6):
+            canon, _classes = class_table(n)
+            assert canon.tolist() == brute_force_classes(n)[1]
+
+    def test_classes_match_brute_force(self):
+        for n in range(1, 6):
+            _canon, classes = class_table(n)
+            assert classes == brute_force_classes(n)[0]
+            assert classes == [(g.mask(), s) for g, s in isomorphism_classes(n)]
+
+    def test_table_matches_dfs_n6(self):
+        canon, _classes = class_table(6)
+        for mask in range(1 << edge_count(6)):
+            assert int(canon[mask]) == _canonical_dfs(Graph.from_mask(6, mask))[0]
+
+    def test_table_matches_dfs_n7_sample(self):
+        rng = random.Random(7)
+        canon, classes = class_table(7)
+        assert len(classes) == 1044
+        for mask in rng.sample(range(1 << edge_count(7)), 300):
+            assert int(canon[mask]) == _canonical_dfs(Graph.from_mask(7, mask))[0]
+
+    def test_n8_classes_start_without_table(self):
+        # no 2^28-entry table at n=8: the bitset pass still yields classes;
+        # the empty graph, 28 single edges, then 8 * C(7,2) two-edge paths
+        first = list(itertools.islice(isomorphism_classes(8), 3))
+        assert [(g.mask(), s) for g, s in first] == [(0, 1), (1, 28), (3, 168)]
+        with pytest.raises(ValueError):
+            class_table(8)
 
 
 class TestCanonicalForm:
@@ -182,9 +233,10 @@ class TestLocalComplementation:
             assert local_complement(local_complement(g, v), v).rows == g.rows
 
     def test_orbit_counts_small(self):
-        # frozen values, cross-checked by the partition test below
-        counts = {n: sum(1 for _ in lc_orbit_representatives(n)) for n in range(1, 7)}
-        assert counts == {1: 1, 2: 2, 3: 3, 4: 6, 5: 11, 6: 26}
+        # Danielsen-Parker LC orbit counts, cross-checked by the partition
+        # test below
+        counts = {n: sum(1 for _ in lc_orbit_representatives(n)) for n in range(1, 8)}
+        assert counts == {1: 1, 2: 2, 3: 3, 4: 6, 5: 11, 6: 26, 7: 59}
 
     def test_orbits_partition_all_graphs(self):
         for n in (2, 3, 4, 5):

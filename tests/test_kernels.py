@@ -115,41 +115,6 @@ def test_bnb_stop_at_short_circuits():
     assert size >= 3 and not exhausted
 
 
-def test_canon_scan_paths_agree():
-    from cwskit.graphs import _perm_tables
-
-    rng = random.Random(6)
-    for n in (2, 4, 5):
-        _perms, maps = _perm_tables(n)
-        nedge = n * (n - 1) // 2
-        for _ in range(20):
-            mask = rng.randrange(1 << nedge)
-            a_mask, _ = K.canon_scan_jit(mask, maps)
-            b_mask, _ = K.canon_scan_py(mask, maps)
-            assert a_mask == b_mask
-
-
-def test_orbit_mark_paths_agree():
-    from cwskit.graphs import _perm_tables
-
-    for n in (3, 4):
-        _perms, maps = _perm_tables(n)
-        nedge = n * (n - 1) // 2
-        size = 1 << nedge
-        va = np.zeros(max(1, (size + 63) >> 6), dtype=np.uint64)
-        vb = np.zeros_like(va)
-        reps_a = []
-        reps_b = []
-        for mask in range(size):
-            if not (int(va[mask >> 6]) >> (mask & 63)) & 1:
-                reps_a.append(K.orbit_mark_jit(mask, maps, va))
-            if not (int(vb[mask >> 6]) >> (mask & 63)) & 1:
-                reps_b.append(K.orbit_mark_py(mask, maps, vb))
-        assert reps_a == reps_b
-        assert np.array_equal(va, vb)
-        assert sum(size for _rep, size in reps_a) == size
-
-
 def test_default_binding_matches_flag():
     if K.NUMBA_DISABLED:
         assert K.cl_patterns is K.cl_patterns_py

@@ -10,7 +10,7 @@ import pytest
 from cwskit.cli import main
 from cwskit.errormap import ClArrays
 from cwskit.clique import parse_clique_graph_dump
-from cwskit.graphs import Graph, write_graph_file
+from cwskit.graphs import Graph, canonical_form, write_graph_file
 import cwskit.search
 from cwskit.search import (
     EXIT_ABSENT,
@@ -62,6 +62,13 @@ class TestRunSearch:
         res = run_search(SearchJob(n=4, d=2, graph_source="all"))
         keys = [r.sort_key() for r in res.records]
         assert keys == sorted(keys)
+
+    def test_all_mode_labels_match_canonical_form(self):
+        res = run_search(SearchJob(n=4, d=2, graph_source="all"))
+        assert len(res.records) == 64
+        for rec in res.records:
+            g = Graph.from_mask(4, rec.raw_mask)
+            assert rec.canon_mask == canonical_form(g).mask
 
     def test_iso_mode_agrees_with_all_mode_on_best(self):
         for d in (2, 3):
@@ -179,6 +186,17 @@ class TestCheckpoint:
         resumed = run_search(job, checkpoint=ck)
         assert render_result(resumed) == plain == render_result(full)
 
+    def test_complete_checkpoint_builds_no_class_table(self, tmp_path: Path, monkeypatch):
+        job = SearchJob(n=4, d=2, graph_source="all")
+        ck = tmp_path / "all.ckpt"
+        full = run_search(job, checkpoint=ck)
+
+        def boom(_n):
+            raise AssertionError("class table built with no pending graph")
+
+        monkeypatch.setattr(cwskit.search, "class_table", boom)
+        assert render_result(run_search(job, checkpoint=ck)) == render_result(full)
+
     def test_checkpoint_torn_line_ignored(self, tmp_path: Path):
         job = SearchJob(n=3, d=2, graph_source="iso")
         ck = tmp_path / "torn.ckpt"
@@ -247,6 +265,12 @@ class TestCli:
         )
         assert rc == EXIT_ABSENT
         assert out.read_text().endswith("summary_bestK=1\n")
+
+    @pytest.mark.parametrize("n, d", [(5, 9), (5, 0), (0, 2)])
+    def test_search_cli_rejects_bad_n_or_d(self, n, d, capsys):
+        assert main(["search", "--n", str(n), "--d", str(d)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "aborted" not in err
 
     def test_search_cli_found_writes_result(self, tmp_path: Path, capsys):
         out = tmp_path / "res.txt"
