@@ -127,20 +127,11 @@ class FixedSizeResult:
 
 
 def _solve(cg: CliqueGraph, cand_indices: np.ndarray, stop_at: int, budget: int):
-    """Dispatch to the jit or pure-Python branch-and-bound kernel."""
-    m = cg.size
-    if kernels.HAVE_NUMBA:
-        cand = np.zeros((m + 63) >> 6, dtype=np.uint64)
-        for i in cand_indices:
-            cand[i >> 6] |= np.uint64(1) << np.uint64(int(i) & 63)
-        size, members, nodes, exhausted = kernels.bnb_clique_jit(
-            cg.adj, m, cand, stop_at, budget
-        )
-        return int(size), [int(x) for x in members], int(nodes), bool(exhausted)
+    """Branch and bound over the candidate vertices, as a Python-int bitset."""
     cand_int = 0
     for i in cand_indices:
         cand_int |= 1 << int(i)
-    return kernels.bnb_clique_py(cg.int_rows(), m, cand_int, stop_at, budget)
+    return kernels.bnb_clique(cg.int_rows(), cg.size, cand_int, stop_at, budget)
 
 
 def max_clique(cg: CliqueGraph, budget: int = -1) -> CliqueSearchResult:

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import kernels
-from .gf2 import BitString, PauliOp
+from .gf2 import BitString, PauliOp, xor_basis
 from .graphs import Graph
 
 MAX_SETUP_N = 24
@@ -185,26 +185,14 @@ def setup(errors: ErrorSet, g: Graph) -> ClArrays:
     size = 1 << n
 
     cl_bits = np.zeros(size, dtype=bool)
+    basis: list[int] = []
     if len(errors):
         u, v = errors.uv_arrays()
         patterns = kernels.cl_patterns(u, v, g.rows_array())
         cl_bits[patterns] = True
-        degenerate_u = [int(uu) for uu, p in zip(u, patterns) if p == 0]
-    else:
-        degenerate_u = []
-
-    # D[i] = 1 iff i has odd overlap with some trivially-mapping X support,
-    # equivalently with some basis vector of their span.
-    by_top: dict[int, int] = {}
-    for uu in degenerate_u:
-        t = uu
-        while t:
-            top = t.bit_length() - 1
-            if top not in by_top:
-                by_top[top] = t
-                break
-            t ^= by_top[top]
-    basis = list(by_top.values())
+        # D[i] = 1 iff i has odd overlap with some trivially-mapping X support,
+        # equivalently with some basis vector of their span.
+        basis = xor_basis(u[patterns == 0].tolist())
 
     d_bits = np.zeros(size, dtype=bool)
     if basis:

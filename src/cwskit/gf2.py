@@ -151,27 +151,21 @@ class GF2Matrix:
         return sum(1 for r in reduced.rows if r)
 
     def invert(self) -> "GF2Matrix | None":
-        """Inverse of a square matrix, or None when singular."""
+        """Inverse of a square matrix, or None when singular.
+
+        Row-reduces [M | I]; M is invertible iff the left block becomes I,
+        and the right block is then its inverse."""
         n = self.ncols
         if self.nrows != n:
             raise ValueError("invert requires a square matrix")
-        work = [self.rows[i] | (1 << (n + i)) for i in range(n)]
-        pivot_row = 0
-        for col in range(n):
-            sel = None
-            for r in range(pivot_row, n):
-                if (work[r] >> col) & 1:
-                    sel = r
-                    break
-            if sel is None:
-                return None
-            work[pivot_row], work[sel] = work[sel], work[pivot_row]
-            for r in range(n):
-                if r != pivot_row and (work[r] >> col) & 1:
-                    work[r] ^= work[pivot_row]
-            pivot_row += 1
+        aug = GF2Matrix(
+            2 * n, tuple(r | (1 << (n + i)) for i, r in enumerate(self.rows))
+        )
+        reduced = aug.row_reduce().rows
         mask = (1 << n) - 1
-        return GF2Matrix(n, tuple((w >> n) & mask for w in work))
+        if any((w & mask) != 1 << i for i, w in enumerate(reduced)):
+            return None
+        return GF2Matrix(n, tuple(w >> n for w in reduced))
 
     def mul_vec(self, v: int) -> int:
         """Row vector times matrix: bit t of the result is XOR_k v_k * M[k][t]."""
@@ -203,36 +197,41 @@ class GF2Matrix:
 def solve_linear(m: GF2Matrix, rhs: int) -> int | None:
     """One solution x of M x = rhs (x as column bit vector), or None.
 
+    Row-reduces [M | rhs]; a pivot in the rhs column means no solution.
     Free variables are set to zero, which makes the solution deterministic
     and maps a zero right-hand side to the zero solution."""
-    rows = list(m.rows)
-    b = [(rhs >> i) & 1 for i in range(m.nrows)]
-    pivot_cols: list[tuple[int, int]] = []
-    pivot_row = 0
-    for col in range(m.ncols):
-        sel = None
-        for r in range(pivot_row, len(rows)):
-            if (rows[r] >> col) & 1:
-                sel = r
-                break
-        if sel is None:
-            continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        b[pivot_row], b[sel] = b[sel], b[pivot_row]
-        for r in range(len(rows)):
-            if r != pivot_row and (rows[r] >> col) & 1:
-                rows[r] ^= rows[pivot_row]
-                b[r] ^= b[pivot_row]
-        pivot_cols.append((pivot_row, col))
-        pivot_row += 1
-    for r in range(pivot_row, len(rows)):
-        if b[r]:
-            return None
+    width = m.ncols
+    aug = GF2Matrix(
+        width + 1,
+        tuple(r | (((rhs >> i) & 1) << width) for i, r in enumerate(m.rows)),
+    )
     x = 0
-    for r, col in pivot_cols:
-        if b[r]:
+    for r in aug.row_reduce().rows:
+        if not r:
+            continue
+        col = (r & -r).bit_length() - 1  # pivot: lowest set bit of an RREF row
+        if col == width:
+            return None
+        if (r >> width) & 1:
             x |= 1 << col
     return x
+
+
+def xor_basis(values: Iterable[int]) -> list[int]:
+    """A basis of the GF(2) span of bit-packed vectors.
+
+    Each value is reduced by the kept vectors, keyed by their top bits,
+    and a nonzero remainder is kept; the basis lists the remainders in the
+    order they were kept."""
+    by_top: dict[int, int] = {}
+    for t in values:
+        while t:
+            top = t.bit_length() - 1
+            if top not in by_top:
+                by_top[top] = t
+                break
+            t ^= by_top[top]
+    return list(by_top.values())
 
 
 def random_invertible(n: int, rng) -> GF2Matrix:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing as mp
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -236,29 +237,38 @@ def _graph_masks(job: SearchJob) -> list[int]:
 
 
 def _load_checkpoint(path: Path, job: SearchJob) -> dict[int, dict]:
-    """Replay completed records; every stored code must re-verify."""
+    """Replay completed records; every stored code must re-verify.
+
+    An interrupted run can leave a torn last line.  Once every complete
+    line has been replayed, everything after the final newline is cut from
+    the file (all of it when no complete header line exists), so that the
+    next append starts a line of its own.  A complete line that does not
+    decode is corruption, not a torn tail, and raises."""
     done: dict[int, dict] = {}
-    if not path.exists() or not path.read_text().strip():
-        return done
-    lines = path.read_text().splitlines()
-    head = json.loads(lines[0])
-    if head.get("job") != job.fingerprint():
+    data = path.read_bytes() if path.exists() else b""
+    keep = data.rfind(b"\n") + 1
+    lines = data[:keep].decode().splitlines()
+    if not any(ln.strip() for ln in lines):
+        keep, lines = 0, []
+    elif json.loads(lines[0]).get("job") != job.fingerprint():
         raise ValueError("checkpoint belongs to a different job")
     errors = error_set(job.n, job.d)
-    for ln in lines[1:]:
+    for lineno, ln in enumerate(lines[1:], start=2):
         ln = ln.strip()
         if not ln:
             continue
         try:
             rec = json.loads(ln)
-        except json.JSONDecodeError:
-            continue  # torn final line from an interrupted run
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"checkpoint line {lineno} cannot be decoded") from exc
         if rec.get("code"):
             g = Graph.from_mask(job.n, rec["raw_mask"])
             q = CWSCode(g, ClassicalCode.from_ints(job.n, sorted(rec["code"])))
             if not detection_check(q, errors).detects:
                 raise ValueError("checkpoint contains a code that fails verification")
         done[rec["raw_mask"]] = rec
+    if keep < len(data):
+        os.truncate(path, keep)
     return done
 
 
@@ -274,9 +284,8 @@ def run_search(
 
     ck_handle = None
     if checkpoint:
-        fresh = not checkpoint.exists() or not checkpoint.read_text().strip()
         ck_handle = open(checkpoint, "a")
-        if fresh:
+        if ck_handle.tell() == 0:
             ck_handle.write(json.dumps({"job": job.fingerprint()}) + "\n")
             ck_handle.flush()
 

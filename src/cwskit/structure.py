@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errormap import ErrorSet
-from .gf2 import BitString, ClassicalCode
+from .gf2 import BitString, ClassicalCode, xor_basis
 from .verify import CWSCode, detection_check
 
 
@@ -36,17 +36,7 @@ def is_linear(c: ClassicalCode) -> LinearityReport:
                 return LinearityReport(
                     False, None, (BitString(c.n, a), BitString(c.n, b))
                 )
-    basis: list[int] = []
-    by_top: dict[int, int] = {}
-    for w in words:
-        t = w
-        while t:
-            top = t.bit_length() - 1
-            if top not in by_top:
-                by_top[top] = t
-                basis.append(t)
-                break
-            t ^= by_top[top]
+    basis = xor_basis(words)
     if len(c.words) != 1 << len(basis):
         raise RuntimeError("closed code size is not a power of two")
     return LinearityReport(True, tuple(BitString(c.n, b) for b in sorted(basis)), None)

@@ -3,8 +3,10 @@
 Two routes that must agree: a combinatorial detection check driven by the
 induced error patterns, and a dense Knill-Laflamme oracle that builds the
 basis states Z^c |G> explicitly and checks <b_i| E |b_j> = lambda_E
-delta_ij.  The oracle recomputes graph-state signs with plain NumPy and
-touches none of the pattern machinery, so the two sides stay independent.
+delta_ij.  The oracle takes graph-state signs from ``kernels.graph_signs``,
+which evaluates the graph's quadratic form and is not pattern machinery: it
+shares no code with the ``cl_patterns`` route of ``detection_check``, so the
+two sides stay independent.
 
 All amplitudes involved are +-2^(-n/2), so the oracle works on integer
 scaled vectors and every comparison is exact.
@@ -124,18 +126,9 @@ def detection_check(q: CWSCode, errors: ErrorSet) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # dense oracle
 
-def _graph_sign_table(g: Graph) -> np.ndarray:
-    """(-1)^q(x) for all x, recomputed here with plain NumPy."""
-    x = np.arange(1 << g.n, dtype=np.int64)
-    q = np.zeros(1 << g.n, dtype=np.int64)
-    for i, j in [(a, b) for a in range(g.n) for b in range(a + 1, g.n) if g.has_edge(a, b)]:
-        q ^= (x >> i) & (x >> j) & 1
-    return 1 - 2 * q
-
-
 def _basis_matrix(q: CWSCode) -> np.ndarray:
     """Rows are the integer-scaled vectors of Z^c |G> over the codewords."""
-    signs = _graph_sign_table(q.graph)
+    signs = kernels.graph_signs(q.graph.rows_array(), q.n)
     x = np.arange(1 << q.n, dtype=np.int64)
     rows = []
     for c in q.code.values:
@@ -144,16 +137,29 @@ def _basis_matrix(q: CWSCode) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def _kl_error_ok(basis: np.ndarray, x: np.ndarray, u: int, v: int) -> bool:
-    """Check <b_i|E|b_j> = lambda delta_ij for E with supports (u, v)."""
-    y = 1 - 2 * (np.bitwise_count(x & np.int64(v)) & 1).astype(np.int64)
-    permuted = basis[:, x ^ np.int64(u)]
-    m = permuted @ (basis * y).T
-    off = m - np.diag(np.diag(m))
-    if np.any(off != 0):
-        return False
-    diag = np.diag(m)
-    return bool(np.all(diag == diag[0]))
+def _kl_distance(bras: np.ndarray, kets: np.ndarray, d: int) -> int:
+    """Largest d' <= d such that every Pauli error E of weight < d' gives
+    <b_i|E|b_j> = lambda_E delta_ij, with the rows of kets as the b_j and
+    their conjugates as the rows of bras.
+
+    The i^phase factor of E scales the whole matrix, so it changes neither
+    condition and is left out.  On the integer-scaled basis every entry is
+    an integer and the 1e-9 tolerance is an exact test."""
+    dim = kets.shape[1]
+    n = dim.bit_length() - 1
+    x = np.arange(dim, dtype=np.int64)
+    passed = 0
+    for w in range(1, d):
+        for e in _weight_errors(n, w):
+            y = 1 - 2 * (np.bitwise_count(x & np.int64(e.v)) & 1).astype(np.int64)
+            m = bras @ (kets * y)[:, x ^ np.int64(e.u)].T
+            diag = np.diag(m)
+            if np.max(np.abs(m - np.diag(diag))) > 1e-9:
+                return passed + 1
+            if np.max(np.abs(diag - diag[0])) > 1e-9:
+                return passed + 1
+        passed = w
+    return passed + 1
 
 
 def kl_oracle(q: CWSCode, d: int) -> int:
@@ -163,17 +169,8 @@ def kl_oracle(q: CWSCode, d: int) -> int:
         raise ValueError(f"kl_oracle supports n <= {MAX_ORACLE_N}")
     if not 1 <= d <= q.n + 1:
         raise ValueError(f"distance must be in 1..{q.n + 1}")
-    basis = _basis_matrix(q)
-    x = np.arange(1 << q.n, dtype=np.int64)
-    passed = 0
-    for w in range(1, d):
-        ok = all(
-            _kl_error_ok(basis, x, e.u, e.v) for e in _weight_errors(q.n, w)
-        )
-        if not ok:
-            break
-        passed = w
-    return passed + 1
+    basis = _basis_matrix(q)  # real, so it is its own conjugate
+    return _kl_distance(basis, basis, d)
 
 
 def code_distance(q: CWSCode, cross_check: bool = True) -> int:
@@ -239,30 +236,8 @@ def stabilizer_state_vector(
 
 def kl_oracle_states(states: Sequence[np.ndarray], d: int) -> int:
     """Knill-Laflamme detection over explicit (complex) basis vectors."""
-    dim = states[0].shape[0]
-    n = dim.bit_length() - 1
-    basis = np.array(states)
-    x = np.arange(dim, dtype=np.int64)
-    passed = 0
-    for w in range(1, d):
-        ok = True
-        for e in _weight_errors(n, w):
-            y = 1 - 2 * (np.bitwise_count(x & np.int64(e.v)) & 1).astype(np.int64)
-            coeff = 1j ** e.phase
-            action = coeff * (basis * y)[:, x ^ np.int64(e.u)]
-            m = np.conj(basis) @ action.T
-            off = m - np.diag(np.diag(m))
-            if np.max(np.abs(off)) > 1e-9:
-                ok = False
-                break
-            diag = np.diag(m)
-            if np.max(np.abs(diag - diag[0])) > 1e-9:
-                ok = False
-                break
-        if not ok:
-            break
-        passed = w
-    return passed + 1
+    kets = np.array(states)
+    return _kl_distance(kets.conj(), kets, d)
 
 
 # ---------------------------------------------------------------------------

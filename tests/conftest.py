@@ -43,13 +43,6 @@ def random_graph(n: int, rng) -> Graph:
     return Graph.from_mask(n, mask)
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    import cwskit.kernels as kernels
-
-    kernels.warmup()
-
-
 _acceptance_results: list[tuple[int, bool, str]] = []
 
 

@@ -1,11 +1,10 @@
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cwskit.cli import main
 from cwskit.errormap import ClArrays
@@ -155,23 +154,38 @@ class TestRunSearch:
         with pytest.raises(SearchAborted):
             run_search(SearchJob(n=3, d=2, graph_source="iso"))
 
-    def test_fallback_lane_produces_identical_results(self, tmp_path: Path):
-        # the pure-Python/NumPy lane must agree byte for byte
-        native = render_result(run_search(SearchJob(n=4, d=2, graph_source="iso")))
-        out = tmp_path / "fallback.txt"
-        env = dict(os.environ, CWSKIT_NO_NUMBA="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "cwskit.cli", "search", "--n", "4", "--d", "2",
-             "--graphs", "iso", "--out", str(out)],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == EXIT_FOUND, proc.stderr
-        assert out.read_text() == native
+
+@pytest.fixture(scope="module")
+def complete_n4_checkpoint(tmp_path_factory):
+    """(job, its complete checkpoint's bytes, uninterrupted result, scratch path)."""
+    job = SearchJob(n=4, d=2, graph_source="all")
+    ck = tmp_path_factory.mktemp("complete") / "n4.ckpt"
+    plain = render_result(run_search(job, checkpoint=ck))
+    return job, ck.read_bytes(), plain, ck.with_name("cut.ckpt")
 
 
 class TestCheckpoint:
+    @settings(deadline=None)
+    @given(cut=st.floats(min_value=0.0, max_value=1.0))
+    @example(cut=0.01)  # inside the header line
+    @example(cut=0.5)  # inside a record line
+    def test_resume_after_cut_at_any_byte(self, complete_n4_checkpoint, cut):
+        # a run killed mid-write leaves a prefix of the complete file
+        job, data, plain, ck = complete_n4_checkpoint
+        ck.write_bytes(data[: round(cut * len(data))])
+        assert render_result(run_search(job, checkpoint=ck)) == plain
+        assert len(cwskit.search._load_checkpoint(ck, job)) == 1 << 6
+
+    def test_undecodable_inner_line_raises(self, tmp_path: Path):
+        job = SearchJob(n=3, d=2, graph_source="iso")
+        ck = tmp_path / "bad.ckpt"
+        run_search(job, checkpoint=ck)
+        lines = ck.read_text().splitlines(keepends=True)
+        lines.insert(2, '{"raw_mask": 1, "canon\n')
+        ck.write_text("".join(lines))
+        with pytest.raises(ValueError, match="line 3"):
+            run_search(job, checkpoint=ck)
+
     def test_resume_matches_uninterrupted(self, tmp_path: Path):
         job = SearchJob(n=4, d=2, graph_source="iso")
         plain = render_result(run_search(job))
