@@ -40,7 +40,7 @@ def _cmd_map_errors(args) -> int:
     dump = arrays.dump()
     if args.out:
         Path(args.out).write_text(dump)
-        print(f"cl_zero={arrays.cl(0)}")
+        print(f"cl_zero={int(arrays.cl[0])}")
         print(f"degenerate={'true' if arrays.degenerate else 'false'}")
     else:
         sys.stdout.write(dump)

@@ -36,66 +36,57 @@ class Clique:
 
 
 class CliqueGraph:
-    def __init__(self, n: int, vertices: np.ndarray, adj: np.ndarray) -> None:
+    """rows[i] is the neighbour mask of vertex i, as a Python int."""
+
+    def __init__(self, n: int, vertices: np.ndarray, rows: list[int]) -> None:
         self.n = n
         self.vertices = vertices
-        self.adj = adj
+        self.rows = rows
         m = vertices.shape[0]
         if m < 1 or vertices[0] != 0:
             raise ValueError("vertex 0^n must be present and first")
         if np.any(np.diff(vertices) <= 0):
             raise ValueError("vertices must be ascending")
-        for j in range(1, m):
-            if not (int(adj[0, j >> 6]) >> (j & 63)) & 1:
-                raise ValueError("vertex 0^n must be universal")
-        self._int_rows: list[int] | None = None
+        if rows[0] != (1 << m) - 2:
+            raise ValueError("vertex 0^n must be universal")
 
     @property
     def size(self) -> int:
         return int(self.vertices.shape[0])
 
     def has_edge(self, i: int, j: int) -> bool:
-        return bool((int(self.adj[i, j >> 6]) >> (j & 63)) & 1)
-
-    def int_rows(self) -> list[int]:
-        if self._int_rows is None:
-            self._int_rows = [
-                int.from_bytes(self.adj[i].tobytes(), "little")
-                for i in range(self.size)
-            ]
-        return self._int_rows
+        return bool((self.rows[i] >> j) & 1)
 
     def codewords(self, members: tuple[int, ...]) -> tuple[BitString, ...]:
         return tuple(BitString(self.n, int(self.vertices[i])) for i in members)
 
     def dump(self) -> str:
+        """Each row as hex little-endian uint64 words, ceil(m/64) of them."""
+        nbytes = 8 * ((self.size + 63) >> 6)
         lines = [f"vertices={self.size}"]
-        lines.extend(self.adj[i].tobytes().hex() for i in range(self.size))
+        lines.extend(row.to_bytes(nbytes, "little").hex() for row in self.rows)
         return "\n".join(lines) + "\n"
 
 
-def parse_clique_graph_dump(text: str) -> tuple[int, np.ndarray]:
-    """Adjacency-only reader for the dump format; returns (m, adjacency)."""
+def parse_clique_graph_dump(text: str) -> tuple[int, list[int]]:
+    """Adjacency-only reader for the dump format; returns (m, rows)."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("vertices="):
         raise ValueError("dump must start with 'vertices=<m>'")
     m = int(lines[0].split("=", 1)[1])
     if len(lines) != m + 1:
         raise ValueError("dump row count does not match header")
-    rows = [np.frombuffer(bytes.fromhex(ln), dtype=np.uint64) for ln in lines[1:]]
-    return m, np.vstack(rows) if rows else np.zeros((0, 1), dtype=np.uint64)
+    return m, [int.from_bytes(bytes.fromhex(ln), "little") for ln in lines[1:]]
 
 
-def make_cws_clique_graph(cl: ClArrays) -> CliqueGraph:
+def make_cws_clique_graph(arrays: ClArrays) -> CliqueGraph:
     """Admissible codewords plus compatibility edges, per the setup arrays."""
-    n = cl.n
+    n = arrays.n
     if n > MAX_INDEX_SPACE_N:
         raise ValueError(
             f"clique graphs are materialised only up to n={MAX_INDEX_SPACE_N}"
         )
-    cl_bool = cl.cl_bools()
-    d_bool = cl.d_bools()
-    ok = ~cl_bool & ~d_bool
+    ok = ~arrays.cl & ~arrays.d
     ok[0] = True  # the all-zeros word is always a vertex
     vertices = np.flatnonzero(ok).astype(np.int64)
     m = vertices.shape[0]
@@ -103,8 +94,7 @@ def make_cws_clique_graph(cl: ClArrays) -> CliqueGraph:
         raise ValueError(
             f"clique graph with {m} vertices exceeds the materialisation cap"
         )
-    adj = kernels.clique_adjacency(vertices, cl_bool)
-    return CliqueGraph(n, vertices, adj)
+    return CliqueGraph(n, vertices, kernels.clique_adjacency(vertices, arrays.cl))
 
 
 @dataclass(frozen=True)
@@ -126,14 +116,6 @@ class FixedSizeResult:
         return self.clique is not None
 
 
-def _solve(cg: CliqueGraph, cand_indices: np.ndarray, stop_at: int, budget: int):
-    """Branch and bound over the candidate vertices, as a Python-int bitset."""
-    cand_int = 0
-    for i in cand_indices:
-        cand_int |= 1 << int(i)
-    return kernels.bnb_clique(cg.int_rows(), cg.size, cand_int, stop_at, budget)
-
-
 def max_clique(cg: CliqueGraph, budget: int = -1) -> CliqueSearchResult:
     """Maximum clique containing vertex 0; exact unless the budget runs out.
 
@@ -144,8 +126,9 @@ def max_clique(cg: CliqueGraph, budget: int = -1) -> CliqueSearchResult:
         raise ValueError(f"exact solver capped at {MAX_EXACT_VERTICES} vertices")
     if m == 1:
         return CliqueSearchResult(Clique((0,)), True, 0)
-    others = np.arange(1, m, dtype=np.int64)
-    size, members, nodes, exhausted = _solve(cg, others, 0, budget)
+    size, members, nodes, exhausted = kernels.bnb_clique(
+        cg.rows, m, (1 << m) - 2, 0, budget
+    )
     best = tuple(sorted([0] + members))
     if not exhausted:
         return CliqueSearchResult(Clique(best), False, nodes)
@@ -161,33 +144,29 @@ def _lex_min_clique(cg: CliqueGraph, target: int, budget: int, nodes: int):
     if target == 0:
         return (0,), nodes
     chosen = [0]
-    p = set(range(1, cg.size))
-    rows = cg.int_rows()
+    p = (1 << cg.size) - 2  # vertices adjacent to every chosen one
     remaining = target
     while remaining > 0:
-        advanced = False
-        for v in sorted(p):
-            pv = [w for w in p if w != v and (rows[v] >> w) & 1]
-            if remaining == 1:
-                chosen.append(v)
-                p = set()
-                remaining = 0
-                advanced = True
-                break
-            sub_budget = -1 if budget < 0 else max(0, budget - nodes)
-            size, _mem, used, exhausted = _solve(
-                cg, np.array(pv, dtype=np.int64), remaining - 1, sub_budget
-            )
-            nodes += used
-            if size >= remaining - 1:
-                chosen.append(v)
-                p = set(pv)
-                remaining -= 1
-                advanced = True
-                break
-            if not exhausted:
-                return None  # budget died before the question was settled
-        if not advanced:
+        q = p
+        while q:  # candidates in ascending order
+            v = (q & -q).bit_length() - 1
+            q &= q - 1
+            pv = p & cg.rows[v]
+            if remaining > 1:
+                sub_budget = -1 if budget < 0 else max(0, budget - nodes)
+                size, _mem, used, exhausted = kernels.bnb_clique(
+                    cg.rows, cg.size, pv, remaining - 1, sub_budget
+                )
+                nodes += used
+                if size < remaining - 1:
+                    if not exhausted:
+                        return None  # budget died before the question was settled
+                    continue
+            chosen.append(v)
+            p = pv
+            remaining -= 1
+            break
+        else:
             return None
     return tuple(sorted(chosen)), nodes
 
@@ -206,8 +185,9 @@ def find_clique_of_size(cg: CliqueGraph, k: int, budget: int = -1) -> FixedSizeR
         raise ValueError(f"exact solver capped at {MAX_EXACT_VERTICES} vertices")
     if m == 1:
         return FixedSizeResult(None, True, 0, 1)
-    others = np.arange(1, m, dtype=np.int64)
-    size, members, nodes, exhausted = _solve(cg, others, k - 1, budget)
+    size, members, nodes, exhausted = kernels.bnb_clique(
+        cg.rows, m, (1 << m) - 2, k - 1, budget
+    )
     if size >= k - 1:
         picked = tuple(sorted([0] + sorted(members)[: k - 1]))
         return FixedSizeResult(Clique(picked), exhausted, nodes, k)
@@ -218,7 +198,7 @@ def heuristic_clique(cg: CliqueGraph, seed: int, restarts: int = 200) -> Clique:
     """Randomised greedy restarts; a lower bound only, never a proof."""
     rng = random.Random(seed)
     m = cg.size
-    rows = cg.int_rows()
+    rows = cg.rows
     best: tuple[int, ...] = (0,)
     order = list(range(1, m))
     for _ in range(restarts):

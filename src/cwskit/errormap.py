@@ -123,39 +123,24 @@ def cl_map(e: PauliOp, g: Graph) -> BitString:
 
 
 class ClArrays:
-    """Bit-packed CL and D arrays of length 2^n."""
+    """The CL and D arrays: boolean arrays of length 2^n indexed by codeword."""
 
-    def __init__(self, n: int, cl_words: np.ndarray, d_words: np.ndarray) -> None:
+    def __init__(self, n: int, cl: np.ndarray, d: np.ndarray) -> None:
         self.n = n
-        nwords = ((1 << n) + 63) >> 6
-        if cl_words.shape != (nwords,) or d_words.shape != (nwords,):
-            raise ValueError("word arrays have the wrong shape")
-        self.cl_words = cl_words
-        self.d_words = d_words
-        self._cl_bools: np.ndarray | None = None
-
-    def cl(self, i: int) -> int:
-        return (int(self.cl_words[i >> 6]) >> (i & 63)) & 1
-
-    def d(self, i: int) -> int:
-        return (int(self.d_words[i >> 6]) >> (i & 63)) & 1
+        self.cl = np.asarray(cl, dtype=bool)
+        self.d = np.asarray(d, dtype=bool)
+        if self.cl.shape != (1 << n,) or self.d.shape != (1 << n,):
+            raise ValueError("CL and D arrays must have length 2^n")
 
     @property
     def degenerate(self) -> bool:
-        return bool(self.cl(0))
-
-    def cl_bools(self) -> np.ndarray:
-        if self._cl_bools is None:
-            self._cl_bools = kernels.unpack_bits(self.cl_words, 1 << self.n)
-        return self._cl_bools
-
-    def d_bools(self) -> np.ndarray:
-        return kernels.unpack_bits(self.d_words, 1 << self.n)
+        return bool(self.cl[0])
 
     def dump(self) -> str:
+        """Each array as hex little-endian uint64 words of packed bits."""
         return (
-            f"n={self.n} which=CL\n{self.cl_words.tobytes().hex()}\n"
-            f"n={self.n} which=D\n{self.d_words.tobytes().hex()}\n"
+            f"n={self.n} which=CL\n{kernels.pack_bits(self.cl).tobytes().hex()}\n"
+            f"n={self.n} which=D\n{kernels.pack_bits(self.d).tobytes().hex()}\n"
         )
 
     @classmethod
@@ -168,8 +153,10 @@ class ClArrays:
         for header, payload in (lines[0:2], lines[2:4]):
             parts = dict(p.split("=", 1) for p in header.split())
             n = int(parts["n"])
-            words = np.frombuffer(bytes.fromhex(payload), dtype=np.uint64).copy()
-            sections[parts["which"]] = words
+            words = np.frombuffer(bytes.fromhex(payload), dtype=np.uint64)
+            if words.size != ((1 << n) + 63) >> 6:
+                raise ValueError("word arrays have the wrong shape")
+            sections[parts["which"]] = kernels.unpack_bits(words, 1 << n)
         if set(sections) != {"CL", "D"}:
             raise ValueError("dump must contain one CL and one D section")
         return cls(n, sections["CL"], sections["D"])
@@ -204,4 +191,4 @@ def setup(errors: ErrorSet, g: Graph) -> ClArrays:
                 acc |= kernels.parity_of_and(x, b).astype(bool)
             d_bits[lo:hi] = acc
 
-    return ClArrays(n, kernels.pack_bits(cl_bits), kernels.pack_bits(d_bits))
+    return ClArrays(n, cl_bits, d_bits)

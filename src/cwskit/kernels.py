@@ -1,7 +1,8 @@
 """Hot numeric kernels in NumPy and Python ints.
 
-Bitset layout: a set over ``m`` indices is an array of ``ceil(m/64)`` uint64
-words, bit ``j`` of the set living at ``words[j >> 6] >> (j & 63)``.
+Sets in the clique layer are Python ints: vertex ``j`` is in set ``s`` when
+``(s >> j) & 1``.  Little-endian uint64 words (``pack_bits``) appear only in
+the CL/D and clique-graph dump formats.
 """
 
 from __future__ import annotations
@@ -69,22 +70,20 @@ def graph_signs(rows: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # CWS clique-graph adjacency over vertex indices
 
-def clique_adjacency(verts: np.ndarray, cl_bool: np.ndarray) -> np.ndarray:
-    m = verts.shape[0]
-    xor = verts[:, None] ^ verts[None, :]
-    ok = ~cl_bool[xor]
+def clique_adjacency(verts: np.ndarray, cl_bool: np.ndarray) -> list[int]:
+    """Neighbour mask of each vertex: j is a neighbour of i when i != j and
+    the pattern verts[i] ^ verts[j] is not in CL."""
+    ok = ~cl_bool[verts[:, None] ^ verts[None, :]]
     np.fill_diagonal(ok, False)
-    words = (m + 63) >> 6
-    padded = np.zeros((m, words * 64), dtype=np.uint8)
-    padded[:, :m] = ok
-    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+    packed = np.packbits(ok, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 # ---------------------------------------------------------------------------
 # exact maximum-clique branch and bound with greedy colouring bounds
 #
 # Returns (best_size, best_members, nodes_expanded, exhausted).  `cand_int`
-# is the initial candidate set as a Python-int bitset; `stop_at` > 0 makes the search stop as soon
+# is the initial candidate set; `stop_at` > 0 makes the search stop as soon
 # as a clique of that size is found (exhausted is False in that case unless
 # the space was fully explored first); `budget` < 0 means unlimited.
 

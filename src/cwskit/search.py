@@ -146,23 +146,19 @@ class SearchResult:
 _W: dict = {}
 
 
-def _init_worker(job_fields: dict) -> None:
-    _W["n"] = job_fields["n"]
-    _W["errors"] = error_set(job_fields["n"], job_fields["d"])
-    _W["target_k"] = job_fields["target_k"]
-    _W["exactness"] = job_fields["exactness"]
-    _W["seed"] = job_fields["seed"]
-    _W["budget"] = job_fields["budget"]
-    _W["graph_source"] = job_fields["graph_source"]
+def _init_worker(job: SearchJob) -> None:
+    _W["job"] = job
+    _W["errors"] = error_set(job.n, job.d)
     _W["canon"] = None
 
 
 def _canon_mask(mask: int, g: Graph) -> int:
     """Canonical id of a pending graph: iso/lc masks already are one, `all`
     looks it up in a class table built on first use, `file` runs the DFS."""
-    if _W["graph_source"] in {"iso", "lc"}:
+    source = _W["job"].graph_source
+    if source in {"iso", "lc"}:
         return mask
-    if _W["graph_source"] == "all" and g.n <= MAX_TABLE_N:
+    if source == "all" and g.n <= MAX_TABLE_N:
         if _W["canon"] is None:
             _W["canon"], _classes = class_table(g.n)
         return int(_W["canon"][mask])
@@ -170,26 +166,25 @@ def _canon_mask(mask: int, g: Graph) -> int:
 
 
 def _process_mask(mask: int) -> dict:
-    n = _W["n"]
-    g = Graph.from_mask(n, mask)
+    job: SearchJob = _W["job"]
+    g = Graph.from_mask(job.n, mask)
     canon = _canon_mask(mask, g)
-    arrays = setup(_W["errors"], g)
-    cg = make_cws_clique_graph(arrays)
-    target_k = _W["target_k"]
+    cg = make_cws_clique_graph(setup(_W["errors"], g))
+    target_k = job.target_k
     code: tuple[int, ...] | None = None
 
-    if _W["exactness"] == "heuristic":
-        seed = (_W["seed"] * 1000003 + mask) & 0x7FFFFFFF
+    if job.exactness == "heuristic":
+        seed = (job.seed * 1000003 + mask) & 0x7FFFFFFF
         clique = heuristic_clique(cg, seed)
         best_k, status = clique.size, "bound"
         code = tuple(int(cg.vertices[i]) for i in clique.members)
     elif target_k is None:
-        res = max_clique(cg, _W["budget"])
+        res = max_clique(cg, job.budget)
         best_k = res.clique.size
         status = "exact" if res.exact else "bound"
         code = tuple(int(cg.vertices[i]) for i in res.clique.members)
     else:
-        res = find_clique_of_size(cg, target_k, _W["budget"])
+        res = find_clique_of_size(cg, target_k, job.budget)
         if res.found:
             best_k, status = target_k, "exact"
             code = tuple(int(cg.vertices[i]) for i in res.clique.members)
@@ -284,12 +279,12 @@ def run_search(
 
     ck_handle = None
     if checkpoint:
-        ck_handle = open(checkpoint, "a")
+        ck_handle = open(checkpoint, "a", buffering=1)  # line-buffered: no lost records
         if ck_handle.tell() == 0:
             ck_handle.write(json.dumps({"job": job.fingerprint()}) + "\n")
-            ck_handle.flush()
 
-    outcomes: list[dict] = list(done.values())
+    # a checkpoint may hold graphs outside this job's list; replay only ours
+    outcomes: list[dict] = [done[m] for m in masks if m in done]
 
     def consume(stream) -> None:
         for idx, rec in enumerate(stream):
@@ -301,7 +296,7 @@ def run_search(
 
     try:
         if job.worker_count <= 1 or len(pending) <= 1:
-            _init_worker(job.fingerprint())
+            _init_worker(job)
             consume(map(_process_mask, pending))
         else:
             ctx = mp.get_context("fork")
@@ -309,7 +304,7 @@ def run_search(
             with ctx.Pool(
                 job.worker_count,
                 initializer=_init_worker,
-                initargs=(job.fingerprint(),),
+                initargs=(job,),
             ) as pool:
                 consume(pool.imap_unordered(_process_mask, pending, chunksize=chunk))
     except Exception as exc:

@@ -139,7 +139,7 @@ def test_criterion_06_three_word_codes_extend():
         errs = error_set(n, 2)
         for g in enumerate_graphs(n):
             cg = make_cws_clique_graph(setup(errs, g))
-            rows = cg.int_rows()
+            rows = cg.rows
             for i in range(1, cg.size):
                 for j in range(i + 1, cg.size):
                     if not (rows[i] >> j) & 1:

@@ -2,8 +2,8 @@ import itertools
 import random
 
 import numpy as np
+import pytest
 
-import cwskit.kernels as K
 from conftest import random_graph
 from cwskit.clique import (
     CliqueGraph,
@@ -20,7 +20,7 @@ from cwskit.verify import CWSCode, detection_check, kl_oracle
 
 
 def arrays_from_bools(n: int, cl: np.ndarray, d: np.ndarray) -> ClArrays:
-    return ClArrays(n, K.pack_bits(cl), K.pack_bits(d))
+    return ClArrays(n, cl, d)
 
 
 def random_cl_arrays(n: int, rng) -> ClArrays:
@@ -38,7 +38,7 @@ def brute_force_max_clique(cg: CliqueGraph) -> tuple[int, tuple[int, ...]]:
     just those through vertex 0); returns size and the lexicographically
     smallest witness codeword set among maximum cliques."""
     m = cg.size
-    rows = cg.int_rows()
+    rows = cg.rows
     masks = np.arange(1 << m, dtype=np.int64)
     ok = np.ones(1 << m, dtype=bool)
     for v in range(m):
@@ -99,15 +99,28 @@ class TestMakeCliqueGraph:
             cg = make_cws_clique_graph(arrays)
             for i in range(cg.size):
                 for j in range(i + 1, cg.size):
-                    expect = arrays.cl(int(cg.vertices[i]) ^ int(cg.vertices[j])) == 0
+                    expect = not arrays.cl[int(cg.vertices[i]) ^ int(cg.vertices[j])]
                     assert cg.has_edge(i, j) == expect
 
     def test_dump_round_trip(self):
         rng = random.Random(2)
         cg = make_cws_clique_graph(random_cl_arrays(3, rng))
-        m, adj = parse_clique_graph_dump(cg.dump())
+        m, rows = parse_clique_graph_dump(cg.dump())
         assert m == cg.size
-        assert np.array_equal(adj, cg.adj)
+        assert rows == cg.rows
+
+    def test_dump_bytes_pinned(self):
+        # ring4, d=2: each row is one little-endian uint64 word
+        cg = make_cws_clique_graph(setup(error_set(4, 2), Graph.ring(4)))
+        assert cg.dump() == (
+            "vertices=6\n"
+            "3e00000000000000\n3100000000000000\n2900000000000000\n"
+            "2500000000000000\n2300000000000000\n1f00000000000000\n"
+        )
+
+    def test_vertex_zero_must_be_universal(self):
+        with pytest.raises(ValueError, match="universal"):
+            CliqueGraph(2, np.array([0, 1, 2]), [0b010, 0b001, 0b001])
 
 
 class TestMaxClique:
@@ -128,6 +141,14 @@ class TestMaxClique:
             _best, witness = brute_force_max_clique(cg)
             got = tuple(sorted(int(cg.vertices[i]) for i in res.clique.members))
             assert got == witness
+
+    def test_ring9_d3_pinned(self):
+        # result, tie-break and node count of the exact search on a 269-vertex graph
+        cg = make_cws_clique_graph(setup(error_set(9, 3), Graph.ring(9)))
+        res = max_clique(cg)
+        assert cg.size == 269 and res.exact and res.nodes == 5416
+        words = sorted(int(cg.vertices[i]) for i in res.clique.members)
+        assert words == [0, 35, 70, 146, 177, 212, 313, 350, 367, 427, 460, 509]
 
     def test_budget_flagged(self):
         cl = np.zeros(1 << 4, dtype=bool)
@@ -199,6 +220,12 @@ class TestFindCliqueOfSize:
                 else:
                     assert not res.found and res.exhausted
                     assert res.best_size == best
+
+    def test_ring9_d3_size13_absent_pinned(self):
+        cg = make_cws_clique_graph(setup(error_set(9, 3), Graph.ring(9)))
+        res = find_clique_of_size(cg, 13)
+        assert not res.found and res.exhausted
+        assert res.nodes == 4566 and res.best_size == 12
 
 
 class TestCwsMaxclique:

@@ -98,11 +98,11 @@ class TestClMap:
 
 
 def _setup_marks(arrays: ClArrays) -> set[int]:
-    return {i for i in range(1 << arrays.n) if arrays.cl(i)}
+    return {i for i in range(1 << arrays.n) if arrays.cl[i]}
 
 
 def _d_marks(arrays: ClArrays) -> set[int]:
-    return {i for i in range(1 << arrays.n) if arrays.d(i)}
+    return {i for i in range(1 << arrays.n) if arrays.d[i]}
 
 
 class TestSetup:
@@ -123,7 +123,7 @@ class TestSetup:
 
     def test_ring5_distance3_nondegenerate(self):
         arrays = setup(error_set(5, 3), Graph.ring(5))
-        assert arrays.cl(0) == 0
+        assert arrays.cl[0] == 0
         assert _d_marks(arrays) == set()
 
     def test_cl_equals_per_error_map(self):
@@ -154,7 +154,7 @@ class TestSetup:
                         if parity(i & e.u):
                             expect.add(i)
             assert _d_marks(arrays) == expect
-            assert arrays.d(0) == 0
+            assert arrays.d[0] == 0
 
     def test_d_empty_when_nondegenerate(self):
         rng = random.Random(4)
@@ -169,8 +169,21 @@ class TestSetup:
         arrays = setup(error_set(4, 2), Graph.ring(4))
         again = ClArrays.parse(arrays.dump())
         assert again.n == arrays.n
-        assert np.array_equal(again.cl_words, arrays.cl_words)
-        assert np.array_equal(again.d_words, arrays.d_words)
+        assert np.array_equal(again.cl, arrays.cl)
+        assert np.array_equal(again.d, arrays.d)
+
+    def test_dump_bytes_pinned(self):
+        # ring5, d=3: one uint64 word per array, hex of its little-endian bytes
+        arrays = setup(error_set(5, 3), Graph.ring(5))
+        assert arrays.dump() == (
+            "n=5 which=CL\nfeffff7f00000000\nn=5 which=D\n0000000000000000\n"
+        )
+
+    def test_array_lengths_checked(self):
+        with pytest.raises(ValueError):
+            ClArrays(3, np.zeros(7, dtype=bool), np.zeros(8, dtype=bool))
+        with pytest.raises(ValueError):
+            ClArrays.parse("n=7 which=CL\n" + "00" * 8 + "\nn=7 which=D\n" + "00" * 16)
 
     def test_mismatched_sizes(self):
         with pytest.raises(ValueError):

@@ -219,6 +219,36 @@ class TestCheckpoint:
         res = run_search(job, checkpoint=ck)
         assert res.summary_best_k == run_search(job).summary_best_k
 
+    def test_resume_replays_only_the_jobs_graphs(self, tmp_path: Path):
+        # the fingerprint names the graph file, not its content: after the
+        # file changes, the stored ring5 record must not join the result
+        gf = tmp_path / "g.graph"
+        gf.write_text(write_graph_file(Graph.ring(5)))
+        job = SearchJob(n=5, d=3, graph_source="file", graph_file=str(gf))
+        ck = tmp_path / "file.ckpt"
+        assert run_search(job, checkpoint=ck).summary_best_k == 2
+        gf.write_text(write_graph_file(Graph.empty(5)))
+        resumed = run_search(job, checkpoint=ck)
+        assert [r.raw_mask for r in resumed.records] == [0]
+        assert render_result(resumed) == render_result(run_search(job))
+
+    def test_records_on_disk_before_next_graph(self, tmp_path: Path, monkeypatch):
+        # a run killed while solving graph k keeps the k-1 records before it
+        job = SearchJob(n=4, d=2, graph_source="all")
+        ck = tmp_path / "live.ckpt"
+        process = cwskit.search._process_mask
+        calls = []
+
+        def checked(mask):
+            on_disk = ck.read_text().splitlines()
+            assert len(on_disk) == 1 + len(calls)
+            calls.append(mask)
+            return process(mask)
+
+        monkeypatch.setattr(cwskit.search, "_process_mask", checked)
+        res = run_search(job, checkpoint=ck)
+        assert len(calls) == res.total_graphs == 64
+
     def test_checkpoint_job_mismatch(self, tmp_path: Path):
         ck = tmp_path / "other.ckpt"
         run_search(SearchJob(n=3, d=2, graph_source="iso"), checkpoint=ck)
@@ -268,8 +298,8 @@ class TestCli:
         gf = self._graph_file(tmp_path, Graph.ring(4))
         out = tmp_path / "cg.dump"
         assert main(["clique-graph", "--graph", gf, "--d", "2", "--out", str(out)]) == 0
-        m, adj = parse_clique_graph_dump(out.read_text())
-        assert m == adj.shape[0]
+        m, rows = parse_clique_graph_dump(out.read_text())
+        assert m == len(rows)
 
     def test_search_cli_absence(self, tmp_path: Path):
         out = tmp_path / "res.txt"

@@ -74,7 +74,7 @@ class TestIsLinear:
 def _k3_cliques(g: Graph, d: int):
     errs = error_set(g.n, d)
     cg = make_cws_clique_graph(setup(errs, g))
-    rows = cg.int_rows()
+    rows = cg.rows
     for i in range(1, cg.size):
         for j in range(i + 1, cg.size):
             if (rows[i] >> j) & 1:
