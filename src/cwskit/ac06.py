@@ -15,7 +15,6 @@ change transforms it.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ from .gf2 import (
     ClassicalCode,
     GF2Matrix,
     PauliOp,
-    parity,
+    insert_reduced,
     solve_linear,
 )
 from .graphs import Graph
@@ -46,11 +45,6 @@ class BooleanFunction:
             raise ValueError("support must be strictly ascending and distinct")
         if self.support and not 0 <= self.support[-1] < (1 << self.n):
             raise ValueError("support string out of range")
-
-    @classmethod
-    def from_strings(cls, n: int, strings) -> "BooleanFunction":
-        vals = sorted({s.value if isinstance(s, BitString) else int(s) for s in strings})
-        return cls(n, tuple(vals))
 
     @classmethod
     def from_anf(cls, n: int, expr: str) -> "BooleanFunction":
@@ -95,9 +89,6 @@ class BooleanFunction:
     def weight(self) -> int:
         return len(self.support)
 
-    def evaluate(self, c: int) -> int:
-        return 1 if c in self.support else 0
-
     def support_strings(self) -> tuple[BitString, ...]:
         return tuple(BitString(self.n, s) for s in self.support)
 
@@ -128,6 +119,17 @@ def _pauli_to_row(p: PauliOp) -> int:
     return p.u | (p.v << p.n)
 
 
+def _check_commuting_independent(gens, noun: str) -> None:
+    """Refuse generators that anticommute or are linearly dependent."""
+    for i, g in enumerate(gens):
+        for j in range(i + 1, len(gens)):
+            if g.symplectic(gens[j]):
+                raise ValueError(f"{noun} {i} and {j} anticommute")
+    rows = GF2Matrix(2 * gens[0].n, tuple(_pauli_to_row(g) for g in gens))
+    if rows.rank() != len(gens):
+        raise ValueError(f"{noun} are not independent")
+
+
 @dataclass(frozen=True)
 class StabilizerState:
     """n commuting, independent Hermitian Pauli generators with +1 signs."""
@@ -143,12 +145,7 @@ class StabilizerState:
         for i, g in enumerate(self.generators):
             if g.hermitian_sign() != 1:
                 raise ValueError(f"generator {i} does not have sign +1")
-            for j in range(i + 1, n):
-                if g.symplectic(self.generators[j]):
-                    raise ValueError(f"generators {i} and {j} anticommute")
-        rows = GF2Matrix(2 * n, tuple(_pauli_to_row(g) for g in self.generators))
-        if rows.rank() != n:
-            raise ValueError("generators are not independent")
+        _check_commuting_independent(self.generators, "generators")
 
     @property
     def n(self) -> int:
@@ -166,15 +163,9 @@ class AC06Data:
         n = self.f.n
         if self.a.nrows != n or self.a.ncols != 2 * n:
             raise ValueError("matrix must be n x 2n")
-        gens = [_row_to_pauli(r, n) for r in self.a.rows]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if gens[i].symplectic(gens[j]):
-                    raise ValueError(
-                        f"rows {i} and {j} are not symplectically orthogonal"
-                    )
-        if self.a.rank() != n:
-            raise ValueError("matrix rows are not linearly independent")
+        _check_commuting_independent(
+            [_row_to_pauli(r, n) for r in self.a.rows], "rows"
+        )
 
     @property
     def n(self) -> int:
@@ -241,133 +232,59 @@ class LCRecord:
     generator_change: GF2Matrix
 
 
-def _x_block_rank(rows: list[tuple[int, int]], n: int) -> int:
-    m = GF2Matrix(n, tuple(u for u, _v in rows))
-    return m.rank()
+def _hadamard_set(gens) -> list[int]:
+    """Qubits whose Hadamards make the X block invertible: the Z-half pivot
+    columns of the reduced row-echelon form of [X | Z].
+
+    The rows with an X pivot are [A | B]; the others are [0 | C], with C in
+    RREF on its pivot set S.  Commutation gives A C^T = 0, and the ranks add
+    up to n, so the row space of C is the null space of A.  A nonzero vector
+    in C's row space is nonzero somewhere on S, hence A has no nonzero null
+    vector supported outside S: A restricted to the columns outside S is
+    invertible.  RREF also clears B on S and gives C = I on S, so after
+    Hadamards on S the X block is [[A_notS, 0], [0, I]]."""
+    n = gens[0].n
+    reduced = GF2Matrix(2 * n, tuple(_pauli_to_row(g) for g in gens)).row_reduce()
+    pivots = ((r & -r).bit_length() - 1 for r in reduced.rows)
+    return [col - n for col in pivots if col >= n]
 
 
-def _hadamard_set(uv: list[tuple[int, int]], n: int) -> list[int]:
-    """Choose qubits to Hadamard so the X block becomes invertible."""
-    # pivot analysis on [X | Z] with X columns preferred
-    work = [u | (v << n) for u, v in uv]
-    pivot_cols = []
-    pivot_row = 0
-    for col in range(2 * n):
-        sel = None
-        for r in range(pivot_row, len(work)):
-            if (work[r] >> col) & 1:
-                sel = r
-                break
-        if sel is None:
-            continue
-        work[pivot_row], work[sel] = work[sel], work[pivot_row]
-        for r in range(len(work)):
-            if r != pivot_row and (work[r] >> col) & 1:
-                work[r] ^= work[pivot_row]
-        pivot_cols.append(col)
-        pivot_row += 1
-    chosen = {col - n for col in pivot_cols if col >= n}
-
-    def rank_with(swaps: set[int]) -> int:
-        rows = []
-        for u, v in uv:
-            uu, vv = u, v
-            for j in swaps:
-                bu, bv = (uu >> j) & 1, (vv >> j) & 1
-                uu = (uu & ~(1 << j)) | (bv << j)
-                vv = (vv & ~(1 << j)) | (bu << j)
-            rows.append((uu, vv))
-        return _x_block_rank(rows, n)
-
-    if rank_with(chosen) == n:
-        return sorted(chosen)
-    # greedy single toggles
-    current = rank_with(chosen)
-    progress = True
-    while current < n and progress:
-        progress = False
-        for j in range(n):
-            trial = set(chosen)
-            trial.symmetric_difference_update({j})
-            r = rank_with(trial)
-            if r > current:
-                chosen, current = trial, r
-                progress = True
-                break
-    if current == n:
-        return sorted(chosen)
-    # exhaustive fallback; a full-rank swap set always exists for a valid state
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
-            if rank_with(set(combo)) == n:
-                return list(combo)
-    raise RuntimeError("no Hadamard set achieves a full-rank X block")
+def _hadamard(p: PauliOp, j: int) -> PauliOp:
+    """H p H on qubit j: swap the X and Z bits there; XZ becomes ZX = -XZ."""
+    bu, bv = (p.u >> j) & 1, (p.v >> j) & 1
+    flip = (bu ^ bv) << j
+    return PauliOp(p.n, p.u ^ flip, p.v ^ flip, p.phase + 2 * (bu & bv))
 
 
 def stabilizer_to_graph(s: StabilizerState) -> tuple[Graph, LCRecord]:
     """Reduce to graph-state generators X_l Z^(row l) with +1 signs.
 
-    Hadamards make the X block invertible, row operations (tracked in R)
-    bring it to the identity, phase gates clear the adjacency diagonal, and
-    a final Pauli-Z conjugation normalises the signs.  The single-qubit
-    moves leave any attached classical code alone; only R acts on it."""
+    Hadamards make the X block M invertible, the generator change
+    R = (M^-1)^T turns it into the identity, phase gates clear the
+    adjacency diagonal, and a final Pauli-Z conjugation normalises the
+    signs.  New generator i is the unique group element with X part e_i,
+    so it does not depend on how the elimination is ordered.  The
+    single-qubit moves leave any attached classical code alone; only R
+    acts on it."""
     n = s.n
-    us = [g.u for g in s.generators]
-    vs = [g.v for g in s.generators]
-    phases = [g.phase for g in s.generators]
+    gens = s.generators
     letters = [""] * n
-
-    for j in _hadamard_set(list(zip(us, vs)), n):
+    for j in _hadamard_set(gens):
         letters[j] += "H"
-        for i in range(n):
-            bu, bv = (us[i] >> j) & 1, (vs[i] >> j) & 1
-            if bu and bv:
-                phases[i] = (phases[i] + 2) % 4
-            us[i] = (us[i] & ~(1 << j)) | (bv << j)
-            vs[i] = (vs[i] & ~(1 << j)) | (bu << j)
+        gens = tuple(_hadamard(g, j) for g in gens)
 
-    # row-reduce the X block to the identity, composing actual generators
-    mix = [1 << i for i in range(n)]  # mix[i]: new gen i as product of old
-    for col in range(n):
-        sel = None
-        for r in range(col, n):
-            if (us[r] >> col) & 1:
-                sel = r
-                break
-        if sel is None:
-            raise RuntimeError("X block lost full rank during reduction")
-        if sel != col:
-            us[col], us[sel] = us[sel], us[col]
-            vs[col], vs[sel] = vs[sel], vs[col]
-            phases[col], phases[sel] = phases[sel], phases[col]
-            mix[col], mix[sel] = mix[sel], mix[col]
-        for r in range(n):
-            if r != col and (us[r] >> col) & 1:
-                phases[r] = (phases[r] + phases[col] + 2 * parity(vs[r] & us[col])) % 4
-                us[r] ^= us[col]
-                vs[r] ^= vs[col]
-                mix[r] ^= mix[col]
-
-    # clear the diagonal with phase gates (only generator j has X on qubit j)
-    for j in range(n):
-        if (vs[j] >> j) & 1:
-            letters[j] += "S"
-            vs[j] &= ~(1 << j)
-            phases[j] = (phases[j] + 1) % 4
-
-    # normalise signs by conjugating with Z^m
-    for i in range(n):
-        if phases[i] == 2:
+    r_matrix = GF2Matrix(n, tuple(g.u for g in gens)).invert().transpose()
+    rows = []
+    for i, g in enumerate(regenerate_generators(gens, r_matrix)):
+        # only generator i has X on qubit i, so S and Z there touch it alone
+        phase = g.phase
+        if (g.v >> i) & 1:
+            letters[i] += "S"
+            phase += 1
+        if phase % 4 == 2:
             letters[i] += "Z"
-            phases[i] = 0
-        if phases[i] != 0:
-            raise RuntimeError("generator sign did not normalise to +-1")
-
-    rows = tuple(vs)
-    graph = Graph(n, rows)
-
-    r_matrix = GF2Matrix(n, tuple(mix)).transpose()
-    return graph, LCRecord(tuple(letters), r_matrix)
+        rows.append(g.v & ~(1 << i))
+    return Graph(n, tuple(rows)), LCRecord(tuple(letters), r_matrix)
 
 
 def change_generators(r: GF2Matrix, c: ClassicalCode) -> ClassicalCode:
@@ -379,17 +296,19 @@ def change_generators(r: GF2Matrix, c: ClassicalCode) -> ClassicalCode:
     return c.mul_matrix(r)
 
 
-def regenerate_generators(
-    s: StabilizerState, r: GF2Matrix
-) -> tuple[PauliOp, ...]:
-    """New generator list g'_i = product_j g_j^(R_ji), phases tracked."""
-    n = s.n
+def regenerate_generators(s, r: GF2Matrix) -> tuple[PauliOp, ...]:
+    """New generator list g'_i = product_j g_j^(R_ji), phases tracked.
+
+    Accepts a StabilizerState or a plain generator tuple, whose signs need
+    not be +1."""
+    gens = s.generators if isinstance(s, StabilizerState) else tuple(s)
+    n = len(gens)
     out = []
     for i in range(n):
-        acc = PauliOp.identity(n)
+        acc = PauliOp.identity(gens[0].n)
         for j in range(n):
             if r.entry(j, i):
-                acc = acc @ s.generators[j]
+                acc = acc @ gens[j]
         out.append(acc)
     return tuple(out)
 
@@ -449,42 +368,17 @@ def compute_sd(s, d: int) -> SdResult:
     for i, g in enumerate(gens):
         if g.n != n or g.hermitian_sign() is None:
             raise ValueError(f"generator {i} is not a Hermitian n-qubit Pauli")
-        for h in gens[i + 1 :]:
-            if g.symplectic(h):
-                raise ValueError("generators must commute")
-    if GF2Matrix(2 * n, tuple(_pauli_to_row(g) for g in gens)).rank() != k:
-        raise ValueError("generators are not independent")
+    _check_commuting_independent(gens, "generators")
     elems: list[PauliOp] = [PauliOp.identity(n)]
     for a in range(1, 1 << k):
         low = (a & -a).bit_length() - 1
         elems.append(elems[a & (a - 1)] @ gens[low])
 
     low_weight = [e for e in elems[1:] if e.weight() < d]
-
-    def row(p: PauliOp) -> int:
-        return _pauli_to_row(p)
-
-    chosen: list[PauliOp] = []
-    rows: list[int] = []
-    rank = 0
-    for e in low_weight:
-        trial = rows + [row(e)]
-        r = GF2Matrix(2 * n, tuple(trial)).rank()
-        if r > rank:
-            chosen.append(e)
-            rows.append(row(e))
-            rank = r
-
-    completed = list(chosen)
-    for g in gens:
-        trial = rows + [row(g)]
-        r = GF2Matrix(2 * n, tuple(trial)).rank()
-        if r > len(rows):
-            completed.append(g)
-            rows.append(row(g))
-    if len(completed) != k:
-        raise RuntimeError("generator completion failed")
-    return SdResult(tuple(low_weight), rank, tuple(completed))
+    by_top: dict[int, int] = {}
+    chosen = [e for e in low_weight if insert_reduced(by_top, _pauli_to_row(e))]
+    completed = chosen + [g for g in gens if insert_reduced(by_top, _pauli_to_row(g))]
+    return SdResult(tuple(low_weight), len(chosen), tuple(completed))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ Conventions used across the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 MAX_BITS = 24
 
@@ -83,9 +83,6 @@ class BitString:
     def weight(self) -> int:
         return self.value.bit_count()
 
-    def is_zero(self) -> bool:
-        return self.value == 0
-
 
 @dataclass(frozen=True)
 class GF2Matrix:
@@ -100,19 +97,6 @@ class GF2Matrix:
         for r in self.rows:
             if not 0 <= r < (1 << self.ncols):
                 raise ValueError("row value out of range for declared width")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[int], ncols: int) -> "GF2Matrix":
-        return cls(ncols, tuple(rows))
-
-    @classmethod
-    def from_bitstrings(cls, rows: Sequence[BitString]) -> "GF2Matrix":
-        if not rows:
-            raise ValueError("need at least one row")
-        n = rows[0].n
-        if any(r.n != n for r in rows):
-            raise ValueError("rows have mixed lengths")
-        return cls(n, tuple(r.value for r in rows))
 
     @classmethod
     def identity(cls, n: int) -> "GF2Matrix":
@@ -217,20 +201,24 @@ def solve_linear(m: GF2Matrix, rhs: int) -> int | None:
     return x
 
 
-def xor_basis(values: Iterable[int]) -> list[int]:
-    """A basis of the GF(2) span of bit-packed vectors.
+def insert_reduced(by_top: dict[int, int], t: int) -> bool:
+    """Reduce t by the kept vectors, keyed by their top bits, and keep a
+    nonzero remainder; True iff t was independent of the kept vectors."""
+    while t:
+        top = t.bit_length() - 1
+        if top not in by_top:
+            by_top[top] = t
+            return True
+        t ^= by_top[top]
+    return False
 
-    Each value is reduced by the kept vectors, keyed by their top bits,
-    and a nonzero remainder is kept; the basis lists the remainders in the
-    order they were kept."""
+
+def xor_basis(values: Iterable[int]) -> list[int]:
+    """A basis of the GF(2) span of bit-packed vectors: the nonzero
+    remainders of insert_reduced, in the order they were kept."""
     by_top: dict[int, int] = {}
     for t in values:
-        while t:
-            top = t.bit_length() - 1
-            if top not in by_top:
-                by_top[top] = t
-                break
-            t ^= by_top[top]
+        insert_reduced(by_top, t)
     return list(by_top.values())
 
 

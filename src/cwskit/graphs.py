@@ -93,10 +93,6 @@ class Graph:
         full = (1 << n) - 1
         return cls(n, tuple(full ^ (1 << i) for i in range(n)))
 
-    @classmethod
-    def star(cls, n: int, center: int = 0) -> "Graph":
-        return cls.from_edges(n, [(center, j) for j in range(n) if j != center])
-
     def edges(self) -> list[tuple[int, int]]:
         return [
             (i, j)
@@ -110,9 +106,6 @@ class Graph:
         for i, j in self.edges():
             m |= 1 << edge_bit(i, j, self.n)
         return m
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted((r.bit_count() for r in self.rows), reverse=True))
 
     def permute(self, perm: Sequence[int]) -> "Graph":
         """Relabel vertices: old vertex i becomes perm[i]."""

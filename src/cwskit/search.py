@@ -135,10 +135,6 @@ class SearchResult:
         )
         return EXIT_ABSENT if absence_proven else EXIT_INCONCLUSIVE
 
-    @property
-    def conclusive(self) -> bool:
-        return self.exit_code in (EXIT_FOUND, EXIT_ABSENT)
-
 
 # ---------------------------------------------------------------------------
 # per-worker state and graph processing

@@ -85,6 +85,49 @@ def random_ac06(n: int, k: int, rng) -> AC06Data:
     return AC06Data(f, GF2Matrix(2 * n, combined))
 
 
+def conjugate(p: PauliOp, letter: str, j: int) -> PauliOp:
+    """U p U^dagger for U = H, S or Z on qubit j, in the X^u Z^v normal form."""
+    bu, bv = (p.u >> j) & 1, (p.v >> j) & 1
+    if letter == "H":  # X <-> Z, and XZ -> ZX = -XZ
+        flip = (bu ^ bv) << j
+        return PauliOp(p.n, p.u ^ flip, p.v ^ flip, p.phase + 2 * (bu & bv))
+    if letter == "S":  # X -> Y = iXZ, XZ -> iX
+        return PauliOp(p.n, p.u, p.v ^ (bu << j), p.phase + bu)
+    assert letter == "Z"  # X -> -X
+    return PauliOp(p.n, p.u, p.v, p.phase + 2 * bu)
+
+
+def cnot(p: PauliOp, c: int, t: int) -> PauliOp:
+    """CNOT p CNOT: X_c -> X_c X_t and Z_t -> Z_c Z_t, no sign change."""
+    u = p.u ^ (((p.u >> c) & 1) << t)
+    v = p.v ^ (((p.v >> t) & 1) << c)
+    return PauliOp(p.n, u, v, p.phase)
+
+
+def random_state_generators(n: int, rng) -> list[PauliOp]:
+    """A random H/S/CNOT circuit applied to the generators Z_i, then a
+    random generator change, with every sign made +1."""
+    gens = [PauliOp(n, 0, 1 << i, 0) for i in range(n)]
+    for _ in range(rng.randint(0, 4 * n)):
+        kind = rng.choice("HSC" if n > 1 else "HS")
+        j = rng.randrange(n)
+        if kind == "C":
+            t = rng.randrange(n - 1)
+            t += t >= j
+            gens = [cnot(g, j, t) for g in gens]
+        else:
+            gens = [conjugate(g, kind, j) for g in gens]
+    mix = random_invertible(n, rng)
+    out = []
+    for i in range(n):
+        acc = PauliOp.identity(n)
+        for j in range(n):
+            if mix.entry(j, i):
+                acc = acc @ gens[j]
+        out.append(acc if acc.hermitian_sign() == 1 else acc.negate())
+    return out
+
+
 class TestBooleanFunction:
     def test_example_support(self):
         f = BooleanFunction.from_anf(5, EX2_ANF)
@@ -209,6 +252,80 @@ class TestStabilizerToGraph:
             ]
             for d in (1, 2, 3):
                 assert kl_oracle_states(in_states, d) == kl_oracle(res.cws, d)
+
+
+    # (rows, letters, R rows) of random_state_generators(n, Random(n)), as
+    # computed before the reduction moved onto the shared GF(2) routines
+    PINNED = {
+        1: ((0,), ("",), (1,)),
+        2: ((0, 0), ("H", "H"), (2, 1)),
+        3: ((0, 0, 0), ("H", "H", "H"), (4, 2, 1)),
+        4: ((0, 0, 0, 0), ("H", "", "H", "H"), (12, 1, 7, 3)),
+        5: ((0, 0, 0, 16, 8), ("H", "HZ", "SZ", "H", "Z"), (2, 26, 1, 15, 29)),
+        6: (
+            (48, 0, 0, 32, 1, 9),
+            ("HZ", "SZ", "Z", "H", "", "S"),
+            (50, 43, 61, 19, 45, 37),
+        ),
+        7: (
+            (4, 0, 1, 0, 0, 0, 0),
+            ("H", "H", "SZ", "H", "H", "H", "H"),
+            (103, 68, 54, 51, 91, 100, 55),
+        ),
+    }
+
+    @pytest.mark.parametrize("n", sorted(PINNED))
+    def test_pinned_reductions(self, n):
+        gens = random_state_generators(n, random.Random(n))
+        graph, record = stabilizer_to_graph(StabilizerState(tuple(gens)))
+        got = (graph.rows, record.letters, record.generator_change.rows)
+        assert got == self.PINNED[n]
+
+    def test_letters_and_r_map_input_onto_graph_generators(self):
+        rng = random.Random(6)
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            gens = random_state_generators(n, rng)
+            graph, record = stabilizer_to_graph(StabilizerState(tuple(gens)))
+            r = record.generator_change
+            hadamarded = list(gens)
+            for j, letters in enumerate(record.letters):
+                if "H" in letters:
+                    hadamarded = [conjugate(g, "H", j) for g in hadamarded]
+            x_block = GF2Matrix(n, tuple(g.u for g in hadamarded))
+            assert x_block.invert() is not None
+            moved = list(gens)
+            for j, letters in enumerate(record.letters):
+                for letter in letters:
+                    moved = [conjugate(g, letter, j) for g in moved]
+            assert regenerate_generators(moved, r) == tuple(
+                PauliOp(n, 1 << i, graph.rows[i], 0) for i in range(n)
+            )
+            # a one-state check would pass vacuously, so compare a two-word
+            # code at d = 2
+            code = ClassicalCode.from_ints(n, [0, rng.randrange(1, 1 << n)])
+            in_states = [stabilizer_state_vector(gens, c) for c in code.values]
+            moved_code = change_generators(r, code).sorted()
+            assert kl_oracle_states(in_states, 2) == kl_oracle(
+                CWSCode(graph, moved_code), 2
+            )
+
+
+class TestStabilizerState:
+    def test_anticommuting_generators_refused(self):
+        gens = (PauliOp.from_text("XI"), PauliOp.from_text("ZI"))
+        with pytest.raises(ValueError, match="anticommute"):
+            StabilizerState(gens)
+
+    def test_dependent_generators_refused(self):
+        gens = (PauliOp.from_text("ZZ"), PauliOp.from_text("ZZ"))
+        with pytest.raises(ValueError, match="not independent"):
+            StabilizerState(gens)
+
+    def test_minus_sign_refused(self):
+        gens = (PauliOp.from_text("-ZI"), PauliOp.from_text("IZ"))
+        with pytest.raises(ValueError, match="sign"):
+            StabilizerState(gens)
 
 
 class TestFullChain:
@@ -344,6 +461,30 @@ class TestComputeSd:
         result = compute_sd(StabilizerState(gens), 2)
         assert result.rank == n
         assert cws_maxclique(error_set(n, 2), g).size == 1
+
+    def test_pinned_subgroup_with_minus_sign(self):
+        # three of five generators, one negated; values computed before
+        # compute_sd moved onto insert_reduced
+        gens = random_state_generators(5, random.Random(55))[:3]
+        gens[1] = gens[1].negate()
+        assert [str(g) for g in gens] == ["ZXZIZ", "-IXIZI", "ZIIZZ"]
+        result = compute_sd(gens, 3)
+        assert [str(e) for e in result.elements] == ["-IXIZI", "-IIZII"]
+        assert result.rank == 2
+        assert [str(g) for g in result.generators] == ["-IXIZI", "-IIZII", "ZXZIZ"]
+
+    @pytest.mark.parametrize(
+        "texts, match",
+        [
+            (["XI", "ZI"], "commute"),
+            (["ZZ", "-ZZ"], "not independent"),
+            (["ZI", "iIZ"], "Hermitian"),
+            (["ZI", "-iIZ"], "Hermitian"),
+        ],
+    )
+    def test_invalid_generators_refused(self, texts, match):
+        with pytest.raises(ValueError, match=match):
+            compute_sd([PauliOp.from_text(t) for t in texts], 2)
 
 
 class TestAc06File:

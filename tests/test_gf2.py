@@ -11,9 +11,11 @@ from cwskit.gf2 import (
     ClassicalCode,
     GF2Matrix,
     PauliOp,
+    insert_reduced,
     random_invertible,
     solve_linear,
     symplectic_product,
+    xor_basis,
 )
 
 
@@ -249,6 +251,19 @@ class TestGF2Matrix:
     def test_solve_zero_rhs_gives_zero(self):
         m = GF2Matrix(4, (0b0110, 0b1001))
         assert solve_linear(m, 0) == 0
+
+    def test_insert_reduced_tracks_rank(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            values = [rng.randrange(1 << 6) for _ in range(rng.randint(1, 8))]
+            by_top: dict[int, int] = {}
+            for i, t in enumerate(values):
+                before = GF2Matrix(6, tuple(values[:i])).rank()
+                grew = GF2Matrix(6, tuple(values[: i + 1])).rank() > before
+                assert insert_reduced(by_top, t) == grew
+            basis = xor_basis(values)
+            assert basis == list(by_top.values())
+            assert GF2Matrix(6, tuple(basis)).rank() == len(basis) == len(by_top)
 
 
 class TestClassicalCode:

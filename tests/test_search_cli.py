@@ -316,6 +316,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "aborted" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map-errors", "--graph", "DIR", "--d", "2"],
+            ["clique-graph", "--graph", "DIR", "--d", "2"],
+            ["search", "--n", "4", "--d", "2", "--graphs", "file", "--graph", "DIR"],
+            ["search", "--n", "4", "--d", "2", "--checkpoint", "DIR"],
+            ["search", "--n", "2", "--d", "2", "--out", "DIR"],
+            ["verify", "--code", "DIR"],
+            ["convert", "--ac06", "DIR"],
+            ["convert", "--code", "DIR"],
+            ["structure", "linear", "--code", "DIR"],
+            ["structure", "filter", "--n", "7", "--k", "3", "--d", "3", "--registry", "DIR"],
+            ["orbit", "--graph", "DIR"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv if a.startswith("--") or a.isalpha()),
+    )
+    def test_directory_path_is_input_error(self, argv, tmp_path: Path, capsys):
+        rc = main([str(tmp_path) if a == "DIR" else a for a in argv])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_search_cli_found_writes_result(self, tmp_path: Path, capsys):
         out = tmp_path / "res.txt"
         rc = main(["search", "--n", "4", "--d", "2", "--graphs", "iso", "--out", str(out)])
