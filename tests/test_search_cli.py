@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 from pathlib import Path
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from cwskit.cli import main
 from cwskit.errormap import ClArrays
-from cwskit.clique import parse_clique_graph_dump
+from cwskit.clique import make_cws_clique_graph, parse_clique_graph_dump
 from cwskit.graphs import Graph, canonical_form, write_graph_file
 import cwskit.search
 from cwskit.search import (
@@ -21,7 +22,7 @@ from cwskit.search import (
     run_search,
 )
 from cwskit.verify import detection_check
-from cwskit.errormap import error_set
+from cwskit.errormap import error_set, setup
 
 RECORD_RE = re.compile(
     r"^graph=[0-9a-f]+ cliquegraph_vertices=\d+ bestK=\d+ status=(exact|bound)$"
@@ -164,6 +165,16 @@ def complete_n4_checkpoint(tmp_path_factory):
     return job, ck.read_bytes(), plain, ck.with_name("cut.ckpt")
 
 
+def lex_smallest_max_clique(cg) -> list[int]:
+    """Words of the lexicographically smallest maximum clique, by enumeration:
+    combinations come in lexicographic order, so the first clique met at the
+    largest size is the smallest one."""
+    for k in range(cg.size - 1, -1, -1):
+        for rest in itertools.combinations(range(1, cg.size), k):
+            if all(cg.has_edge(a, b) for a, b in itertools.combinations(rest, 2)):
+                return [int(cg.vertices[i]) for i in (0, *rest)]
+
+
 class TestCheckpoint:
     @settings(deadline=None)
     @given(cut=st.floats(min_value=0.0, max_value=1.0))
@@ -248,6 +259,32 @@ class TestCheckpoint:
         monkeypatch.setattr(cwskit.search, "_process_mask", checked)
         res = run_search(job, checkpoint=ck)
         assert len(calls) == res.total_graphs == 64
+
+    @pytest.mark.parametrize("kept", [64, 7])
+    def test_refined_code_checkpoint_resumes_identically(self, tmp_path: Path, kept):
+        # older checkpoints store the lexicographically smallest maximum
+        # clique for every graph; they must resume to the same result and
+        # witness, whether the witness graph (raw mask 7, the eighth record)
+        # is replayed or solved again
+        job = SearchJob(n=4, d=2, graph_source="all")
+        plain = run_search(job)
+        ck = tmp_path / "refined.ckpt"
+        run_search(job, checkpoint=ck)
+        errors = error_set(4, 2)
+        head, *lines = ck.read_text().splitlines()
+        refined = [head]
+        for ln in lines[:kept]:
+            rec = json.loads(ln)
+            g = Graph.from_mask(4, rec["raw_mask"])
+            rec["code"] = lex_smallest_max_clique(make_cws_clique_graph(setup(errors, g)))
+            refined.append(json.dumps(rec))
+        ck.write_text("\n".join(refined) + "\n")
+        resumed = run_search(job, checkpoint=ck)
+        assert render_result(resumed) == render_result(plain)
+        assert resumed.witness == plain.witness
+        g = plain.witness.graph
+        words = lex_smallest_max_clique(make_cws_clique_graph(setup(errors, g)))
+        assert [w.value for w in plain.witness.code.words] == words
 
     def test_checkpoint_job_mismatch(self, tmp_path: Path):
         ck = tmp_path / "other.ckpt"
@@ -337,6 +374,26 @@ class TestCli:
         rc = main([str(tmp_path) if a == "DIR" else a for a in argv])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv, rc, graph, code",
+        [
+            (["--n", "5", "--d", "2", "--graphs", "all"], 0, "0dc",
+             "00000,01100,10010,11101,11011,00111"),
+            (["--n", "5", "--d", "3", "--graphs", "all"], 0, "0dc", "00000,11111"),
+            (["--n", "6", "--d", "2", "--graphs", "lc"], 0, "001f",
+             "000000,110000,101000,011000,100100,010100,001100,111100,"
+             "100010,010010,001010,111010,000110,110110,101110,011110"),
+            (["--n", "5", "--d", "2", "--budget", "3"], 4, "007",
+             "00000,01101,01011,00111"),
+        ],
+        ids=["n5d2", "n5d3", "n6d2-lc", "n5d2-budget3"],
+    )
+    def test_search_witness_pinned(self, argv, rc, graph, code, capsys):
+        assert main(["search", *argv]) == rc
+        out = capsys.readouterr().out.splitlines()
+        assert f"witness_graph={graph}" in out
+        assert f"witness_code={code}" in out
 
     def test_search_cli_found_writes_result(self, tmp_path: Path, capsys):
         out = tmp_path / "res.txt"
