@@ -19,7 +19,9 @@ from .graphs import Graph, canonical_form, lc_orbit, mask_hex, parse_graph_file
 from .search import SearchAborted, SearchJob, run_search, write_result_file
 from .verify import (
     MAX_ORACLE_N,
+    CWSCode,
     code_distance,
+    detection_check,
     kl_oracle,
     parse_code_file,
     report_lines,
@@ -59,6 +61,24 @@ def _cmd_clique_graph(args) -> int:
     return 0
 
 
+def _check_out_path(path: Path) -> None:
+    """Refuse an --out the result cannot be written to, before any work."""
+    if path.is_dir():
+        raise ValueError(f"--out {path} is a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"--out {path}: no directory {path.parent}")
+
+
+def _witness_problem(q: CWSCode, d: int) -> str | None:
+    """Check the witness by both routes: the detection conditions, and the
+    Knill-Laflamme oracle, which shares no code with them or the search."""
+    if not detection_check(q, error_set(q.n, d)).detects:
+        return "witness fails detection_check"
+    if q.n <= MAX_ORACLE_N and kl_oracle(q, d) < d:
+        return "witness fails kl_oracle"
+    return None
+
+
 def _cmd_search(args) -> int:
     job = SearchJob(
         n=args.n,
@@ -71,6 +91,8 @@ def _cmd_search(args) -> int:
         seed=args.seed,
         budget=args.budget,
     )
+    if args.out:
+        _check_out_path(Path(args.out))
     try:
         result = run_search(
             job,
@@ -80,6 +102,11 @@ def _cmd_search(args) -> int:
     except SearchAborted as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 4
+    if result.witness is not None:
+        problem = _witness_problem(result.witness, job.d)
+        if problem:
+            print(f"aborted: {problem}", file=sys.stderr)
+            return 4
     if args.out:
         write_result_file(Path(args.out), result)
     print(f"graphs={result.total_graphs}")

@@ -117,32 +117,42 @@ class FixedSizeResult:
 
 
 def max_clique(cg: CliqueGraph, budget: int = -1) -> CliqueSearchResult:
-    """Maximum clique containing vertex 0; exact unless the budget runs out.
+    """A maximum clique containing vertex 0; exact unless the budget runs out.
 
-    Among maximum cliques the lexicographically smallest member set is
-    returned (budget permitting)."""
+    One branch and bound: the members are whichever maximum clique through 0
+    it meets first, not a canonical choice (see `lex_min_clique`)."""
     m = cg.size
     if m > MAX_EXACT_VERTICES:
         raise ValueError(f"exact solver capped at {MAX_EXACT_VERTICES} vertices")
     if m == 1:
         return CliqueSearchResult(Clique((0,)), True, 0)
-    size, members, nodes, exhausted = kernels.bnb_clique(
+    _size, members, nodes, exhausted = kernels.bnb_clique(
         cg.rows, m, (1 << m) - 2, 0, budget
     )
-    best = tuple(sorted([0] + members))
-    if not exhausted:
-        return CliqueSearchResult(Clique(best), False, nodes)
-    target = size  # clique size within the neighbourhood of 0
-    refined = _lex_min_clique(cg, target, budget, nodes)
-    if refined is not None:
-        best, nodes = refined
-    return CliqueSearchResult(Clique(best), True, nodes)
+    return CliqueSearchResult(Clique(tuple(sorted([0] + members))), exhausted, nodes)
+
+
+def lex_min_clique(
+    cg: CliqueGraph, res: CliqueSearchResult, budget: int = -1
+) -> CliqueSearchResult:
+    """The lexicographically smallest maximum clique, given `max_clique`'s
+    exact answer `res` on the same graph and budget.
+
+    About one more branch and bound per member; its nodes count against
+    `budget` on top of `res.nodes`.  `res` comes back unchanged when it is
+    not exact, has one member, or the budget dies before the choice is
+    settled."""
+    if not res.exact or res.clique.size == 1:
+        return res
+    refined = _lex_min_clique(cg, res.clique.size - 1, budget, res.nodes)
+    if refined is None:
+        return res
+    members, nodes = refined
+    return CliqueSearchResult(Clique(members), True, nodes)
 
 
 def _lex_min_clique(cg: CliqueGraph, target: int, budget: int, nodes: int):
     """Greedy lexicographic refinement; returns None if the budget dies."""
-    if target == 0:
-        return (0,), nodes
     chosen = [0]
     p = (1 << cg.size) - 2  # vertices adjacent to every chosen one
     remaining = target
@@ -218,6 +228,6 @@ def cws_maxclique(errors: ErrorSet, g: Graph, budget: int = -1) -> ClassicalCode
     """Setup -> clique graph -> max clique, returned as a classical code."""
     arrays = setup(errors, g)
     cg = make_cws_clique_graph(arrays)
-    result = max_clique(cg, budget)
+    result = lex_min_clique(cg, max_clique(cg, budget), budget)
     words = sorted(int(cg.vertices[i]) for i in result.clique.members)
     return ClassicalCode.from_ints(g.n, words)

@@ -18,8 +18,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .clique import (
+    Clique,
+    CliqueSearchResult,
     find_clique_of_size,
     heuristic_clique,
+    lex_min_clique,
     make_cws_clique_graph,
     max_clique,
 )
@@ -161,13 +164,15 @@ def _canon_mask(mask: int, g: Graph) -> int:
     return canonical_form(g).mask
 
 
-def _process_mask(mask: int) -> dict:
+def _process_mask(mask: int) -> tuple[int, dict]:
+    """(B&B nodes, checkpoint record) of one graph; the nodes stay in memory."""
     job: SearchJob = _W["job"]
     g = Graph.from_mask(job.n, mask)
     canon = _canon_mask(mask, g)
     cg = make_cws_clique_graph(setup(_W["errors"], g))
     target_k = job.target_k
     code: tuple[int, ...] | None = None
+    nodes = 0
 
     if job.exactness == "heuristic":
         seed = (job.seed * 1000003 + mask) & 0x7FFFFFFF
@@ -176,11 +181,12 @@ def _process_mask(mask: int) -> dict:
         code = tuple(int(cg.vertices[i]) for i in clique.members)
     elif target_k is None:
         res = max_clique(cg, job.budget)
-        best_k = res.clique.size
+        best_k, nodes = res.clique.size, res.nodes
         status = "exact" if res.exact else "bound"
         code = tuple(int(cg.vertices[i]) for i in res.clique.members)
     else:
         res = find_clique_of_size(cg, target_k, job.budget)
+        nodes = res.nodes
         if res.found:
             best_k, status = target_k, "exact"
             code = tuple(int(cg.vertices[i]) for i in res.clique.members)
@@ -188,7 +194,7 @@ def _process_mask(mask: int) -> dict:
             best_k = res.best_size
             status = "exact" if res.exhausted else "bound"
 
-    return {
+    return nodes, {
         "raw_mask": mask,
         "canon_mask": canon,
         "m": cg.size,
@@ -208,6 +214,28 @@ def _record_from(n: int, rec: dict) -> GraphRecord:
         status=rec["status"],
         code=tuple(rec["code"]) if rec.get("code") else None,
     )
+
+
+def _witness(job: SearchJob, rec: GraphRecord, nodes: int | None) -> CWSCode:
+    """The reported code of the witness record.
+
+    Records carry the solver's first maximum clique.  For an exactly solved
+    max-clique record the witness is the lexicographically smallest one,
+    refined here once per search instead of once per graph.  A record
+    replayed from a checkpoint (`nodes` None) is solved again first; the
+    solve is deterministic, so the budget left for refining is the same."""
+    g = Graph.from_mask(job.n, rec.raw_mask)
+    words = sorted(rec.code)
+    if job.exactness == "exact" and job.target_k is None and rec.status == "exact":
+        cg = make_cws_clique_graph(setup(error_set(job.n, job.d), g))
+        if nodes is None:
+            res = max_clique(cg, job.budget)
+        else:
+            members = tuple(int(i) for i in cg.vertices.searchsorted(words))
+            res = CliqueSearchResult(Clique(members), True, nodes)
+        res = lex_min_clique(cg, res, job.budget)
+        words = [int(cg.vertices[i]) for i in res.clique.members]
+    return CWSCode(g, ClassicalCode.from_ints(job.n, words))
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +309,12 @@ def run_search(
 
     # a checkpoint may hold graphs outside this job's list; replay only ours
     outcomes: list[dict] = [done[m] for m in masks if m in done]
+    solved_nodes: dict[int, int] = {}  # raw mask -> B&B nodes, this run only
 
     def consume(stream) -> None:
-        for idx, rec in enumerate(stream):
+        for idx, (nodes, rec) in enumerate(stream):
             outcomes.append(rec)
+            solved_nodes[rec["raw_mask"]] = nodes
             if ck_handle:
                 ck_handle.write(json.dumps(rec) + "\n")
             if progress and (idx + 1) % 5000 == 0:
@@ -317,10 +347,7 @@ def run_search(
     witness = None
     for rec in records:
         if rec.best_k == best_k and rec.code is not None:
-            witness = CWSCode(
-                Graph.from_mask(job.n, rec.raw_mask),
-                ClassicalCode.from_ints(job.n, sorted(rec.code)),
-            )
+            witness = _witness(job, rec, solved_nodes.get(rec.raw_mask))
             break
 
     return SearchResult(

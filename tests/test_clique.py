@@ -10,6 +10,7 @@ from cwskit.clique import (
     cws_maxclique,
     find_clique_of_size,
     heuristic_clique,
+    lex_min_clique,
     make_cws_clique_graph,
     max_clique,
     parse_clique_graph_dump,
@@ -137,18 +138,33 @@ class TestMaxClique:
         rng = random.Random(4)
         for _ in range(15):
             cg = make_cws_clique_graph(random_cl_arrays(4, rng))
-            res = max_clique(cg)
+            res = lex_min_clique(cg, max_clique(cg))
             _best, witness = brute_force_max_clique(cg)
             got = tuple(sorted(int(cg.vertices[i]) for i in res.clique.members))
             assert got == witness
 
     def test_ring9_d3_pinned(self):
-        # result, tie-break and node count of the exact search on a 269-vertex graph
+        # result, tie-break and node count of the exact search on a 269-vertex
+        # graph: the plain solve, then the refinement on top of it
         cg = make_cws_clique_graph(setup(error_set(9, 3), Graph.ring(9)))
-        res = max_clique(cg)
-        assert cg.size == 269 and res.exact and res.nodes == 5416
+        plain = max_clique(cg)
+        assert cg.size == 269 and plain.exact and plain.nodes == 4566
+        assert plain.clique.size == 12
+        res = lex_min_clique(cg, plain)
+        assert res.exact and res.nodes == 5416
         words = sorted(int(cg.vertices[i]) for i in res.clique.members)
         assert words == [0, 35, 70, 146, 177, 212, 313, 350, 367, 427, 460, 509]
+
+    def test_refinement_without_an_exact_answer_or_budget_is_a_no_op(self):
+        cg = make_cws_clique_graph(setup(error_set(9, 3), Graph.ring(9)))
+        bound = max_clique(cg, budget=1000)
+        assert not bound.exact
+        assert lex_min_clique(cg, bound, 1000) is bound
+        # 4566 nodes settle the size; the budget dies while refining it
+        plain = max_clique(cg, budget=5000)
+        assert plain.exact and plain.nodes == 4566
+        assert lex_min_clique(cg, plain, 5000) is plain
+        assert lex_min_clique(cg, plain, 5416).nodes == 5416
 
     def test_budget_flagged(self):
         cl = np.zeros(1 << 4, dtype=bool)

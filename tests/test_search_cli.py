@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cwskit.cli
+from cwskit import kernels
 from cwskit.cli import main
 from cwskit.errormap import ClArrays
 from cwskit.clique import make_cws_clique_graph, parse_clique_graph_dump
@@ -394,6 +396,39 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert f"witness_graph={graph}" in out
         assert f"witness_code={code}" in out
+
+    @pytest.mark.parametrize("out", ["DIR", "DIR/missing/res.txt", "DIR/file/res.txt"])
+    def test_unwritable_out_refused_before_search(self, out, tmp_path: Path, capsys,
+                                                 monkeypatch):
+        def boom(*_args, **_kwargs):
+            raise AssertionError("search ran before --out was checked")
+
+        monkeypatch.setattr(cwskit.cli, "run_search", boom)
+        (tmp_path / "file").write_text("")
+        out = out.replace("DIR", str(tmp_path))
+        assert main(["search", "--n", "5", "--d", "2", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: --out")
+
+    def test_witness_failing_kl_oracle_never_exits_0(self, tmp_path: Path, capsys,
+                                                     monkeypatch):
+        # hiding one error pattern fools the search and detection_check alike,
+        # since both read kernels.cl_patterns: ((5,8,2)) does not exist, and
+        # only the Knill-Laflamme oracle sees that
+        cl_patterns = kernels.cl_patterns
+
+        def hide_last(u, v, rows):
+            patterns = cl_patterns(u, v, rows)
+            patterns[-1] = patterns[0]
+            return patterns
+
+        monkeypatch.setattr(kernels, "cl_patterns", hide_last)
+        out = tmp_path / "res.txt"
+        rc = main(["search", "--n", "5", "--d", "2", "--graphs", "lc", "--out", str(out)])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.err == "aborted: witness fails kl_oracle\n"
+        assert "witness_code=" not in captured.out
+        assert not out.exists()
 
     def test_search_cli_found_writes_result(self, tmp_path: Path, capsys):
         out = tmp_path / "res.txt"
