@@ -21,7 +21,6 @@ from .verify import (
     MAX_ORACLE_N,
     CWSCode,
     code_distance,
-    detection_check,
     kl_oracle,
     parse_code_file,
     report_lines,
@@ -72,9 +71,10 @@ def _check_out_path(path: Path) -> None:
 def _witness_problem(q: CWSCode, d: int) -> str | None:
     """Check the witness by both routes: the detection conditions, and the
     Knill-Laflamme oracle, which shares no code with them or the search."""
-    if not detection_check(q, error_set(q.n, d)).detects:
+    report = verification_report(q, d)  # runs kl_oracle for n <= MAX_ORACLE_N
+    if not report.detects:
         return "witness fails detection_check"
-    if q.n <= MAX_ORACLE_N and kl_oracle(q, d) < d:
+    if report.oracle_distance is not None and report.oracle_distance < d:
         return "witness fails kl_oracle"
     return None
 

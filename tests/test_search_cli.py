@@ -262,25 +262,27 @@ class TestCheckpoint:
         res = run_search(job, checkpoint=ck)
         assert len(calls) == res.total_graphs == 64
 
-    @pytest.mark.parametrize("kept", [64, 7])
-    def test_refined_code_checkpoint_resumes_identically(self, tmp_path: Path, kept):
+    @pytest.mark.parametrize("kept, refine", [(64, True), (7, True), (64, False)])
+    def test_resume_gives_the_same_witness(self, tmp_path: Path, kept, refine):
         # older checkpoints store the lexicographically smallest maximum
-        # clique for every graph; they must resume to the same result and
-        # witness, whether the witness graph (raw mask 7, the eighth record)
-        # is replayed or solved again
+        # clique for every graph, newer ones the solver's first; both must
+        # resume to the same result and witness, whether the witness graph
+        # (raw mask 7, the eighth record) is replayed or solved again
         job = SearchJob(n=4, d=2, graph_source="all")
         plain = run_search(job)
-        ck = tmp_path / "refined.ckpt"
+        ck = tmp_path / "run.ckpt"
         run_search(job, checkpoint=ck)
         errors = error_set(4, 2)
         head, *lines = ck.read_text().splitlines()
-        refined = [head]
+        kept_lines = [head]
         for ln in lines[:kept]:
             rec = json.loads(ln)
-            g = Graph.from_mask(4, rec["raw_mask"])
-            rec["code"] = lex_smallest_max_clique(make_cws_clique_graph(setup(errors, g)))
-            refined.append(json.dumps(rec))
-        ck.write_text("\n".join(refined) + "\n")
+            if refine:
+                g = Graph.from_mask(4, rec["raw_mask"])
+                cg = make_cws_clique_graph(setup(errors, g))
+                rec["code"] = lex_smallest_max_clique(cg)
+            kept_lines.append(json.dumps(rec))
+        ck.write_text("\n".join(kept_lines) + "\n")
         resumed = run_search(job, checkpoint=ck)
         assert render_result(resumed) == render_result(plain)
         assert resumed.witness == plain.witness
