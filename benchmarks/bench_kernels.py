@@ -16,7 +16,8 @@ import time
 import numpy as np
 
 import cwskit.kernels as K
-from cwskit.errormap import error_set
+from cwskit.clique import make_cws_clique_graph
+from cwskit.errormap import error_set, setup
 from cwskit.graphs import Graph, class_table, edge_count
 
 
@@ -77,6 +78,17 @@ def bench_bnb(repeat: int):
     return f"max clique branch and bound (m={m}, p=0.55)", fn, fn
 
 
+RING10_BUDGET = 10_000
+
+
+def bench_bnb_ring10(repeat: int):
+    """The d=3 clique graph of the ring on 10 qubits, as a search builds it."""
+    cg = make_cws_clique_graph(setup(error_set(10, 3), Graph.ring(10)))
+    m = cg.size
+    fn = lambda: K.bnb_clique(cg.rows, m, (1 << m) - 2, 0, RING10_BUDGET)
+    return f"branch and bound, ring10 d=3 (m={m}, {RING10_BUDGET} nodes)", fn, fn
+
+
 def bench_canon(repeat: int):
     n = 6
     fn = lambda: class_table(n)
@@ -93,12 +105,17 @@ def main() -> None:
         bench_graph_signs,
         bench_clique_adjacency,
         bench_bnb,
+        bench_bnb_ring10,
         bench_canon,
     ]
-    print(f"{'kernel':<50} {'time':>10}")
+    print(f"{'kernel':<55} {'time':>10}")
     for bench in benches:
         name, fn, _same = bench(args.repeat)
-        print(f"{name:<50} {timeit(fn, args.repeat) * 1e3:>8.2f}ms")
+        t = timeit(fn, args.repeat)
+        line = f"{name:<55} {t * 1e3:>8.2f}ms"
+        if bench is bench_bnb_ring10:
+            line += f" {RING10_BUDGET / t / 1e3:>7.0f}k nodes/s"
+        print(line)
 
 
 if __name__ == "__main__":

@@ -86,38 +86,54 @@ def clique_adjacency(verts: np.ndarray, cl_bool: np.ndarray) -> list[int]:
 # is the initial candidate set; `stop_at` > 0 makes the search stop as soon
 # as a clique of that size is found (exhausted is False in that case unless
 # the space was fully explored first); `budget` < 0 means unlimited.
+#
+# Each node colours its candidates greedily into classes kept as bitsets (as
+# in MCS, Tomita et al. 2010, and BBMC, San Segundo et al.): class c takes the
+# lowest remaining vertex, then the lowest one adjacent to none already in
+# the class, and so on.  The node then branches on the vertices from the
+# highest class down, highest vertex first within a class, and prunes when
+# the level plus the class number cannot beat the best clique so far.
 
 class _Stop(Exception):
     """Unwinds bnb_clique's recursion on budget exhaustion or early stop."""
+
+
+_DEPTH_SLACK = 50
+
+
+def _stack_depth() -> int:
+    """Frames on the stack of the caller."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 def bnb_clique(
     adj_rows: list, m: int, cand_int: int, stop_at: int, budget: int
 ) -> tuple[int, list, int, bool]:
     """adj_rows[j] is the neighbour mask of vertex j, as a Python int."""
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * m + 1000))
+    if not cand_int:
+        return 0, [], 0, True
     best_size = 0
     best: list = []
     nodes = 0
     exhausted = True
     rstack = [0] * (m + 1)
+    skip = [~((1 << v) | row) for v, row in enumerate(adj_rows)]
 
-    def colour(p: int):
-        orderl = []
-        boundl = []
-        c = 0
-        q = p
-        while q:
-            c += 1
-            qc = q
+    def colour(p: int) -> list[int]:
+        classes = []
+        while p:
+            cls = 0
+            qc = p
             while qc:
-                v = (qc & -qc).bit_length() - 1
-                orderl.append(v)
-                boundl.append(c)
-                bit = 1 << v
-                q &= ~bit
-                qc &= ~bit & ~adj_rows[v]
-        return orderl, boundl
+                bit = qc & -qc
+                cls |= bit
+                qc &= skip[bit.bit_length() - 1]
+            classes.append(cls)
+            p ^= cls
+        return classes
 
     def expand(p: int, level: int) -> None:
         nonlocal best_size, best, nodes, exhausted
@@ -125,29 +141,47 @@ def bnb_clique(
         if budget >= 0 and nodes > budget:
             exhausted = False
             raise _Stop
-        orderl, boundl = colour(p)
-        for i in range(len(orderl) - 1, -1, -1):
-            if level + boundl[i] <= best_size:
-                return
-            v = orderl[i]
-            p &= ~(1 << v)
-            rstack[level] = v
-            child = p & adj_rows[v]
-            if child == 0:
-                if level + 1 > best_size:
-                    best_size = level + 1
-                    best = rstack[:best_size]
-                    if stop_at > 0 and best_size >= stop_at:
-                        exhausted = False
-                        raise _Stop
-            else:
-                expand(child, level + 1)
+        classes = colour(p)
+        for c in range(len(classes), 0, -1):
+            cls = classes[c - 1]
+            while cls:
+                if level + c <= best_size:
+                    return
+                v = cls.bit_length() - 1
+                bit = 1 << v
+                cls ^= bit
+                p ^= bit
+                rstack[level] = v
+                child = p & adj_rows[v]
+                if child == 0:
+                    if level + 1 > best_size:
+                        best_size = level + 1
+                        best = rstack[:best_size]
+                        if stop_at > 0 and best_size >= stop_at:
+                            exhausted = False
+                            raise _Stop
+                else:
+                    expand(child, level + 1)
 
-    if cand_int:
-        try:
-            expand(cand_int, 0)
-        except _Stop:
-            pass
+    # expand nests no deeper than the root's colour count (a bound on the
+    # clique size), which the popcount bounds in turn; C calls on the stack
+    # also count toward the limit, hence the slack
+    limit = sys.getrecursionlimit()
+    depth = _stack_depth() + _DEPTH_SLACK
+    need = depth + cand_int.bit_count()
+    if need > limit:
+        need = depth + len(colour(cand_int))
+    try:
+        if need > limit:
+            sys.setrecursionlimit(need)
+        expand(cand_int, 0)
+    except _Stop:
+        pass
+    finally:
+        sys.setrecursionlimit(limit)
+        # expand refers to itself; break that cycle so the skip table is freed
+        # now rather than at the next garbage collection
+        del expand
     return best_size, best, nodes, exhausted
 
 

@@ -1,9 +1,13 @@
+import gc
+import hashlib
 import random
+import sys
 
 import numpy as np
 
 import cwskit.kernels as K
-from cwskit.errormap import cl_map
+from cwskit.clique import make_cws_clique_graph
+from cwskit.errormap import cl_map, error_set, setup
 from cwskit.gf2 import PauliOp
 from cwskit.graphs import Graph, edge_count
 
@@ -111,3 +115,83 @@ def test_bnb_stop_at_short_circuits():
     best, _mem, all_nodes, all_exhausted = K.bnb_clique(rows_int, m, full, 0, -1)
     assert 2 <= size < best and len(members) == size and not exhausted
     assert all_exhausted and nodes < all_nodes
+
+
+def _differential_instances(count=200, seed=8):
+    """Seeded bnb_clique arguments: m 1-69, mixed densities, random candidate
+    sets, stop_at values and budgets."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, 69)
+        density = rng.choice((rng.random(), rng.uniform(0.5, 0.9)))
+        rows = [0] * m
+        for i in range(m):
+            for j in range(i + 1, m):
+                if rng.random() < density:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        full = (1 << m) - 1
+        cand = rng.choice((full, rng.getrandbits(m), rng.getrandbits(m) | rng.getrandbits(m)))
+        stop_at = rng.choice((0, 0, rng.randint(1, m)))
+        budget = rng.choice((-1, rng.randint(0, 50), rng.randint(0, 3000)))
+        yield rows, m, cand, stop_at, budget
+
+
+def test_bnb_search_tree_pinned():
+    # every (best_size, members, nodes, exhausted), members in the order the
+    # search found them, so a change of visiting order shows here
+    h = hashlib.sha256()
+    for args in _differential_instances():
+        h.update(repr(K.bnb_clique(*args)).encode())
+    assert h.hexdigest() == "1027bc52af0d29b925829dee75d13846deb4b66426b0af239dfaa45dd7d9bdd1"
+
+
+def test_bnb_ring10_d3_budget_pinned():
+    cg = make_cws_clique_graph(setup(error_set(10, 3), Graph.ring(10)))
+    assert cg.size == 709
+    size, members, nodes, exhausted = K.bnb_clique(cg.rows, 709, (1 << 709) - 2, 0, 10_000)
+    assert (size, nodes, exhausted) == (16, 10_001, False)  # K = 17 with vertex 0
+    assert members == [
+        693, 652, 627, 600, 511, 526, 403, 400, 355, 334, 214, 195, 164, 116, 79, 8
+    ]
+
+
+def test_bnb_leaves_the_recursion_limit_alone():
+    limit = sys.getrecursionlimit()
+    rows_int = _random_adjacency_rows(random.Random(6), 40)
+    K.bnb_clique(rows_int, 40, (1 << 40) - 1, 0, -1)
+    assert sys.getrecursionlimit() == limit
+    # a clique deeper than the limit raises it for the call only; a low limit
+    # keeps the complete graph small
+    low = 300
+    m = 400
+    full = (1 << m) - 1
+    complete = [full ^ (1 << v) for v in range(m)]
+    sys.setrecursionlimit(low)
+    try:
+        size, members, _nodes, exhausted = K.bnb_clique(complete, m, full, 0, -1)
+        assert sys.getrecursionlimit() == low
+        # also when the search unwinds early
+        K.bnb_clique(complete, m, full, 0, 50)
+        assert sys.getrecursionlimit() == low
+    finally:
+        sys.setrecursionlimit(limit)
+    assert size == m and exhausted and sorted(members) == list(range(m))
+
+
+def test_bnb_frees_its_state_on_return():
+    # no reference cycle outlives the call, so its per-call tables are freed
+    # at once, not at the next garbage collection
+    rows_int = _random_adjacency_rows(random.Random(7), 30)
+    full = (1 << 30) - 1
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        K.bnb_clique(rows_int, 30, full, 0, -1)
+        K.bnb_clique(rows_int, 30, full, 0, 5)  # unwound by the budget
+        K.bnb_clique(rows_int, 30, full, 2, -1)  # unwound by stop_at
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -83,6 +83,14 @@ class TestRunSearch:
         assert run_search(SearchJob(n=5, d=2, graph_source="lc")).summary_best_k == 6
         assert run_search(SearchJob(n=5, d=3, graph_source="lc")).summary_best_k == 2
 
+    @pytest.mark.parametrize("n,d,best_k", [(5, 2, 6), (6, 2, 16), (6, 3, 2), (7, 3, 2)])
+    def test_best_k_over_lc_orbits_pinned(self, n, d, best_k):
+        # ((5,6,2)) (Rains) and ((6,16,2)) are the literature values
+        res = run_search(SearchJob(n=n, d=d, graph_source="lc", budget=2_000_000))
+        assert res.summary_best_k == best_k
+        assert res.exit_code == EXIT_FOUND
+        assert all(r.status == "exact" for r in res.records)
+
     def test_n6_results_respect_singleton_bound(self):
         from cwskit.structure import is_linear
         from cwskit.verify import kl_oracle
