@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import ac06, structure
+from . import ac06, search, structure
 from .clique import make_cws_clique_graph
 from .errormap import error_set, setup
 from .gf2 import BitString, ClassicalCode
@@ -101,12 +101,12 @@ def _cmd_search(args) -> int:
         )
     except SearchAborted as exc:
         print(f"aborted: {exc}", file=sys.stderr)
-        return 4
+        return search.EXIT_INCONCLUSIVE
     if result.witness is not None:
         problem = _witness_problem(result.witness, job.d)
         if problem:
             print(f"aborted: {problem}", file=sys.stderr)
-            return 4
+            return search.EXIT_INCONCLUSIVE
     if args.out:
         write_result_file(Path(args.out), result)
     print(f"graphs={result.total_graphs}")
@@ -123,12 +123,8 @@ def _cmd_search(args) -> int:
 
 def _cmd_verify(args) -> int:
     q = parse_code_file(Path(args.code))
-    if args.d is not None:
-        report = verification_report(q, args.d)
-        distance = code_distance(q, cross_check=q.n <= MAX_ORACLE_N)
-    else:
-        distance = code_distance(q, cross_check=q.n <= MAX_ORACLE_N)
-        report = verification_report(q, distance)
+    distance = code_distance(q, cross_check=q.n <= MAX_ORACLE_N)
+    report = verification_report(q, distance if args.d is None else args.d)
     print(f"n={q.n}")
     print(f"K={q.dimension}")
     sys.stdout.write(report_lines(report, distance=distance))
@@ -168,7 +164,22 @@ def _cmd_convert(args) -> int:
     return 0
 
 
+# the options each structure action cannot do without
+_STRUCTURE_NEEDS = {
+    "linear": ("code",),
+    "extend-dim3": ("code",),
+    "double": ("code", "subcode", "v"),
+    "filter": ("registry", "n", "k"),
+}
+
+
 def _cmd_structure(args) -> int:
+    missing = [
+        f"--{name}" for name in _STRUCTURE_NEEDS[args.action]
+        if getattr(args, name) is None
+    ]
+    if missing:
+        raise ValueError(f"structure {args.action} needs {', '.join(missing)}")
     if args.action == "filter":
         registry = structure.parse_registry(Path(args.registry).read_text())
         verdict = structure.optimality_filter(args.n, args.k, args.d, registry)
@@ -191,12 +202,10 @@ def _cmd_structure(args) -> int:
     errors = error_set(q.n, args.d)
     if args.action == "extend-dim3":
         out = structure.extend_dim3_to_dim4(q, errors)
-    elif args.action == "double":
+    else:
         sub = ClassicalCode.from_texts(args.subcode.split(","))
         v = BitString.from_text(args.v)
         out = structure.double_linear_subcode(q, sub, v, errors)
-    else:
-        raise ValueError(f"unknown structure action {args.action!r}")
     print(f"n={out.n}")
     print(f"K={out.dimension}")
     for w in out.code.sorted().words:

@@ -124,8 +124,6 @@ def max_clique(cg: CliqueGraph, budget: int = -1) -> CliqueSearchResult:
     m = cg.size
     if m > MAX_EXACT_VERTICES:
         raise ValueError(f"exact solver capped at {MAX_EXACT_VERTICES} vertices")
-    if m == 1:
-        return CliqueSearchResult(Clique((0,)), True, 0)
     _size, members, nodes, exhausted = kernels.bnb_clique(
         cg.rows, m, (1 << m) - 2, 0, budget
     )
@@ -193,8 +191,6 @@ def find_clique_of_size(cg: CliqueGraph, k: int, budget: int = -1) -> FixedSizeR
         return FixedSizeResult(Clique((0,)), True, 0, 1)
     if m > MAX_EXACT_VERTICES:
         raise ValueError(f"exact solver capped at {MAX_EXACT_VERTICES} vertices")
-    if m == 1:
-        return FixedSizeResult(None, True, 0, 1)
     size, members, nodes, exhausted = kernels.bnb_clique(
         cg.rows, m, (1 << m) - 2, k - 1, budget
     )

@@ -7,8 +7,6 @@ the CL/D and clique-graph dump formats.
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 
 # Read by perfbench/run.py and perfbench/kernels.py to label the kernel lane.
@@ -93,21 +91,12 @@ def clique_adjacency(verts: np.ndarray, cl_bool: np.ndarray) -> list[int]:
 # the class, and so on.  The node then branches on the vertices from the
 # highest class down, highest vertex first within a class, and prunes when
 # the level plus the class number cannot beat the best clique so far.
-
-class _Stop(Exception):
-    """Unwinds bnb_clique's recursion on budget exhaustion or early stop."""
-
-
-_DEPTH_SLACK = 50
-
-
-def _stack_depth() -> int:
-    """Frames on the stack of the caller."""
-    frame, depth = sys._getframe(1), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
+#
+# The search is one loop over an explicit stack, depth first.  The node being
+# worked on lives in locals: its candidates left `p`, its colour classes, the
+# current class number `c` and the rest of that class `cls`; entering a child
+# pushes them as the parent's frame, and finishing a node pops it.  A node is
+# counted, and checked against the budget, when it is entered.
 
 def bnb_clique(
     adj_rows: list, m: int, cand_int: int, stop_at: int, budget: int
@@ -118,71 +107,52 @@ def bnb_clique(
     best_size = 0
     best: list = []
     nodes = 0
-    exhausted = True
     rstack = [0] * (m + 1)
     skip = [~((1 << v) | row) for v, row in enumerate(adj_rows)]
-
-    def colour(p: int) -> list[int]:
+    stack: list = []
+    p, level = cand_int, 0
+    while True:
+        nodes += 1
+        if 0 <= budget < nodes:
+            return best_size, best, nodes, False
         classes = []
-        while p:
+        q = p
+        while q:
             cls = 0
-            qc = p
+            qc = q
             while qc:
                 bit = qc & -qc
                 cls |= bit
                 qc &= skip[bit.bit_length() - 1]
             classes.append(cls)
-            p ^= cls
-        return classes
-
-    def expand(p: int, level: int) -> None:
-        nonlocal best_size, best, nodes, exhausted
-        nodes += 1
-        if budget >= 0 and nodes > budget:
-            exhausted = False
-            raise _Stop
-        classes = colour(p)
-        for c in range(len(classes), 0, -1):
-            cls = classes[c - 1]
-            while cls:
-                if level + c <= best_size:
-                    return
+            q ^= cls
+        c = len(classes)
+        cls = classes[-1]
+        while True:
+            if cls and level + c > best_size:
                 v = cls.bit_length() - 1
                 bit = 1 << v
                 cls ^= bit
                 p ^= bit
                 rstack[level] = v
                 child = p & adj_rows[v]
-                if child == 0:
-                    if level + 1 > best_size:
-                        best_size = level + 1
-                        best = rstack[:best_size]
-                        if stop_at > 0 and best_size >= stop_at:
-                            exhausted = False
-                            raise _Stop
-                else:
-                    expand(child, level + 1)
-
-    # expand nests no deeper than the root's colour count (a bound on the
-    # clique size), which the popcount bounds in turn; C calls on the stack
-    # also count toward the limit, hence the slack
-    limit = sys.getrecursionlimit()
-    depth = _stack_depth() + _DEPTH_SLACK
-    need = depth + cand_int.bit_count()
-    if need > limit:
-        need = depth + len(colour(cand_int))
-    try:
-        if need > limit:
-            sys.setrecursionlimit(need)
-        expand(cand_int, 0)
-    except _Stop:
-        pass
-    finally:
-        sys.setrecursionlimit(limit)
-        # expand refers to itself; break that cycle so the skip table is freed
-        # now rather than at the next garbage collection
-        del expand
-    return best_size, best, nodes, exhausted
+                if child:
+                    stack.append([p, classes, c, cls])
+                    p, level = child, level + 1
+                    break
+                if level >= best_size:  # a maximal clique, larger than the best
+                    best_size = level + 1
+                    best = rstack[:best_size]
+                    if stop_at > 0 and best_size >= stop_at:
+                        return best_size, best, nodes, False
+            elif cls or c == 1:  # pruned, or out of classes: the node is done
+                if not stack:
+                    return best_size, best, nodes, True
+                p, classes, c, cls = stack.pop()
+                level -= 1
+            else:
+                c -= 1
+                cls = classes[c - 1]
 
 
 # Called by perfbench/kernels.py before timing; nothing needs compiling.

@@ -255,6 +255,21 @@ def _graph_masks(job: SearchJob) -> list[int]:
     return [g.mask() for g in lc_orbit_representatives(job.n)]
 
 
+# the keys of a checkpoint record that `_record_from` cannot do without
+_RECORD_KEYS = {"raw_mask", "canon_mask", "m", "bestK", "status"}
+
+
+def _checkpoint_line(ln: str, lineno: int, keys: set[str], what: str) -> dict:
+    """One complete checkpoint line, decoded: an object holding `keys`."""
+    try:
+        obj = json.loads(ln)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"checkpoint line {lineno} cannot be decoded") from exc
+    if not isinstance(obj, dict) or not keys <= obj.keys():
+        raise ValueError(f"checkpoint line {lineno} is not a {what}")
+    return obj
+
+
 def _load_checkpoint(path: Path, job: SearchJob) -> dict[int, dict]:
     """Replay completed records; every stored code must re-verify.
 
@@ -262,24 +277,24 @@ def _load_checkpoint(path: Path, job: SearchJob) -> dict[int, dict]:
     line has been replayed, everything after the final newline is cut from
     the file (all of it when no complete header line exists), so that the
     next append starts a line of its own.  A complete line that does not
-    decode is corruption, not a torn tail, and raises."""
+    decode, or decodes to something other than a header or a record, is
+    corruption, not a torn tail, and raises."""
     done: dict[int, dict] = {}
     data = path.read_bytes() if path.exists() else b""
     keep = data.rfind(b"\n") + 1
     lines = data[:keep].decode().splitlines()
     if not any(ln.strip() for ln in lines):
         keep, lines = 0, []
-    elif json.loads(lines[0]).get("job") != job.fingerprint():
-        raise ValueError("checkpoint belongs to a different job")
+    else:
+        header = _checkpoint_line(lines[0], 1, {"job"}, "job header")
+        if header["job"] != job.fingerprint():
+            raise ValueError("checkpoint belongs to a different job")
     errors = error_set(job.n, job.d)
     for lineno, ln in enumerate(lines[1:], start=2):
         ln = ln.strip()
         if not ln:
             continue
-        try:
-            rec = json.loads(ln)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"checkpoint line {lineno} cannot be decoded") from exc
+        rec = _checkpoint_line(ln, lineno, _RECORD_KEYS, "record")
         if rec.get("code"):
             g = Graph.from_mask(job.n, rec["raw_mask"])
             q = CWSCode(g, ClassicalCode.from_ints(job.n, sorted(rec["code"])))

@@ -62,7 +62,7 @@ def extend_dim3_to_dim4(q: CWSCode, errors: ErrorSet) -> CWSCode:
     nonzero = [w for w in q.code.values if w]
     c2, c3 = nonzero
     extended = ClassicalCode.from_ints(q.n, sorted([0, c2, c3, c2 ^ c3]))
-    out = CWSCode(q.graph, extended, q.claimed_distance)
+    out = CWSCode(q.graph, extended)
     if not detection_check(out, errors).detects:
         raise RuntimeError("extended code unexpectedly fails detection")
     if not is_linear(extended).is_linear:
@@ -90,7 +90,7 @@ def double_linear_subcode(
     if not detection_check(q, errors).detects:
         raise ValueError("input code fails detection for the given error set")
     doubled = sorted({w for w in b.values} | {w ^ v.value for w in b.values})
-    out = CWSCode(q.graph, ClassicalCode.from_ints(q.n, doubled), q.claimed_distance)
+    out = CWSCode(q.graph, ClassicalCode.from_ints(q.n, doubled))
     if not detection_check(out, errors).detects:
         raise RuntimeError("doubled code unexpectedly fails detection")
     return out

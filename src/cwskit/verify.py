@@ -34,7 +34,6 @@ class CWSCode:
 
     graph: Graph
     code: ClassicalCode
-    claimed_distance: int | None = None
 
     def __post_init__(self) -> None:
         if self.code.n != self.graph.n:

@@ -161,8 +161,8 @@ def test_bnb_leaves_the_recursion_limit_alone():
     rows_int = _random_adjacency_rows(random.Random(6), 40)
     K.bnb_clique(rows_int, 40, (1 << 40) - 1, 0, -1)
     assert sys.getrecursionlimit() == limit
-    # a clique deeper than the limit raises it for the call only; a low limit
-    # keeps the complete graph small
+    # the search keeps its own stack, so a clique deeper than the limit leaves
+    # it alone too; a low limit keeps the complete graph small
     low = 300
     m = 400
     full = (1 << m) - 1
@@ -171,7 +171,7 @@ def test_bnb_leaves_the_recursion_limit_alone():
     try:
         size, members, _nodes, exhausted = K.bnb_clique(complete, m, full, 0, -1)
         assert sys.getrecursionlimit() == low
-        # also when the search unwinds early
+        # also when a budget cuts the search short
         K.bnb_clique(complete, m, full, 0, 50)
         assert sys.getrecursionlimit() == low
     finally:

@@ -298,6 +298,28 @@ class TestCheckpoint:
         words = lex_smallest_max_clique(make_cws_clique_graph(setup(errors, g)))
         assert [w.value for w in plain.witness.code.words] == words
 
+    @pytest.mark.parametrize(
+        "line, lineno",
+        [('{"foo": 1}', 3), ("[1,2]", 3), ("[]", 1)],
+        ids=["object-without-keys", "record-list", "header-list"],
+    )
+    def test_line_that_is_not_a_record_is_usage_error(
+        self, line, lineno, tmp_path: Path, capsys
+    ):
+        ck = tmp_path / "odd.ckpt"
+        argv = ["search", "--n", "3", "--d", "2", "--graphs", "iso",
+                "--checkpoint", str(ck)]
+        assert main(argv) == 0
+        lines = ck.read_text().splitlines(keepends=True)
+        if lineno == 1:
+            lines[0] = line + "\n"  # in place of the header
+        else:
+            lines.insert(lineno - 1, line + "\n")
+        ck.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: checkpoint line {lineno} ")
+
     def test_checkpoint_job_mismatch(self, tmp_path: Path):
         ck = tmp_path / "other.ckpt"
         run_search(SearchJob(n=3, d=2, graph_source="iso"), checkpoint=ck)
@@ -499,6 +521,35 @@ class TestCli:
              "--registry", str(reg)]
         ) == 0
         assert "verdict=pruned" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, missing",
+        [
+            (["linear"], "--code"),
+            (["extend-dim3"], "--code"),
+            (["double", "--code", "CODE"], "--subcode, --v"),
+            (["filter"], "--registry, --n, --k"),
+            (["filter", "--registry", "REG"], "--n, --k"),
+        ],
+        ids=["linear", "extend-dim3", "double", "filter", "filter-no-n-k"],
+    )
+    def test_structure_missing_option_is_usage_error(
+        self, argv, missing, tmp_path: Path, capsys
+    ):
+        from cwskit.gf2 import ClassicalCode
+        from cwskit.verify import CWSCode, write_code_file
+
+        q = CWSCode(
+            Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+            ClassicalCode.from_texts(["0000", "0110", "0101", "0011"]),
+        )
+        write_code_file(tmp_path / "c1.code", q, "c1.graph")
+        (tmp_path / "reg.txt").write_text("n=7 K=2 d=3 optimal=yes source=tables\n")
+        paths = {"CODE": str(tmp_path / "c1.code"), "REG": str(tmp_path / "reg.txt")}
+        assert main(["structure"] + [paths.get(a, a) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: structure {argv[0]} needs {missing}\n"
 
     def test_structure_cli_extend(self, tmp_path: Path, capsys):
         from cwskit.gf2 import ClassicalCode
