@@ -34,14 +34,12 @@ def bench_cl_patterns(repeat: int):
     rng = np.random.default_rng(0)
     n = 7
     errs = error_set(n, 3)
-    u = np.fromiter((e.u for e in errs), dtype=np.int64)
-    v = np.fromiter((e.v for e in errs), dtype=np.int64)
     masks = rng.integers(0, 1 << edge_count(n), 400)
     graphs = [Graph.from_mask(n, int(m)).rows_array() for m in masks]
 
     def body():
         for rows in graphs:
-            K.cl_patterns(u, v, rows)
+            K.cl_patterns(errs.ubits, errs.v, rows)
 
     return "cl_patterns (400 graphs x 210 errors)", body, body
 

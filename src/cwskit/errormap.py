@@ -9,9 +9,10 @@ the codewords a degenerate code must avoid.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -26,13 +27,26 @@ _CHUNK = 1 << 20
 _LETTERS = "XYZ"
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class ErrorSet:
-    """A set of Pauli errors to detect; never contains the identity."""
+    """A set of Pauli errors to detect; never contains the identity.
+
+    The per-error arrays every graph of a search reads are built once, here,
+    and are read-only: ``u`` and ``v`` as int64, and ``ubits``, the E x n
+    uint8 matrix of X-support bits (``ubits[e, q]`` is bit q of ``u[e]``)
+    that ``kernels.cl_patterns`` multiplies by the adjacency matrix."""
 
     n: int
     paulis: tuple[PauliOp, ...]
     weight_bound: int | None = None
+    u: np.ndarray = field(init=False, repr=False, compare=False)
+    v: np.ndarray = field(init=False, repr=False, compare=False)
+    ubits: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for p in self.paulis:
@@ -46,6 +60,13 @@ class ErrorSet:
             )
             if len(self.paulis) != expect:
                 raise ValueError("weight-bounded error set has wrong cardinality")
+        count = len(self.paulis)
+        u = np.fromiter((p.u for p in self.paulis), dtype=np.int64, count=count)
+        v = np.fromiter((p.v for p in self.paulis), dtype=np.int64, count=count)
+        ubits = ((u[:, None] >> np.arange(self.n, dtype=np.int64)) & 1).astype(np.uint8)
+        object.__setattr__(self, "u", _frozen(u))
+        object.__setattr__(self, "v", _frozen(v))
+        object.__setattr__(self, "ubits", _frozen(ubits))
 
     def __len__(self) -> int:
         return len(self.paulis)
@@ -54,9 +75,7 @@ class ErrorSet:
         return iter(self.paulis)
 
     def uv_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        u = np.fromiter((p.u for p in self.paulis), dtype=np.int64, count=len(self.paulis))
-        v = np.fromiter((p.v for p in self.paulis), dtype=np.int64, count=len(self.paulis))
-        return u, v
+        return self.u, self.v
 
 
 def _weight_errors(n: int, w: int) -> Iterator[PauliOp]:
@@ -74,9 +93,13 @@ def _weight_errors(n: int, w: int) -> Iterator[PauliOp]:
             yield PauliOp(n, u, v, phase % 4)
 
 
+@functools.lru_cache(maxsize=8)
 def error_set(n: int, d: int) -> ErrorSet:
     """All Pauli errors of weight 1..d-1, in deterministic order: ascending
-    weight, supports lexicographic, letters X < Y < Z per position."""
+    weight, supports lexicographic, letters X < Y < Z per position.
+
+    Memoised per (n, d): an ErrorSet is immutable, so a search, its
+    checkpoint reload and its witness share one."""
     if not 1 <= d <= n + 1:
         raise ValueError(f"distance must be in 1..{n + 1}, got {d}")
     paulis = tuple(
@@ -174,12 +197,11 @@ def setup(errors: ErrorSet, g: Graph) -> ClArrays:
     cl_bits = np.zeros(size, dtype=bool)
     basis: list[int] = []
     if len(errors):
-        u, v = errors.uv_arrays()
-        patterns = kernels.cl_patterns(u, v, g.rows_array())
+        patterns = kernels.cl_patterns(errors.ubits, errors.v, g.rows_array())
         cl_bits[patterns] = True
         # D[i] = 1 iff i has odd overlap with some trivially-mapping X support,
         # equivalently with some basis vector of their span.
-        basis = xor_basis(u[patterns == 0].tolist())
+        basis = xor_basis(errors.u[patterns == 0].tolist())
 
     d_bits = np.zeros(size, dtype=bool)
     if basis:

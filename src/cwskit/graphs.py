@@ -37,6 +37,12 @@ def edge_bit(i: int, j: int, n: int) -> int:
     return edge_count(n) - 1 - (j * (j - 1) // 2 + i)
 
 
+@lru_cache(maxsize=16)
+def _edge_positions(n: int) -> tuple[tuple[int, int, int], ...]:
+    """(bit, i, j) of every edge i < j of the n-vertex edge mask."""
+    return tuple((edge_bit(i, j, n), i, j) for j in range(n) for i in range(j))
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph; ``rows[i]`` is the neighbour bitmask of i."""
@@ -77,11 +83,10 @@ class Graph:
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "Graph":
         rows = [0] * n
-        for j in range(n):
-            for i in range(j):
-                if (mask >> edge_bit(i, j, n)) & 1:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
+        for bit, i, j in _edge_positions(n):
+            if (mask >> bit) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
         return cls(n, tuple(rows))
 
     @classmethod
@@ -103,8 +108,10 @@ class Graph:
 
     def mask(self) -> int:
         m = 0
-        for i, j in self.edges():
-            m |= 1 << edge_bit(i, j, self.n)
+        rows = self.rows
+        for bit, i, j in _edge_positions(self.n):
+            if (rows[i] >> j) & 1:
+                m |= 1 << bit
         return m
 
     def permute(self, perm: Sequence[int]) -> "Graph":
@@ -326,13 +333,18 @@ def class_table(n: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
     return canon, classes
 
 
-def isomorphism_classes(n: int) -> Iterator[tuple[Graph, int]]:
-    """One minimum-mask representative per isomorphism class, with class size."""
+def isomorphism_class_masks(n: int) -> Iterator[tuple[int, int]]:
+    """(minimum mask, size) of every isomorphism class, in increasing order."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > MAX_EXHAUSTIVE_N:
         raise ValueError(f"isomorphism classes supported for n <= {MAX_EXHAUSTIVE_N}")
-    for mask, size in _orbit_pass(n):
+    return _orbit_pass(n)
+
+
+def isomorphism_classes(n: int) -> Iterator[tuple[Graph, int]]:
+    """One minimum-mask representative per isomorphism class, with class size."""
+    for mask, size in isomorphism_class_masks(n):
         yield Graph.from_mask(n, mask), size
 
 
@@ -378,9 +390,9 @@ def lc_orbit(g: Graph) -> list[Graph]:
     return [Graph.from_mask(g.n, m) for m in masks]
 
 
-def lc_orbits(n: int) -> Iterator[tuple[Graph, tuple[int, ...]]]:
-    """One representative per LC+isomorphism orbit, with the orbit's
-    isomorphism-class canonical masks."""
+def lc_orbit_masks(n: int) -> Iterator[tuple[int, ...]]:
+    """The sorted isomorphism-class canonical masks of every LC+isomorphism
+    orbit, orbits in increasing order of their smallest mask."""
     if n > MAX_EXHAUSTIVE_N:
         raise ValueError(f"LC orbit enumeration supported for n <= {MAX_EXHAUSTIVE_N}")
     if n <= MAX_TABLE_N:
@@ -397,6 +409,13 @@ def lc_orbits(n: int) -> Iterator[tuple[Graph, tuple[int, ...]]]:
             continue
         masks = tuple(_lc_closure(n, rep, label))
         seen.update(masks)
+        yield masks
+
+
+def lc_orbits(n: int) -> Iterator[tuple[Graph, tuple[int, ...]]]:
+    """One representative per LC+isomorphism orbit, with the orbit's
+    isomorphism-class canonical masks."""
+    for masks in lc_orbit_masks(n):
         yield Graph.from_mask(n, masks[0]), masks
 
 

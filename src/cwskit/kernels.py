@@ -41,10 +41,11 @@ def parity_of_and(values: np.ndarray, mask: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # induced classical error patterns: v XOR (XOR of adjacency rows under u)
 
-def cl_patterns(u: np.ndarray, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def cl_patterns(ubits: np.ndarray, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Pattern of each error: ``ubits`` is the E x n uint8 matrix of its
+    X-support bits, ``v`` its Z supports, ``rows`` the adjacency rows."""
     n = rows.shape[0]
     shifts = np.arange(n, dtype=np.int64)
-    ubits = ((u[:, None] >> shifts) & 1).astype(np.uint8)
     adj = ((rows[:, None] >> shifts) & 1).astype(np.uint8)
     pat = (ubits @ adj) & 1
     packed = pat.astype(np.int64) @ (np.int64(1) << shifts)

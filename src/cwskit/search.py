@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .clique import (
     Clique,
@@ -34,8 +35,8 @@ from .graphs import (
     canonical_form,
     class_table,
     edge_count,
-    isomorphism_classes,
-    lc_orbit_representatives,
+    isomorphism_class_masks,
+    lc_orbit_masks,
     mask_hex,
     parse_graph_file,
 )
@@ -251,21 +252,35 @@ def _graph_masks(job: SearchJob) -> list[int]:
             raise ValueError("exhaustive graph source supports n <= 8")
         return list(range(1 << edge_count(job.n)))
     if job.graph_source == "iso":
-        return [g.mask() for g, _size in isomorphism_classes(job.n)]
-    return [g.mask() for g in lc_orbit_representatives(job.n)]
+        return [mask for mask, _size in isomorphism_class_masks(job.n)]
+    return [masks[0] for masks in lc_orbit_masks(job.n)]
 
 
-# the keys of a checkpoint record that `_record_from` cannot do without
-_RECORD_KEYS = {"raw_mask", "canon_mask", "m", "bestK", "status"}
+def _is_header(obj: dict) -> bool:
+    return "job" in obj
 
 
-def _checkpoint_line(ln: str, lineno: int, keys: set[str], what: str) -> dict:
-    """One complete checkpoint line, decoded: an object holding `keys`."""
+def _is_record(obj: dict) -> bool:
+    """Whether `obj` holds the fields `_record_from` reads, typed as a search
+    writes them: int masks, m and bestK (never bools), a known status, and a
+    code that is absent, null or a list of ints."""
+    code = obj.get("code")
+    return (
+        all(type(obj.get(k)) is int for k in ("raw_mask", "canon_mask", "m", "bestK"))
+        and obj.get("status") in ("exact", "bound")
+        and (code is None or type(code) is list and all(type(c) is int for c in code))
+    )
+
+
+def _checkpoint_line(
+    ln: str, lineno: int, valid: Callable[[dict], bool], what: str
+) -> dict:
+    """One complete checkpoint line, decoded: an object that `valid` accepts."""
     try:
         obj = json.loads(ln)
     except json.JSONDecodeError as exc:
         raise ValueError(f"checkpoint line {lineno} cannot be decoded") from exc
-    if not isinstance(obj, dict) or not keys <= obj.keys():
+    if not isinstance(obj, dict) or not valid(obj):
         raise ValueError(f"checkpoint line {lineno} is not a {what}")
     return obj
 
@@ -286,7 +301,7 @@ def _load_checkpoint(path: Path, job: SearchJob) -> dict[int, dict]:
     if not any(ln.strip() for ln in lines):
         keep, lines = 0, []
     else:
-        header = _checkpoint_line(lines[0], 1, {"job"}, "job header")
+        header = _checkpoint_line(lines[0], 1, _is_header, "job header")
         if header["job"] != job.fingerprint():
             raise ValueError("checkpoint belongs to a different job")
     errors = error_set(job.n, job.d)
@@ -294,7 +309,7 @@ def _load_checkpoint(path: Path, job: SearchJob) -> dict[int, dict]:
         ln = ln.strip()
         if not ln:
             continue
-        rec = _checkpoint_line(ln, lineno, _RECORD_KEYS, "record")
+        rec = _checkpoint_line(ln, lineno, _is_record, "record")
         if rec.get("code"):
             g = Graph.from_mask(job.n, rec["raw_mask"])
             q = CWSCode(g, ClassicalCode.from_ints(job.n, sorted(rec["code"])))

@@ -86,8 +86,7 @@ def detection_check(q: CWSCode, errors: ErrorSet) -> VerificationReport:
     if not len(errors):
         return VerificationReport(True, False, None)
 
-    u_arr, v_arr = errors.uv_arrays()
-    patterns = kernels.cl_patterns(u_arr, v_arr, q.graph.rows_array())
+    patterns = kernels.cl_patterns(errors.ubits, errors.v, q.graph.rows_array())
     first_error_for: dict[int, int] = {}
     for idx, p in enumerate(patterns):
         first_error_for.setdefault(int(p), idx)
@@ -109,7 +108,7 @@ def detection_check(q: CWSCode, errors: ErrorSet) -> VerificationReport:
                 break
             if int(p) != 0:
                 continue
-            u = int(u_arr[idx])
+            u = int(errors.u[idx])
             for c in words:
                 if parity(c & u):
                     best_idx = idx

@@ -15,8 +15,9 @@ from cwskit.errormap import (
     setup,
     write_error_file,
 )
-from cwskit.gf2 import PauliOp, parity
+from cwskit.gf2 import ClassicalCode, PauliOp, parity
 from cwskit.graphs import Graph
+from cwskit.verify import CWSCode, detection_check
 
 
 class TestErrorSet:
@@ -58,6 +59,43 @@ class TestErrorSet:
         errs = error_set(3, 2)
         again = parse_error_file(write_error_file(errs))
         assert [str(p) for p in again] == [str(p) for p in errs]
+
+
+    def test_arrays_are_read_only(self):
+        errs = error_set(4, 2)
+        u, v = errs.uv_arrays()
+        for arr in (u, v, errs.ubits):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        with pytest.raises(ValueError):
+            u += 1
+
+    def test_ubits_are_the_x_support_bits(self):
+        errs = error_set(4, 3)
+        assert errs.ubits.shape == (len(errs), 4)
+        assert errs.ubits.dtype == np.uint8
+        for row, p in zip(errs.ubits.tolist(), errs):
+            assert row == [(p.u >> q) & 1 for q in range(4)]
+
+    def test_every_constructor_gives_the_same_setup_and_check(self):
+        built = error_set(5, 3)
+        sets = [
+            built,
+            explicit_error_set(5, built.paulis),
+            parse_error_file(write_error_file(built)),
+        ]
+        g = Graph.ring(5)
+        codes = [
+            CWSCode(g, ClassicalCode.from_texts(["00000", "11111"])),  # detects
+            CWSCode(g, ClassicalCode.from_texts(["00000", "11000"])),  # does not
+        ]
+        for errs in sets:
+            assert errs.paulis == built.paulis
+            assert np.array_equal(errs.ubits, built.ubits)
+            assert setup(errs, g).dump() == setup(built, g).dump()
+            for q in codes:
+                assert detection_check(q, errs) == detection_check(q, built)
+        assert [detection_check(q, built).detects for q in codes] == [True, False]
 
 
 class TestClMap:

@@ -59,6 +59,21 @@ class TestGraphBasics:
             g = random_graph(n, rng)
             assert Graph.from_mask(n, g.mask()).rows == g.rows
 
+    def test_mask_of_from_mask_is_identity(self):
+        for n in range(1, 6):
+            for m in range(1 << edge_count(n)):
+                assert Graph.from_mask(n, m).mask() == m
+        rng = random.Random(5)
+        for n in (8, 10):
+            for _ in range(200):
+                m = rng.randrange(1 << edge_count(n))
+                assert Graph.from_mask(n, m).mask() == m
+
+    def test_from_mask_follows_edge_bit(self):
+        for n in (2, 5, 10):
+            for i, j in itertools.combinations(range(n), 2):
+                assert Graph.from_mask(n, 1 << edge_bit(i, j, n)).edges() == [(i, j)]
+
     def test_edge_bit_layout_is_colex_prefix_first(self):
         # edge (0,1) occupies the top bit so early vertices dominate the order
         n = 4

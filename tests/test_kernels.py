@@ -52,9 +52,11 @@ def test_cl_patterns_match_cl_map():
         paulis = [
             PauliOp(n, rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(200)
         ]
-        u = np.array([p.u for p in paulis], dtype=np.int64)
+        ubits = np.array(
+            [[(p.u >> q) & 1 for q in range(n)] for p in paulis], dtype=np.uint8
+        )
         v = np.array([p.v for p in paulis], dtype=np.int64)
-        got = K.cl_patterns(u, v, g.rows_array())
+        got = K.cl_patterns(ubits, v, g.rows_array())
         assert [int(x) for x in got] == [cl_map(p, g).value for p in paulis]
 
 

@@ -12,7 +12,14 @@ from cwskit import kernels
 from cwskit.cli import main
 from cwskit.errormap import ClArrays
 from cwskit.clique import make_cws_clique_graph, parse_clique_graph_dump
-from cwskit.graphs import Graph, canonical_form, write_graph_file
+from cwskit.graphs import (
+    Graph,
+    canonical_form,
+    isomorphism_classes,
+    lc_orbit_representatives,
+    write_graph_file,
+)
+import cwskit.graphs
 import cwskit.search
 from cwskit.search import (
     EXIT_ABSENT,
@@ -185,6 +192,36 @@ def lex_smallest_max_clique(cg) -> list[int]:
                 return [int(cg.vertices[i]) for i in (0, *rest)]
 
 
+class TestGraphMasks:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_class_masks_equal_graph_round_trip(self, n):
+        iso = SearchJob(n=n, d=2, graph_source="iso")
+        lc = SearchJob(n=n, d=2, graph_source="lc")
+        assert cwskit.search._graph_masks(iso) == [
+            g.mask() for g, _size in isomorphism_classes(n)
+        ]
+        assert cwskit.search._graph_masks(lc) == [
+            g.mask() for g in lc_orbit_representatives(n)
+        ]
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("iso", "isomorphism classes supported for n <= 8"),
+            ("lc", "LC orbit enumeration supported for n <= 8"),
+        ],
+    )
+    def test_class_sources_refuse_n9(self, source, message, capsys, monkeypatch):
+        # the orbit pass has no guard of its own: at n=9 it would ask for
+        # 2^36 visited bits, so fail fast if the refusal is ever lost
+        def boom(*_args):
+            raise AssertionError("orbit pass started at n=9")
+
+        monkeypatch.setattr(cwskit.graphs, "_orbit_pass", boom)
+        assert main(["search", "--n", "9", "--d", "2", "--graphs", source]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestCheckpoint:
     @settings(deadline=None)
     @given(cut=st.floats(min_value=0.0, max_value=1.0))
@@ -319,6 +356,38 @@ class TestCheckpoint:
         capsys.readouterr()
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: checkpoint line {lineno} ")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("raw_mask", "x"),
+            ("canon_mask", 1.5),
+            ("m", None),
+            ("bestK", True),
+            ("status", "maybe"),
+            ("code", 5),
+            ("code", ["0"]),
+            ("code", [False]),
+        ],
+        ids=["raw_mask-str", "canon_mask-float", "m-null", "bestK-bool",
+             "status-unknown", "code-int", "code-str-item", "code-bool-item"],
+    )
+    def test_record_with_a_wrong_type_is_usage_error(
+        self, field, value, tmp_path: Path, capsys
+    ):
+        ck = tmp_path / "typed.ckpt"
+        argv = ["search", "--n", "3", "--d", "2", "--graphs", "iso",
+                "--checkpoint", str(ck)]
+        assert main(argv) == 0
+        complete = ck.read_text()
+        record = {"raw_mask": 0, "canon_mask": 0, "m": 1, "bestK": 1,
+                  "status": "exact", "code": [0]}
+        ck.write_text(complete + json.dumps(record) + "\n")
+        assert main(argv) == 0  # the well-typed record is accepted
+        ck.write_text(complete + json.dumps({**record, field: value}) + "\n")
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: checkpoint line 6 is not a record\n"
 
     def test_checkpoint_job_mismatch(self, tmp_path: Path):
         ck = tmp_path / "other.ckpt"
