@@ -15,7 +15,7 @@ from . import ac06, search, structure
 from .clique import make_cws_clique_graph
 from .errormap import error_set, setup
 from .gf2 import BitString, ClassicalCode
-from .graphs import Graph, canonical_form, lc_orbit, mask_hex, parse_graph_file
+from .graphs import Graph, lc_orbit, mask_hex, parse_graph_file
 from .search import SearchAborted, SearchJob, run_search, write_result_file
 from .verify import (
     MAX_ORACLE_N,
@@ -123,7 +123,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_verify(args) -> int:
     q = parse_code_file(Path(args.code))
-    distance = code_distance(q, cross_check=q.n <= MAX_ORACLE_N)
+    distance = code_distance(q)
     report = verification_report(q, distance if args.d is None else args.d)
     print(f"n={q.n}")
     print(f"K={q.dimension}")
@@ -224,8 +224,8 @@ def _cmd_orbit(args) -> int:
     g = _read_graph(args.graph)
     closure = lc_orbit(g)
     print(f"orbit_size={len(closure)}")
-    for h in closure:
-        print(mask_hex(g.n, canonical_form(h).mask))
+    for mask in closure:
+        print(mask_hex(g.n, mask))
     return 0
 
 

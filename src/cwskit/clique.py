@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .errormap import ClArrays, ErrorSet, setup
-from .gf2 import BitString, ClassicalCode
+from .gf2 import ClassicalCode
 from .graphs import Graph
 
 MAX_INDEX_SPACE_N = 20  # clique-graph vertex ids live in {0,1}^n
@@ -57,8 +57,9 @@ class CliqueGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> j) & 1)
 
-    def codewords(self, members: tuple[int, ...]) -> tuple[BitString, ...]:
-        return tuple(BitString(self.n, int(self.vertices[i])) for i in members)
+    def codewords(self, clique: Clique) -> tuple[int, ...]:
+        """The member words of a clique, as ints."""
+        return tuple(int(self.vertices[i]) for i in clique.members)
 
     def dump(self) -> str:
         """Each row as hex little-endian uint64 words, ceil(m/64) of them."""
@@ -66,17 +67,6 @@ class CliqueGraph:
         lines = [f"vertices={self.size}"]
         lines.extend(row.to_bytes(nbytes, "little").hex() for row in self.rows)
         return "\n".join(lines) + "\n"
-
-
-def parse_clique_graph_dump(text: str) -> tuple[int, list[int]]:
-    """Adjacency-only reader for the dump format; returns (m, rows)."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("vertices="):
-        raise ValueError("dump must start with 'vertices=<m>'")
-    m = int(lines[0].split("=", 1)[1])
-    if len(lines) != m + 1:
-        raise ValueError("dump row count does not match header")
-    return m, [int.from_bytes(bytes.fromhex(ln), "little") for ln in lines[1:]]
 
 
 def make_cws_clique_graph(arrays: ClArrays) -> CliqueGraph:
@@ -225,5 +215,4 @@ def cws_maxclique(errors: ErrorSet, g: Graph, budget: int = -1) -> ClassicalCode
     arrays = setup(errors, g)
     cg = make_cws_clique_graph(arrays)
     result = lex_min_clique(cg, max_clique(cg, budget), budget)
-    words = sorted(int(cg.vertices[i]) for i in result.clique.members)
-    return ClassicalCode.from_ints(g.n, words)
+    return ClassicalCode.from_ints(g.n, cg.codewords(result.clique))

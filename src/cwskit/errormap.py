@@ -74,9 +74,6 @@ class ErrorSet:
     def __iter__(self) -> Iterator[PauliOp]:
         return iter(self.paulis)
 
-    def uv_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.u, self.v
-
 
 def _weight_errors(n: int, w: int) -> Iterator[PauliOp]:
     for support in itertools.combinations(range(n), w):
@@ -110,24 +107,6 @@ def error_set(n: int, d: int) -> ErrorSet:
 
 def explicit_error_set(n: int, paulis: Iterable[PauliOp]) -> ErrorSet:
     return ErrorSet(n, tuple(paulis))
-
-
-def parse_error_file(text: str, n: int | None = None) -> ErrorSet:
-    paulis = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        paulis.append(PauliOp.from_text(ln))
-    if not paulis:
-        raise ValueError("error file contains no operators")
-    if n is None:
-        n = paulis[0].n
-    return ErrorSet(n, tuple(paulis))
-
-
-def write_error_file(errors: ErrorSet) -> str:
-    return "\n".join(str(p) for p in errors.paulis) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -165,24 +144,6 @@ class ClArrays:
             f"n={self.n} which=CL\n{kernels.pack_bits(self.cl).tobytes().hex()}\n"
             f"n={self.n} which=D\n{kernels.pack_bits(self.d).tobytes().hex()}\n"
         )
-
-    @classmethod
-    def parse(cls, text: str) -> "ClArrays":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if len(lines) != 4:
-            raise ValueError("CL/D dump must have two header+payload pairs")
-        sections: dict[str, np.ndarray] = {}
-        n = None
-        for header, payload in (lines[0:2], lines[2:4]):
-            parts = dict(p.split("=", 1) for p in header.split())
-            n = int(parts["n"])
-            words = np.frombuffer(bytes.fromhex(payload), dtype=np.uint64)
-            if words.size != ((1 << n) + 63) >> 6:
-                raise ValueError("word arrays have the wrong shape")
-            sections[parts["which"]] = kernels.unpack_bits(words, 1 << n)
-        if set(sections) != {"CL", "D"}:
-            raise ValueError("dump must contain one CL and one D section")
-        return cls(n, sections["CL"], sections["D"])
 
 
 def setup(errors: ErrorSet, g: Graph) -> ClArrays:

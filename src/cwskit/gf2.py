@@ -43,14 +43,6 @@ class BitString:
             raise ValueError(f"value {self.value} out of range for n={self.n}")
 
     @classmethod
-    def zeros(cls, n: int) -> "BitString":
-        return cls(n, 0)
-
-    @classmethod
-    def unit(cls, n: int, i: int) -> "BitString":
-        return cls(n, 1 << i)
-
-    @classmethod
     def from_text(cls, text: str) -> "BitString":
         text = text.strip()
         if not text or any(c not in "01" for c in text):
@@ -73,12 +65,6 @@ class BitString:
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} != {other.n}")
         return BitString(self.n, self.value ^ other.value)
-
-    def dot(self, other: "BitString") -> int:
-        """Inner product over GF(2): parity of the AND."""
-        if self.n != other.n:
-            raise ValueError(f"length mismatch: {self.n} != {other.n}")
-        return parity(self.value & other.value)
 
     def weight(self) -> int:
         return self.value.bit_count()
@@ -162,11 +148,6 @@ class GF2Matrix:
             v >>= 1
             k += 1
         return acc
-
-    def matmul(self, other: "GF2Matrix") -> "GF2Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError("inner dimensions do not match")
-        return GF2Matrix(other.ncols, tuple(other.mul_vec(r) for r in self.rows))
 
     def transpose(self) -> "GF2Matrix":
         cols = []
@@ -315,9 +296,6 @@ class PauliOp:
             raise ValueError(f"length mismatch: {self.n} != {other.n}")
         return parity(self.u & other.v) ^ parity(other.u & self.v)
 
-    def commutes(self, other: "PauliOp") -> bool:
-        return self.symplectic(other) == 0
-
     def hermitian_sign(self) -> int | None:
         """+1 or -1 for Hermitian operators, None for the +-i phases."""
         rem = (self.phase - (self.u & self.v).bit_count()) % 4
@@ -326,9 +304,6 @@ class PauliOp:
         if rem == 2:
             return -1
         return None
-
-    def negate(self) -> "PauliOp":
-        return PauliOp(self.n, self.u, self.v, (self.phase + 2) % 4)
 
     def apply_to_basis(self, x: int) -> tuple[int, complex]:
         """Image of basis state |x>: returns (x XOR u, scalar coefficient)."""
@@ -381,9 +356,6 @@ class ClassicalCode:
     def sorted(self) -> "ClassicalCode":
         """Ascending integer order; puts the all-zeros word first when present."""
         return ClassicalCode(tuple(sorted(self.words, key=lambda w: w.value)))
-
-    def shift(self, c: BitString) -> "ClassicalCode":
-        return ClassicalCode(tuple(w ^ c for w in self.words))
 
     def mul_matrix(self, r: GF2Matrix) -> "ClassicalCode":
         """Each codeword as a row vector multiplied by r over GF(2)."""

@@ -93,11 +93,6 @@ class Graph:
     def ring(cls, n: int) -> "Graph":
         return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
-    @classmethod
-    def complete(cls, n: int) -> "Graph":
-        full = (1 << n) - 1
-        return cls(n, tuple(full ^ (1 << i) for i in range(n)))
-
     def edges(self) -> list[tuple[int, int]]:
         return [
             (i, j)
@@ -127,11 +122,6 @@ class Graph:
 
     def rows_array(self) -> np.ndarray:
         return np.array(self.rows, dtype=np.int64)
-
-
-def canonical_hex(g: Graph) -> str:
-    width = max(1, (edge_count(g.n) + 3) // 4)
-    return f"{canonical_form(g).mask:0{width}x}"
 
 
 def mask_hex(n: int, mask: int) -> str:
@@ -186,10 +176,6 @@ class CanonicalForm:
     n: int
     mask: int
     perm: tuple[int, ...]
-
-    @property
-    def label(self) -> tuple[int, int]:
-        return (self.n, self.mask)
 
 
 @lru_cache(maxsize=8)
@@ -384,10 +370,10 @@ def _dfs_label(g: Graph) -> int:
     return canonical_form(g).mask
 
 
-def lc_orbit(g: Graph) -> list[Graph]:
-    """Isomorphism-class representatives reachable by local complementation."""
-    masks = _lc_closure(g.n, _dfs_label(g), _dfs_label)
-    return [Graph.from_mask(g.n, m) for m in masks]
+def lc_orbit(g: Graph) -> list[int]:
+    """Sorted canonical masks of the isomorphism classes reachable from g by
+    local complementation."""
+    return _lc_closure(g.n, _dfs_label(g), _dfs_label)
 
 
 def lc_orbit_masks(n: int) -> Iterator[tuple[int, ...]]:
@@ -410,18 +396,6 @@ def lc_orbit_masks(n: int) -> Iterator[tuple[int, ...]]:
         masks = tuple(_lc_closure(n, rep, label))
         seen.update(masks)
         yield masks
-
-
-def lc_orbits(n: int) -> Iterator[tuple[Graph, tuple[int, ...]]]:
-    """One representative per LC+isomorphism orbit, with the orbit's
-    isomorphism-class canonical masks."""
-    for masks in lc_orbit_masks(n):
-        yield Graph.from_mask(n, masks[0]), masks
-
-
-def lc_orbit_representatives(n: int) -> Iterator[Graph]:
-    for rep, _masks in lc_orbits(n):
-        yield rep
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,6 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return bytes_.view(np.uint64)
 
 
-def unpack_bits(words: np.ndarray, size: int) -> np.ndarray:
-    """Inverse of pack_bits; returns a boolean array of the given size."""
-    bytes_ = np.asarray(words, dtype=np.uint64).view(np.uint8)
-    bits = np.unpackbits(bytes_, bitorder="little")
-    return bits[:size].astype(bool)
-
-
 def parity_of_and(values: np.ndarray, mask: int) -> np.ndarray:
     """Elementwise parity of popcount(values & mask), as uint8."""
     return (np.bitwise_count(values & np.int64(mask)) & 1).astype(np.uint8)

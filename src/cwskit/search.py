@@ -14,7 +14,7 @@ import multiprocessing as mp
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -30,6 +30,7 @@ from .clique import (
 from .errormap import error_set, setup
 from .gf2 import ClassicalCode
 from .graphs import (
+    MAX_EXHAUSTIVE_N,
     MAX_TABLE_N,
     Graph,
     canonical_form,
@@ -80,16 +81,10 @@ class SearchJob:
             raise ValueError("target K must be positive")
 
     def fingerprint(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "target_k": self.target_k,
-            "graph_source": self.graph_source,
-            "graph_file": self.graph_file,
-            "exactness": self.exactness,
-            "seed": self.seed,
-            "budget": self.budget,
-        }
+        """Every field but worker_count, which cannot change the result."""
+        fields = asdict(self)
+        del fields["worker_count"]
+        return fields
 
 
 @dataclass(frozen=True)
@@ -179,18 +174,18 @@ def _process_mask(mask: int) -> tuple[int, dict]:
         seed = (job.seed * 1000003 + mask) & 0x7FFFFFFF
         clique = heuristic_clique(cg, seed)
         best_k, status = clique.size, "bound"
-        code = tuple(int(cg.vertices[i]) for i in clique.members)
+        code = cg.codewords(clique)
     elif target_k is None:
         res = max_clique(cg, job.budget)
         best_k, nodes = res.clique.size, res.nodes
         status = "exact" if res.exact else "bound"
-        code = tuple(int(cg.vertices[i]) for i in res.clique.members)
+        code = cg.codewords(res.clique)
     else:
         res = find_clique_of_size(cg, target_k, job.budget)
         nodes = res.nodes
         if res.found:
             best_k, status = target_k, "exact"
-            code = tuple(int(cg.vertices[i]) for i in res.clique.members)
+            code = cg.codewords(res.clique)
         else:
             best_k = res.best_size
             status = "exact" if res.exhausted else "bound"
@@ -235,7 +230,7 @@ def _witness(job: SearchJob, rec: GraphRecord, nodes: int | None) -> CWSCode:
             members = tuple(int(i) for i in cg.vertices.searchsorted(words))
             res = CliqueSearchResult(Clique(members), True, nodes)
         res = lex_min_clique(cg, res, job.budget)
-        words = [int(cg.vertices[i]) for i in res.clique.members]
+        words = cg.codewords(res.clique)
     return CWSCode(g, ClassicalCode.from_ints(job.n, words))
 
 
@@ -248,8 +243,8 @@ def _graph_masks(job: SearchJob) -> list[int]:
             raise ValueError("graph file does not match the job's n")
         return [g.mask()]
     if job.graph_source == "all":
-        if job.n > 8:
-            raise ValueError("exhaustive graph source supports n <= 8")
+        if job.n > MAX_EXHAUSTIVE_N:
+            raise ValueError(f"exhaustive graph source supports n <= {MAX_EXHAUSTIVE_N}")
         return list(range(1 << edge_count(job.n)))
     if job.graph_source == "iso":
         return [mask for mask, _size in isomorphism_class_masks(job.n)]

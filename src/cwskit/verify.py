@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .errormap import ErrorSet, cl_map, error_set, explicit_error_set, _weight_errors
+from .errormap import ErrorSet, error_set, explicit_error_set, _weight_errors
 from .gf2 import BitString, ClassicalCode, PauliOp, parity
 from .graphs import Graph, parse_graph_file, write_graph_file
 
@@ -57,14 +57,6 @@ class Witness:
 
     error: PauliOp
     pair: tuple[BitString, ...]
-
-    def recheck(self, q: CWSCode) -> bool:
-        pattern = cl_map(self.error, q.graph)
-        if len(self.pair) == 2:
-            a, b = self.pair
-            return (a ^ b).value == pattern.value
-        (c,) = self.pair
-        return pattern.value == 0 and parity(c.value & self.error.u) == 1
 
 
 @dataclass(frozen=True)
@@ -171,12 +163,12 @@ def kl_oracle(q: CWSCode, d: int) -> int:
     return _kl_distance(basis, basis, d)
 
 
-def code_distance(q: CWSCode, cross_check: bool = True) -> int:
+def code_distance(q: CWSCode) -> int:
     """Largest d such that all errors of weight < d pass detection_check.
 
     A one-dimensional code detects everything vacuously and reports n+1.
-    When cross_check is set (requires n <= 12) the result is re-derived from
-    kl_oracle and a mismatch raises."""
+    For n <= MAX_ORACLE_N the result is re-derived from kl_oracle and a
+    mismatch raises."""
     passed = 0
     for w in range(1, q.n + 1):
         errs = explicit_error_set(q.n, _weight_errors(q.n, w))
@@ -184,9 +176,7 @@ def code_distance(q: CWSCode, cross_check: bool = True) -> int:
             break
         passed = w
     distance = passed + 1
-    if cross_check:
-        if q.n > MAX_ORACLE_N:
-            raise ValueError("cross_check requires n <= 12; pass cross_check=False")
+    if q.n <= MAX_ORACLE_N:
         oracle = kl_oracle(q, min(distance + 1, q.n + 1))
         if oracle != distance:
             raise RuntimeError(

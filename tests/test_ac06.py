@@ -124,7 +124,7 @@ def random_state_generators(n: int, rng) -> list[PauliOp]:
         for j in range(n):
             if mix.entry(j, i):
                 acc = acc @ gens[j]
-        out.append(acc if acc.hermitian_sign() == 1 else acc.negate())
+        out.append(acc if acc.hermitian_sign() == 1 else PauliOp(n, acc.u, acc.v, acc.phase + 2))
     return out
 
 
@@ -466,7 +466,7 @@ class TestComputeSd:
         # three of five generators, one negated; values computed before
         # compute_sd moved onto insert_reduced
         gens = random_state_generators(5, random.Random(55))[:3]
-        gens[1] = gens[1].negate()
+        gens[1] = PauliOp(5, gens[1].u, gens[1].v, gens[1].phase + 2)
         assert [str(g) for g in gens] == ["ZXZIZ", "-IXIZI", "ZIIZZ"]
         result = compute_sd(gens, 3)
         assert [str(e) for e in result.elements] == ["-IXIZI", "-IIZII"]

