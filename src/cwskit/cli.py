@@ -16,7 +16,7 @@ from .clique import make_cws_clique_graph
 from .errormap import error_set, setup
 from .gf2 import BitString, ClassicalCode
 from .graphs import Graph, lc_orbit, mask_hex, parse_graph_file
-from .search import SearchAborted, SearchJob, run_search, write_result_file
+from .search import SearchAborted, SearchJob, render_result, run_search
 from .verify import (
     MAX_ORACLE_N,
     CWSCode,
@@ -108,7 +108,7 @@ def _cmd_search(args) -> int:
             print(f"aborted: {problem}", file=sys.stderr)
             return search.EXIT_INCONCLUSIVE
     if args.out:
-        write_result_file(Path(args.out), result)
+        Path(args.out).write_text(render_result(result))
     print(f"graphs={result.total_graphs}")
     print(f"summary_bestK={result.summary_best_k}")
     if result.witness is not None:

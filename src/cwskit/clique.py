@@ -22,6 +22,7 @@ from .graphs import Graph
 MAX_INDEX_SPACE_N = 20  # clique-graph vertex ids live in {0,1}^n
 MAX_MATERIALIZED_VERTICES = 1 << 16
 MAX_EXACT_VERTICES = 4096
+HEURISTIC_RESTARTS = 200
 
 
 @dataclass(frozen=True)
@@ -36,19 +37,15 @@ class Clique:
 
 
 class CliqueGraph:
-    """rows[i] is the neighbour mask of vertex i, as a Python int."""
+    """rows[i] is the neighbour mask of vertex i, as a Python int.
+
+    Built by `make_cws_clique_graph`, whose vertices ascend from 0^n and
+    whose vertex 0 is adjacent to every other vertex."""
 
     def __init__(self, n: int, vertices: np.ndarray, rows: list[int]) -> None:
         self.n = n
         self.vertices = vertices
         self.rows = rows
-        m = vertices.shape[0]
-        if m < 1 or vertices[0] != 0:
-            raise ValueError("vertex 0^n must be present and first")
-        if np.any(np.diff(vertices) <= 0):
-            raise ValueError("vertices must be ascending")
-        if rows[0] != (1 << m) - 2:
-            raise ValueError("vertex 0^n must be universal")
 
     @property
     def size(self) -> int:
@@ -126,24 +123,17 @@ def lex_min_clique(
     """The lexicographically smallest maximum clique, given `max_clique`'s
     exact answer `res` on the same graph and budget.
 
-    About one more branch and bound per member; its nodes count against
-    `budget` on top of `res.nodes`.  `res` comes back unchanged when it is
-    not exact, has one member, or the budget dies before the choice is
-    settled."""
+    Greedy: each next member is the smallest candidate that still extends
+    to a maximum clique, which costs about one more branch and bound per
+    member; its nodes count against `budget` on top of `res.nodes`.  `res`
+    comes back unchanged when it is not exact, has one member, or the
+    budget dies before the choice is settled."""
     if not res.exact or res.clique.size == 1:
         return res
-    refined = _lex_min_clique(cg, res.clique.size - 1, budget, res.nodes)
-    if refined is None:
-        return res
-    members, nodes = refined
-    return CliqueSearchResult(Clique(members), True, nodes)
-
-
-def _lex_min_clique(cg: CliqueGraph, target: int, budget: int, nodes: int):
-    """Greedy lexicographic refinement; returns None if the budget dies."""
+    nodes = res.nodes
     chosen = [0]
     p = (1 << cg.size) - 2  # vertices adjacent to every chosen one
-    remaining = target
+    remaining = res.clique.size - 1
     while remaining > 0:
         q = p
         while q:  # candidates in ascending order
@@ -158,15 +148,15 @@ def _lex_min_clique(cg: CliqueGraph, target: int, budget: int, nodes: int):
                 nodes += used
                 if size < remaining - 1:
                     if not exhausted:
-                        return None  # budget died before the question was settled
+                        return res  # budget died before the question was settled
                     continue
             chosen.append(v)
             p = pv
             remaining -= 1
             break
         else:
-            return None
-    return tuple(sorted(chosen)), nodes
+            return res
+    return CliqueSearchResult(Clique(tuple(sorted(chosen))), True, nodes)
 
 
 def find_clique_of_size(cg: CliqueGraph, k: int, budget: int = -1) -> FixedSizeResult:
@@ -190,14 +180,14 @@ def find_clique_of_size(cg: CliqueGraph, k: int, budget: int = -1) -> FixedSizeR
     return FixedSizeResult(None, exhausted, nodes, size + 1)
 
 
-def heuristic_clique(cg: CliqueGraph, seed: int, restarts: int = 200) -> Clique:
+def heuristic_clique(cg: CliqueGraph, seed: int) -> Clique:
     """Randomised greedy restarts; a lower bound only, never a proof."""
     rng = random.Random(seed)
     m = cg.size
     rows = cg.rows
     best: tuple[int, ...] = (0,)
     order = list(range(1, m))
-    for _ in range(restarts):
+    for _ in range(HEURISTIC_RESTARTS):
         rng.shuffle(order)
         members = [0]
         p = (1 << m) - 2  # all vertices except 0
@@ -210,9 +200,8 @@ def heuristic_clique(cg: CliqueGraph, seed: int, restarts: int = 200) -> Clique:
     return Clique(best)
 
 
-def cws_maxclique(errors: ErrorSet, g: Graph, budget: int = -1) -> ClassicalCode:
-    """Setup -> clique graph -> max clique, returned as a classical code."""
-    arrays = setup(errors, g)
-    cg = make_cws_clique_graph(arrays)
-    result = lex_min_clique(cg, max_clique(cg, budget), budget)
+def cws_maxclique(errors: ErrorSet, g: Graph) -> ClassicalCode:
+    """Setup -> clique graph -> exact max clique, returned as a classical code."""
+    cg = make_cws_clique_graph(setup(errors, g))
+    result = lex_min_clique(cg, max_clique(cg))
     return ClassicalCode.from_ints(g.n, cg.codewords(result.clique))

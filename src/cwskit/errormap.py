@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -103,10 +103,6 @@ def error_set(n: int, d: int) -> ErrorSet:
         itertools.chain.from_iterable(_weight_errors(n, w) for w in range(1, d))
     )
     return ErrorSet(n, paulis, weight_bound=d - 1)
-
-
-def explicit_error_set(n: int, paulis: Iterable[PauliOp]) -> ErrorSet:
-    return ErrorSet(n, tuple(paulis))
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,6 @@ def write_graph_file(g: Graph) -> str:
 class CanonicalForm:
     n: int
     mask: int
-    perm: tuple[int, ...]
 
 
 @lru_cache(maxsize=8)
@@ -192,7 +191,7 @@ def _perm_tables(n: int) -> np.ndarray:
     return maps
 
 
-def _canonical_dfs(g: Graph) -> tuple[int, tuple[int, ...]]:
+def _canonical_dfs(g: Graph) -> int:
     """Branch-and-bound search for the minimum edge mask over relabellings.
 
     Builds the mask prefix position by position (new vertex k fixes the edge
@@ -203,14 +202,12 @@ def _canonical_dfs(g: Graph) -> tuple[int, tuple[int, ...]]:
     nedge = edge_count(n)
     rows = g.rows
     best_mask = [None]
-    best_perm = [None]
 
     def descend(assigned: list[int], used: int, prefix: int, bits: int) -> None:
         k = len(assigned)
         if k == n:
             if best_mask[0] is None or prefix < best_mask[0]:
                 best_mask[0] = prefix
-                best_perm[0] = list(assigned)
             return
         scored = []
         for w in range(n):
@@ -232,29 +229,24 @@ def _canonical_dfs(g: Graph) -> tuple[int, tuple[int, ...]]:
             assigned.pop()
 
     descend([], 0, 0, 0)
-    order = best_perm[0]
-    perm = [0] * n
-    for pos, w in enumerate(order):
-        perm[w] = pos
-    return best_mask[0], tuple(perm)
+    return best_mask[0]
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
-    """Minimum edge mask over all vertex permutations, plus a witness."""
+    """Minimum edge mask over all vertex permutations."""
     n = g.n
     if n > MAX_CANONICAL_N:
         raise ValueError(f"canonical_form supports n <= {MAX_CANONICAL_N}")
     if n == 1:
-        return CanonicalForm(1, 0, (0,))
-    mask, perm = _canonical_dfs(g)
-    return CanonicalForm(n, mask, perm)
+        return CanonicalForm(1, 0)
+    return CanonicalForm(n, _canonical_dfs(g))
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 
-def enumerate_graphs(n: int, dedup: bool = False) -> Iterator[Graph]:
-    """Every labelled n-vertex graph, or one per isomorphism class."""
+def enumerate_graphs(n: int) -> Iterator[Graph]:
+    """Every labelled n-vertex graph."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > MAX_EXHAUSTIVE_N:
@@ -262,10 +254,6 @@ def enumerate_graphs(n: int, dedup: bool = False) -> Iterator[Graph]:
             f"exhaustive enumeration refused for n > {MAX_EXHAUSTIVE_N}; "
             "supply graphs from a file instead"
         )
-    if dedup:
-        for g, _size in isomorphism_classes(n):
-            yield g
-        return
     for mask in range(1 << edge_count(n)):
         yield Graph.from_mask(n, mask)
 

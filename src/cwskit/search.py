@@ -30,7 +30,7 @@ from .clique import (
 from .errormap import error_set, setup
 from .gf2 import ClassicalCode
 from .graphs import (
-    MAX_EXHAUSTIVE_N,
+    MAX_CANONICAL_N,
     MAX_TABLE_N,
     Graph,
     canonical_form,
@@ -136,26 +136,20 @@ class SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# per-worker state and graph processing
+# per-search state and graph processing
 
+# The job, its error set and, for `all`, the class table: filled once per
+# search by `run_search` before the pool forks, so workers inherit them.
 _W: dict = {}
-
-
-def _init_worker(job: SearchJob) -> None:
-    _W["job"] = job
-    _W["errors"] = error_set(job.n, job.d)
-    _W["canon"] = None
 
 
 def _canon_mask(mask: int, g: Graph) -> int:
     """Canonical id of a pending graph: iso/lc masks already are one, `all`
-    looks it up in a class table built on first use, `file` runs the DFS."""
+    looks it up in the class table, `file` runs the DFS."""
     source = _W["job"].graph_source
     if source in {"iso", "lc"}:
         return mask
-    if source == "all" and g.n <= MAX_TABLE_N:
-        if _W["canon"] is None:
-            _W["canon"], _classes = class_table(g.n)
+    if source == "all":
         return int(_W["canon"][mask])
     return canonical_form(g).mask
 
@@ -238,13 +232,15 @@ def _witness(job: SearchJob, rec: GraphRecord, nodes: int | None) -> CWSCode:
 
 def _graph_masks(job: SearchJob) -> list[int]:
     if job.graph_source == "file":
+        if job.n > MAX_CANONICAL_N:
+            raise ValueError(f"file graph source supports n <= {MAX_CANONICAL_N}")
         g = parse_graph_file(Path(job.graph_file).read_text())
         if g.n != job.n:
             raise ValueError("graph file does not match the job's n")
         return [g.mask()]
     if job.graph_source == "all":
-        if job.n > MAX_EXHAUSTIVE_N:
-            raise ValueError(f"exhaustive graph source supports n <= {MAX_EXHAUSTIVE_N}")
+        if job.n > MAX_TABLE_N:
+            raise ValueError(f"exhaustive graph source supports n <= {MAX_TABLE_N}")
         return list(range(1 << edge_count(job.n)))
     if job.graph_source == "iso":
         return [mask for mask, _size in isomorphism_class_masks(job.n)]
@@ -325,6 +321,11 @@ def run_search(
     masks = _graph_masks(job)
     done = _load_checkpoint(checkpoint, job) if checkpoint else {}
     pending = [m for m in masks if m not in done]
+    _W["job"] = job
+    _W["errors"] = error_set(job.n, job.d)
+    _W["canon"] = (
+        class_table(job.n)[0] if job.graph_source == "all" and pending else None
+    )
 
     ck_handle = None
     if checkpoint:
@@ -347,23 +348,17 @@ def run_search(
 
     try:
         if job.worker_count <= 1 or len(pending) <= 1:
-            _init_worker(job)
             consume(map(_process_mask, pending))
         else:
             ctx = mp.get_context("fork")
             chunk = max(1, min(1024, len(pending) // (job.worker_count * 16)))
-            with ctx.Pool(
-                job.worker_count,
-                initializer=_init_worker,
-                initargs=(job,),
-            ) as pool:
+            with ctx.Pool(job.worker_count) as pool:
                 consume(pool.imap_unordered(_process_mask, pending, chunksize=chunk))
     except Exception as exc:
+        raise SearchAborted(f"worker failure: {exc}") from exc
+    finally:
         if ck_handle:
             ck_handle.close()
-        raise SearchAborted(f"worker failure: {exc}") from exc
-    if ck_handle:
-        ck_handle.close()
 
     records = [_record_from(job.n, rec) for rec in outcomes]
     records.sort(key=GraphRecord.sort_key)
@@ -394,7 +389,3 @@ def render_result(result: SearchResult) -> str:
     lines.extend(r.line() for r in result.records)
     lines.append(f"summary_bestK={result.summary_best_k}")
     return "\n".join(lines) + "\n"
-
-
-def write_result_file(path: Path, result: SearchResult) -> None:
-    path.write_text(render_result(result))

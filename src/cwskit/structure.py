@@ -42,12 +42,11 @@ def is_linear(c: ClassicalCode) -> LinearityReport:
     return LinearityReport(True, tuple(BitString(c.n, b) for b in sorted(basis)), None)
 
 
-def additivity_label(c: ClassicalCode, exhaustively_nonlinear_only: bool = False) -> str:
-    """"additive" for linear codes; nonlinear codes are only called
-    "nonadditive" when an exhaustive search argument backs it."""
-    if is_linear(c).is_linear:
-        return "additive"
-    return "nonadditive" if exhaustively_nonlinear_only else "not manifestly additive"
+def additivity_label(c: ClassicalCode) -> str:
+    """"additive" for linear codes.  A nonlinear code is "not manifestly
+    additive": calling it nonadditive takes an exhaustive search argument
+    that the code alone does not carry."""
+    return "additive" if is_linear(c).is_linear else "not manifestly additive"
 
 
 def extend_dim3_to_dim4(q: CWSCode, errors: ErrorSet) -> CWSCode:

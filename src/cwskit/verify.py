@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .errormap import ErrorSet, error_set, explicit_error_set, _weight_errors
+from .errormap import ErrorSet, error_set, _weight_errors
 from .gf2 import BitString, ClassicalCode, PauliOp, parity
 from .graphs import Graph, parse_graph_file, write_graph_file
 
@@ -171,7 +171,7 @@ def code_distance(q: CWSCode) -> int:
     mismatch raises."""
     passed = 0
     for w in range(1, q.n + 1):
-        errs = explicit_error_set(q.n, _weight_errors(q.n, w))
+        errs = ErrorSet(q.n, tuple(_weight_errors(q.n, w)))
         if not detection_check(q, errs).detects:
             break
         passed = w

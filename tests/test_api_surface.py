@@ -1,10 +1,13 @@
-"""Every public function, class and method of the package has a user.
+"""Every public function, class, method, field and default of the package
+has a user.
 
 A user is a Name or Attribute that mentions the definition's name in
 ``src/``, ``perfbench/``, ``benchmarks/`` or ``tests/test_acceptance.py``,
-outside the definition itself.  Unit tests do not count: code that only its
-own tests call is dead weight.  Matching is by bare identifier, so a name
-collision can only let dead code through, never flag live code.
+outside the definition itself.  A field's user reads it as an attribute; a
+defaulted parameter's user is a call that sets it, by keyword or by
+position.  Unit tests do not count: code that only its own tests call, read
+or set is dead weight.  Matching is by bare identifier, so a name collision
+can only let dead code through, never flag live code.
 """
 
 import ast
@@ -33,6 +36,14 @@ KEEP = {
     "graph_state_amplitudes": "dense graph state the oracle tests check against",
 }
 
+# Fields kept without a reader, each for the reason given.
+KEEP_FIELDS = {
+    "AC06Conversion.word_operators": "Paulis realising each codeword; the AC06 tests check them",
+    "LCRecord.letters": "local Clifford moves to graph form; the reduction tests check them",
+    "StandardFormResult.lc_record": "the same moves, kept with the graph they lead to",
+    "SdResult.elements": "the paper's S_D set; the compute_sd tests check it",
+}
+
 
 def _public(name: str) -> bool:
     return not name.startswith("_")
@@ -52,19 +63,25 @@ def _definitions():
                         yield f"{node.name}.{item.name}", item.name, path, item
 
 
-def _references() -> dict[str, list[tuple[Path, int]]]:
-    """Identifier -> (path, line) of each Name or Attribute in the user files."""
-    refs: dict[str, list[tuple[Path, int]]] = {}
+def _user_nodes():
+    """(path, node) of every AST node in the user files."""
     for user in USERS:
         for path in [user] if user.is_file() else sorted(user.rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    ident = node.id
-                elif isinstance(node, ast.Attribute):
-                    ident = node.attr
-                else:
-                    continue
-                refs.setdefault(ident, []).append((path, node.lineno))
+                yield path, node
+
+
+def _references() -> dict[str, list[tuple[Path, int]]]:
+    """Identifier -> (path, line) of each Name or Attribute in the user files."""
+    refs: dict[str, list[tuple[Path, int]]] = {}
+    for path, node in _user_nodes():
+        if isinstance(node, ast.Name):
+            ident = node.id
+        elif isinstance(node, ast.Attribute):
+            ident = node.attr
+        else:
+            continue
+        refs.setdefault(ident, []).append((path, node.lineno))
     return refs
 
 
@@ -90,3 +107,84 @@ def test_every_public_name_has_a_user():
 def test_keep_list_names_only_existing_definitions():
     defined = {qualified for qualified, _name, _path, _node in _definitions()}
     assert set(KEEP) <= defined
+
+
+def _fields():
+    """Qualified name of every annotated public field of a public class."""
+    for qualified, _name, _path, node in _definitions():
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (
+                    isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and _public(item.target.id)
+                ):
+                    yield f"{qualified}.{item.target.id}"
+
+
+def test_every_public_field_has_a_reader():
+    read = {
+        node.attr
+        for _path, node in _user_nodes()
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        field
+        for field in _fields()
+        if field.rsplit(".", 1)[1] not in read and field not in KEEP_FIELDS
+    ]
+    assert unread == [], "fields nothing reads; delete them or add to KEEP_FIELDS"
+
+
+def test_keep_fields_names_only_existing_fields():
+    assert set(KEEP_FIELDS) <= set(_fields())
+
+
+def _defaults():
+    """(qualified name, parameter, position, path, node) of every defaulted
+    parameter of a public function or method; position counts the
+    arguments a call passes, so a method's ``self`` or ``cls`` is skipped."""
+    for qualified, _name, path, node in _definitions():
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        bound = "." in qualified and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in node.decorator_list
+        )
+        first = len(positional) - len(args.defaults)
+        for index in range(first, len(positional)):
+            yield qualified, positional[index].arg, index - bound, path, node
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield qualified, arg.arg, None, path, node
+
+
+def _sets(call: ast.Call, param: str, position: int | None) -> bool:
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(
+        isinstance(a, ast.Starred) for a in call.args
+    )
+
+
+def test_every_default_is_set_by_a_caller():
+    calls: dict[str, list[tuple[Path, ast.Call]]] = {}
+    for path, node in _user_nodes():
+        if isinstance(node, ast.Call):
+            func = node.func
+            ident = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            calls.setdefault(ident, []).append((path, node))
+    unset = [
+        f"{qualified}({param}=)"
+        for qualified, param, position, path, node in _defaults()
+        if not any(
+            _sets(call, param, position)
+            for p, call in calls.get(node.name, [])
+            if not (p == path and node.lineno <= call.lineno <= node.end_lineno)
+        )
+    ]
+    assert unset == [], "defaults no caller sets; make them constants or drop them"

@@ -2,7 +2,6 @@ import itertools
 import random
 
 import numpy as np
-import pytest
 
 from conftest import random_graph
 from cwskit.clique import (
@@ -118,9 +117,19 @@ class TestMakeCliqueGraph:
             "2500000000000000\n2300000000000000\n1f00000000000000\n"
         )
 
-    def test_vertex_zero_must_be_universal(self):
-        with pytest.raises(ValueError, match="universal"):
-            CliqueGraph(2, np.array([0, 1, 2]), [0b010, 0b001, 0b001])
+    def test_vertex_zero_first_and_universal_vertices_ascending(self):
+        # the invariants the solvers rely on, which CliqueGraph does not
+        # re-check: 0^n is vertex 0, vertices ascend, row 0 is universal
+        rng = random.Random(10)
+        degenerate = 0
+        for _ in range(200):
+            arrays = random_cl_arrays(4, rng)
+            degenerate += arrays.degenerate
+            cg = make_cws_clique_graph(arrays)
+            assert cg.vertices[0] == 0
+            assert all(np.diff(cg.vertices) > 0)
+            assert cg.rows[0] == (1 << cg.size) - 2
+        assert degenerate > 0
 
 
 class TestMaxClique:
@@ -272,7 +281,7 @@ def test_heuristic_is_a_clique_lower_bound():
     rng = random.Random(9)
     for seed in range(10):
         cg = make_cws_clique_graph(random_cl_arrays(4, rng))
-        clique = heuristic_clique(cg, seed=seed, restarts=50)
+        clique = heuristic_clique(cg, seed=seed)
         best, _ = brute_force_max_clique(cg)
         assert 1 <= clique.size <= best
         for a, b in itertools.combinations(clique.members, 2):

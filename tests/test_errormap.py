@@ -10,7 +10,6 @@ from cwskit.errormap import (
     ErrorSet,
     cl_map,
     error_set,
-    explicit_error_set,
     setup,
 )
 from cwskit.gf2 import ClassicalCode, PauliOp, parity
@@ -41,7 +40,7 @@ class TestErrorSet:
 
     def test_identity_rejected(self):
         with pytest.raises(ValueError):
-            explicit_error_set(2, [PauliOp.identity(2)])
+            ErrorSet(2, (PauliOp.identity(2),))
 
     def test_all_errors_have_positive_sign(self):
         for p in error_set(4, 3):
@@ -73,7 +72,7 @@ class TestErrorSet:
         built = error_set(5, 3)
         sets = [
             built,
-            explicit_error_set(5, built.paulis),
+            ErrorSet(5, built.paulis),
         ]
         g = Graph.ring(5)
         codes = [
@@ -145,7 +144,7 @@ class TestSetup:
 
     def test_empty_graph_single_x(self):
         g = Graph.empty(3)
-        arrays = setup(explicit_error_set(3, [PauliOp.single(3, 0, "X")]), g)
+        arrays = setup(ErrorSet(3, (PauliOp.single(3, 0, "X"),)), g)
         assert _setup_marks(arrays) == {0}
         assert _d_marks(arrays) == {i for i in range(8) if i & 1}
         assert arrays.degenerate

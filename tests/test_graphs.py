@@ -115,7 +115,7 @@ class TestEnumeration:
         # independent oracle: distinct min-permuted masks over every graph
         for n in (2, 3, 4, 5):
             expect = len({brute_force_label(g) for g in enumerate_graphs(n)})
-            got = sum(1 for _ in enumerate_graphs(n, dedup=True))
+            got = sum(1 for _ in isomorphism_classes(n))
             assert got == expect
 
     def test_iso_classes_n7_frozen(self):
@@ -148,14 +148,14 @@ class TestClassTable:
     def test_table_matches_dfs_n6(self):
         canon, _classes = class_table(6)
         for mask in range(1 << edge_count(6)):
-            assert int(canon[mask]) == _canonical_dfs(Graph.from_mask(6, mask))[0]
+            assert int(canon[mask]) == _canonical_dfs(Graph.from_mask(6, mask))
 
     def test_table_matches_dfs_n7_sample(self):
         rng = random.Random(7)
         canon, classes = class_table(7)
         assert len(classes) == 1044
         for mask in rng.sample(range(1 << edge_count(7)), 300):
-            assert int(canon[mask]) == _canonical_dfs(Graph.from_mask(7, mask))[0]
+            assert int(canon[mask]) == _canonical_dfs(Graph.from_mask(7, mask))
 
     def test_n8_classes_start_without_table(self):
         # no 2^28-entry table at n=8: the bitset pass still yields classes;
@@ -193,26 +193,11 @@ class TestCanonicalForm:
             again = canonical_form(Graph.from_mask(5, cf.mask))
             assert again.mask == cf.mask
 
-    def test_perm_witness_achieves_label(self):
-        rng = random.Random(4)
-        for _ in range(20):
-            g = random_graph(6, rng)
-            cf = canonical_form(g)
-            assert g.permute(cf.perm).mask() == cf.mask
-
     def test_label_matches_brute_force(self):
         rng = random.Random(5)
         for _ in range(25):
             g = random_graph(5, rng)
             assert canonical_form(g).mask == brute_force_label(g)
-
-    def test_dfs_path_matches_kernel_path(self):
-        rng = random.Random(6)
-        for _ in range(25):
-            g = random_graph(6, rng)
-            mask, perm = _canonical_dfs(g)
-            assert mask == canonical_form(g).mask
-            assert g.permute(perm).mask() == mask
 
     def test_large_n_uses_dfs_path(self):
         # n=9 exceeds the permutation-table range, exercising the search path
@@ -223,7 +208,6 @@ class TestCanonicalForm:
             rng.shuffle(perm)
             cf = canonical_form(g)
             assert cf.mask == canonical_form(g.permute(perm)).mask
-            assert g.permute(cf.perm).mask() == cf.mask
         with pytest.raises(ValueError):
             canonical_form(Graph.empty(11))
 
@@ -291,7 +275,7 @@ class TestLocalComplementation:
 
     def test_empty_graph_is_enumerated(self):
         for n in (2, 4):
-            assert any(g.mask() == 0 for g in enumerate_graphs(n, dedup=True))
+            assert any(g.mask() == 0 for g, _size in isomorphism_classes(n))
 
 
 class TestGraphState:

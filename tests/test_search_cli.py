@@ -57,6 +57,21 @@ class TestRunSearch:
         )
         assert seq == par
 
+    def test_workers_share_one_class_table(self, tmp_path: Path, monkeypatch):
+        # workers are forked, so each call leaves a line in a file
+        calls = tmp_path / "calls"
+        table = cwskit.search.class_table
+
+        def counted(n):
+            with open(calls, "a") as f:
+                f.write(f"{n}\n")
+            return table(n)
+
+        monkeypatch.setattr(cwskit.search, "class_table", counted)
+        par = run_search(SearchJob(n=4, d=2, graph_source="all", worker_count=2))
+        assert calls.read_text().splitlines() == ["4"]
+        assert par.records == run_search(SearchJob(n=4, d=2, graph_source="all")).records
+
     def test_result_file_format(self):
         res = run_search(SearchJob(n=3, d=2, graph_source="all"))
         lines = render_result(res).splitlines()
@@ -220,6 +235,25 @@ class TestGraphMasks:
         monkeypatch.setattr(cwskit.graphs, "_orbit_pass", boom)
         assert main(["search", "--n", "9", "--d", "2", "--graphs", source]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_all_refuses_n8(self, capsys, monkeypatch):
+        # past the guard, `all` at n=8 would list 2^28 masks before solving
+        # one graph, so fail fast if the refusal is ever lost
+        def boom(*_args):
+            raise AssertionError("2^28 masks listed at n=8")
+
+        monkeypatch.setattr(cwskit.search, "edge_count", boom)
+        assert main(["search", "--n", "8", "--d", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: exhaustive graph source supports n <= 7\n"
+        )
+
+    def test_file_refuses_n_past_canonical_form(self, tmp_path: Path, capsys):
+        gf = tmp_path / "ring11.graph"
+        gf.write_text(write_graph_file(Graph.ring(11)))
+        argv = ["search", "--n", "11", "--d", "3", "--graphs", "file", "--graph", str(gf)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: file graph source supports n <= 10\n"
 
 
 class TestCheckpoint:

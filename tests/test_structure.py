@@ -68,7 +68,6 @@ class TestIsLinear:
     def test_additivity_labels(self):
         assert additivity_label(EX3_C1) == "additive"
         assert additivity_label(EX3_C2) == "not manifestly additive"
-        assert additivity_label(EX3_C2, exhaustively_nonlinear_only=True) == "nonadditive"
 
 
 def _k3_cliques(g: Graph, d: int):

@@ -5,7 +5,7 @@ import numpy as np
 
 from conftest import dense_pauli, random_graph
 from cwskit.clique import cws_maxclique
-from cwskit.errormap import cl_map, error_set, explicit_error_set
+from cwskit.errormap import ErrorSet, cl_map, error_set
 from cwskit.gf2 import ClassicalCode, PauliOp, parity
 from cwskit.graphs import Graph, graph_state_amplitudes
 from cwskit.verify import (
@@ -42,7 +42,7 @@ class TestDetectionCheck:
 
     def test_detection_failure_witness(self):
         q = CWSCode(Graph.empty(3), ClassicalCode.from_texts(["000", "100"]))
-        errs = explicit_error_set(3, [PauliOp.single(3, 0, "Z")])
+        errs = ErrorSet(3, (PauliOp.single(3, 0, "Z"),))
         report = detection_check(q, errs)
         assert not report.detects
         assert str(report.witness.error) == "ZII"
@@ -51,7 +51,7 @@ class TestDetectionCheck:
 
     def test_degeneracy_violation_witness(self):
         q = CWSCode(Graph.empty(2), ClassicalCode.from_texts(["00", "10"]))
-        errs = explicit_error_set(2, [PauliOp.single(2, 0, "X")])
+        errs = ErrorSet(2, (PauliOp.single(2, 0, "X"),))
         report = detection_check(q, errs)
         assert not report.detects and report.degenerate
         (c,) = report.witness.pair
@@ -195,7 +195,7 @@ class TestFilesAndReports:
 
     def test_failure_report_includes_witness(self):
         q = CWSCode(Graph.empty(3), ClassicalCode.from_texts(["000", "100"]))
-        report = detection_check(q, explicit_error_set(3, [PauliOp.single(3, 0, "Z")]))
+        report = detection_check(q, ErrorSet(3, (PauliOp.single(3, 0, "Z"),)))
         text = report_lines(report)
         assert "detects=false" in text
         assert "witness_error=ZII" in text
