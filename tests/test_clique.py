@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 import random
 
 import numpy as np
+import pytest
 
 from conftest import random_graph
 from cwskit.clique import (
@@ -115,6 +117,14 @@ class TestMakeCliqueGraph:
             "vertices=6\n"
             "3e00000000000000\n3100000000000000\n2900000000000000\n"
             "2500000000000000\n2300000000000000\n1f00000000000000\n"
+        )
+
+    def test_multi_word_dump_pinned(self):
+        # ring9, d=3: 269 vertices, five words a row, the last one partial
+        cg = make_cws_clique_graph(setup(error_set(9, 3), Graph.ring(9)))
+        assert cg.size == 269
+        assert hashlib.sha256(cg.dump().encode()).hexdigest() == (
+            "c936803e1c15e7e1730ec0c43edc8a9d6d9026cce85892763992184dad36be09"
         )
 
     def test_vertex_zero_first_and_universal_vertices_ascending(self):
@@ -289,3 +299,19 @@ def test_heuristic_is_a_clique_lower_bound():
     # determinism for a fixed seed
     cg = make_cws_clique_graph(random_cl_arrays(4, random.Random(77)))
     assert heuristic_clique(cg, 5).members == heuristic_clique(cg, 5).members
+
+
+@pytest.mark.parametrize(
+    "n, seed, members",
+    [
+        (9, 0, (0, 13, 60, 80, 109, 118, 162, 195, 255)),
+        (9, 1, (0, 11, 51, 68, 106, 128, 145, 168, 189, 240)),
+        (9, 2, (0, 11, 47, 78, 111, 118, 149, 166, 222, 261)),
+        (10, 0, (0, 1, 49, 89, 185, 260, 291, 393, 396, 529, 532, 564, 671, 704)),
+        (10, 1, (0, 26, 97, 190, 242, 297, 342, 392, 400, 425, 500, 534, 571, 618, 651)),
+        (10, 2, (0, 14, 32, 97, 233, 261, 301, 315, 391, 397, 421, 519, 547, 610, 638)),
+    ],
+)
+def test_heuristic_ring_d3_pinned(n, seed, members):
+    cg = make_cws_clique_graph(setup(error_set(n, 3), Graph.ring(n)))
+    assert heuristic_clique(cg, seed).members == members

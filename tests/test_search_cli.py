@@ -167,6 +167,17 @@ class TestRunSearch:
         )
         assert render_result(heur) == render_result(again)
 
+    def test_heuristic_sweep_pinned(self):
+        # every graph's heuristic clique and its witness, byte for byte
+        out = render_result(
+            run_search(
+                SearchJob(n=5, d=2, graph_source="all", exactness="heuristic", seed=7)
+            )
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6daac1c1ad13dd6e7f4e03232d16c311be96346c78aa3552d5d69d0c130e9471"
+        )
+
     def test_witness_reverifies(self):
         res = run_search(SearchJob(n=4, d=2, graph_source="iso"))
         assert res.witness is not None
