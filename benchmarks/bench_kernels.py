@@ -2,7 +2,8 @@
 """Time the hot numeric kernels on fixed, seeded inputs.
 
 Each case returns ``(name, fn, fn)``: the same callable twice, the tuple
-shape that ``perfbench/kernels.py`` unpacks.
+shape that ``perfbench/kernels.py`` unpacks.  The branch-and-bound cases
+also print nodes/s.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat N]
 """
@@ -66,12 +67,12 @@ def bench_clique_adjacency(repeat: int):
 def bench_bnb(repeat: int):
     rng = random.Random(3)
     m = 70
-    rows_int = [0] * m
+    rows_int = [0] * m  # high bit first: vertex j is bit m-1-j
     for i in range(m):
         for j in range(i + 1, m):
             if rng.random() < 0.55:
-                rows_int[i] |= 1 << j
-                rows_int[j] |= 1 << i
+                rows_int[i] |= 1 << (m - 1 - j)
+                rows_int[j] |= 1 << (m - 1 - i)
     fn = lambda: K.bnb_clique(rows_int, m, (1 << m) - 1, 0, -1)
     return f"max clique branch and bound (m={m}, p=0.55)", fn, fn
 
@@ -83,7 +84,7 @@ def bench_bnb_ring10(repeat: int):
     """The d=3 clique graph of the ring on 10 qubits, as a search builds it."""
     cg = make_cws_clique_graph(setup(error_set(10, 3), Graph.ring(10)))
     m = cg.size
-    fn = lambda: K.bnb_clique(cg.rows, m, (1 << m) - 2, 0, RING10_BUDGET)
+    fn = lambda: K.bnb_clique(cg.rows, m, (1 << (m - 1)) - 1, 0, RING10_BUDGET)
     return f"branch and bound, ring10 d=3 (m={m}, {RING10_BUDGET} nodes)", fn, fn
 
 
@@ -111,8 +112,9 @@ def main() -> None:
         name, fn, _same = bench(args.repeat)
         t = timeit(fn, args.repeat)
         line = f"{name:<55} {t * 1e3:>8.2f}ms"
-        if bench is bench_bnb_ring10:
-            line += f" {RING10_BUDGET / t / 1e3:>7.0f}k nodes/s"
+        if bench in (bench_bnb, bench_bnb_ring10):
+            nodes = fn()[2]
+            line += f" {nodes / t / 1e3:>7.0f}k nodes/s"
         print(line)
 
 

@@ -317,7 +317,6 @@ def regenerate_generators(s, r: GF2Matrix) -> tuple[PauliOp, ...]:
 class StandardFormResult:
     conversion: AC06Conversion
     graph: Graph
-    lc_record: LCRecord
     cws: CWSCode
 
 
@@ -327,7 +326,7 @@ def ac06_to_standard_form(data: AC06Data) -> StandardFormResult:
     graph, record = stabilizer_to_graph(conv.stabilizer)
     code = change_generators(record.generator_change, conv.code)
     cws = CWSCode(graph, code.sorted())
-    return StandardFormResult(conv, graph, record, cws)
+    return StandardFormResult(conv, graph, cws)
 
 
 def cws_to_ac06(q: CWSCode) -> AC06Data:

@@ -37,7 +37,12 @@ class Clique:
 
 
 class CliqueGraph:
-    """rows[i] is the neighbour mask of vertex i, as a Python int.
+    """rows[i] is the neighbour mask of vertex i, as a Python int, high bit
+    first: vertex j of the m vertices is bit m-1-j (see `kernels`).
+
+    The branch and bound colours with `bit_length`, which in this order finds
+    the lowest vertex left by reading the top digit of an int; the search
+    tree is the one the low-bit-first order gives, node for node.
 
     Built by `make_cws_clique_graph`, whose vertices ascend from 0^n and
     whose vertex 0 is adjacent to every other vertex."""
@@ -52,17 +57,21 @@ class CliqueGraph:
         return int(self.vertices.shape[0])
 
     def has_edge(self, i: int, j: int) -> bool:
-        return bool((self.rows[i] >> j) & 1)
+        return bool((self.rows[i] >> (self.size - 1 - j)) & 1)
 
     def codewords(self, clique: Clique) -> tuple[int, ...]:
         """The member words of a clique, as ints."""
         return tuple(int(self.vertices[i]) for i in clique.members)
 
     def dump(self) -> str:
-        """Each row as hex little-endian uint64 words, ceil(m/64) of them."""
-        nbytes = 8 * ((self.size + 63) >> 6)
-        lines = [f"vertices={self.size}"]
-        lines.extend(row.to_bytes(nbytes, "little").hex() for row in self.rows)
+        """Each row as hex little-endian uint64 words, ceil(m/64) of them,
+        vertex j at bit j."""
+        m = self.size
+        nbytes = 8 * ((m + 63) >> 6)
+        lines = [f"vertices={m}"]
+        for row in self.rows:
+            low_first = int(format(row, f"0{m}b")[::-1], 2)
+            lines.append(low_first.to_bytes(nbytes, "little").hex())
         return "\n".join(lines) + "\n"
 
 
@@ -112,7 +121,7 @@ def max_clique(cg: CliqueGraph, budget: int = -1) -> CliqueSearchResult:
     if m > MAX_EXACT_VERTICES:
         raise ValueError(f"exact solver capped at {MAX_EXACT_VERTICES} vertices")
     _size, members, nodes, exhausted = kernels.bnb_clique(
-        cg.rows, m, (1 << m) - 2, 0, budget
+        cg.rows, m, (1 << (m - 1)) - 1, 0, budget
     )
     return CliqueSearchResult(Clique(tuple(sorted([0] + members))), exhausted, nodes)
 
@@ -132,13 +141,15 @@ def lex_min_clique(
         return res
     nodes = res.nodes
     chosen = [0]
-    p = (1 << cg.size) - 2  # vertices adjacent to every chosen one
+    top = cg.size - 1
+    p = (1 << top) - 1  # vertices adjacent to every chosen one
     remaining = res.clique.size - 1
     while remaining > 0:
         q = p
-        while q:  # candidates in ascending order
-            v = (q & -q).bit_length() - 1
-            q &= q - 1
+        while q:  # candidates in ascending order: the top bit first
+            b = q.bit_length() - 1
+            q ^= 1 << b
+            v = top - b
             pv = p & cg.rows[v]
             if remaining > 1:
                 sub_budget = -1 if budget < 0 else max(0, budget - nodes)
@@ -172,7 +183,7 @@ def find_clique_of_size(cg: CliqueGraph, k: int, budget: int = -1) -> FixedSizeR
     if m > MAX_EXACT_VERTICES:
         raise ValueError(f"exact solver capped at {MAX_EXACT_VERTICES} vertices")
     size, members, nodes, exhausted = kernels.bnb_clique(
-        cg.rows, m, (1 << m) - 2, k - 1, budget
+        cg.rows, m, (1 << (m - 1)) - 1, k - 1, budget
     )
     if size >= k - 1:
         picked = tuple(sorted([0] + sorted(members)[: k - 1]))
@@ -183,16 +194,16 @@ def find_clique_of_size(cg: CliqueGraph, k: int, budget: int = -1) -> FixedSizeR
 def heuristic_clique(cg: CliqueGraph, seed: int) -> Clique:
     """Randomised greedy restarts; a lower bound only, never a proof."""
     rng = random.Random(seed)
-    m = cg.size
+    top = cg.size - 1
     rows = cg.rows
     best: tuple[int, ...] = (0,)
-    order = list(range(1, m))
+    order = list(range(1, top + 1))
     for _ in range(HEURISTIC_RESTARTS):
         rng.shuffle(order)
         members = [0]
-        p = (1 << m) - 2  # all vertices except 0
+        p = (1 << top) - 1  # all vertices except 0
         for v in order:
-            if (p >> v) & 1:
+            if (p >> (top - v)) & 1:
                 members.append(v)
                 p &= rows[v]
         if len(members) > len(best):

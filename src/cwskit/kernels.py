@@ -1,8 +1,9 @@
 """Hot numeric kernels in NumPy and Python ints.
 
-Sets in the clique layer are Python ints: vertex ``j`` is in set ``s`` when
-``(s >> j) & 1``.  Little-endian uint64 words (``pack_bits``) appear only in
-the CL/D and clique-graph dump formats.
+Sets in the clique layer are Python ints, high bit first: vertex ``j`` of an
+m-vertex clique graph is bit ``m - 1 - j``, so vertex ``j`` is in set ``s``
+when ``(s >> (m - 1 - j)) & 1``.  Little-endian uint64 words (``pack_bits``)
+appear only in the CL/D and clique-graph dump formats.
 """
 
 from __future__ import annotations
@@ -63,12 +64,13 @@ def graph_signs(rows: np.ndarray, n: int) -> np.ndarray:
 # CWS clique-graph adjacency over vertex indices
 
 def clique_adjacency(verts: np.ndarray, cl_bool: np.ndarray) -> list[int]:
-    """Neighbour mask of each vertex: j is a neighbour of i when i != j and
-    the pattern verts[i] ^ verts[j] is not in CL."""
+    """Neighbour mask of each vertex, high bit first: j is a neighbour of i
+    when i != j and the pattern verts[i] ^ verts[j] is not in CL."""
     ok = ~cl_bool[verts[:, None] ^ verts[None, :]]
     np.fill_diagonal(ok, False)
-    packed = np.packbits(ok, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    packed = np.packbits(ok, axis=1, bitorder="big")
+    pad = 8 * packed.shape[1] - verts.size  # zero bits after the last vertex
+    return [int.from_bytes(row.tobytes(), "big") >> pad for row in packed]
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +79,8 @@ def clique_adjacency(verts: np.ndarray, cl_bool: np.ndarray) -> list[int]:
 # Returns (best_size, best_members, nodes_expanded, exhausted).  `cand_int`
 # is the initial candidate set; `stop_at` > 0 makes the search stop as soon
 # as a clique of that size is found (exhausted is False in that case unless
-# the space was fully explored first); `budget` < 0 means unlimited.
+# the space was fully explored first); `budget` < 0 means unlimited.  The
+# members are vertex ids, in the order the search added them.
 #
 # Each node colours its candidates greedily into classes kept as bitsets (as
 # in MCS, Tomita et al. 2010, and BBMC, San Segundo et al.): class c takes the
@@ -85,6 +88,16 @@ def clique_adjacency(verts: np.ndarray, cl_bool: np.ndarray) -> list[int]:
 # the class, and so on.  The node then branches on the vertices from the
 # highest class down, highest vertex first within a class, and prunes when
 # the level plus the class number cannot beat the best clique so far.
+#
+# Sets are high bit first (vertex j is bit m-1-j), so "lowest vertex" is the
+# top bit.  A colouring step, about 30 per node on the solve10 graphs, is
+# then `bit_length`, a list lookup and an AND with the positive mask
+# `skip[b]` (everything but the vertex and its neighbours).  In CPython each
+# is cheap on a big int: `bit_length` reads the top digit only, and an AND
+# of two non-negative ints takes no two's-complement detour and shrinks as
+# the top bits are cleared.  Branching takes the lowest bit (`cls & -cls`),
+# one or two times a node.  The classes hold the same vertices as with the
+# opposite bit order, so the search tree is the same node for node.
 #
 # The search is one loop over an explicit stack, depth first.  The node being
 # worked on lives in locals: its candidates left `p`, its colour classes, the
@@ -95,14 +108,17 @@ def clique_adjacency(verts: np.ndarray, cl_bool: np.ndarray) -> list[int]:
 def bnb_clique(
     adj_rows: list, m: int, cand_int: int, stop_at: int, budget: int
 ) -> tuple[int, list, int, bool]:
-    """adj_rows[j] is the neighbour mask of vertex j, as a Python int."""
+    """adj_rows[j] is the neighbour mask of vertex j, high bit first, as a
+    Python int; `cand_int` is high bit first too."""
     if not cand_int:
         return 0, [], 0, True
     best_size = 0
     best: list = []
     nodes = 0
     rstack = [0] * (m + 1)
-    skip = [~((1 << v) | row) for v, row in enumerate(adj_rows)]
+    full = (1 << m) - 1
+    bits = [1 << b for b in range(m)]
+    skip = [full ^ row ^ bit for row, bit in zip(reversed(adj_rows), bits)]
     stack: list = []
     p, level = cand_int, 0
     while True:
@@ -115,19 +131,19 @@ def bnb_clique(
             cls = 0
             qc = q
             while qc:
-                bit = qc & -qc
-                cls |= bit
-                qc &= skip[bit.bit_length() - 1]
+                b = qc.bit_length() - 1
+                cls |= bits[b]
+                qc &= skip[b]
             classes.append(cls)
             q ^= cls
         c = len(classes)
         cls = classes[-1]
         while True:
             if cls and level + c > best_size:
-                v = cls.bit_length() - 1
-                bit = 1 << v
+                bit = cls & -cls
                 cls ^= bit
                 p ^= bit
+                v = m - bit.bit_length()
                 rstack[level] = v
                 child = p & adj_rows[v]
                 if child:

@@ -43,6 +43,14 @@ def random_graph(n: int, rng) -> Graph:
     return Graph.from_mask(n, mask)
 
 
+def reversed_bits(x: int, m: int) -> int:
+    """The m-bit int x with its bit order reversed: bit j moves to m-1-j.
+
+    Turns a clique-layer set (vertex j at bit m-1-j) into the plain order
+    (vertex j at bit j) and back."""
+    return int(format(x, f"0{m}b")[::-1], 2)
+
+
 _acceptance_results: list[tuple[int, bool, str]] = []
 
 

@@ -139,10 +139,9 @@ def test_criterion_06_three_word_codes_extend():
         errs = error_set(n, 2)
         for g in enumerate_graphs(n):
             cg = make_cws_clique_graph(setup(errs, g))
-            rows = cg.rows
             for i in range(1, cg.size):
                 for j in range(i + 1, cg.size):
-                    if not (rows[i] >> j) & 1:
+                    if not cg.has_edge(i, j):
                         continue
                     c2, c3 = int(cg.vertices[i]), int(cg.vertices[j])
                     q = CWSCode(g, ClassicalCode.from_ints(n, sorted([0, c2, c3])))

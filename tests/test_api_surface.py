@@ -40,7 +40,6 @@ KEEP = {
 KEEP_FIELDS = {
     "AC06Conversion.word_operators": "Paulis realising each codeword; the AC06 tests check them",
     "LCRecord.letters": "local Clifford moves to graph form; the reduction tests check them",
-    "StandardFormResult.lc_record": "the same moves, kept with the graph they lead to",
     "SdResult.elements": "the paper's S_D set; the compute_sd tests check it",
 }
 

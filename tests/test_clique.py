@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import random_graph, reversed_bits
 from cwskit.clique import (
     CliqueGraph,
     cws_maxclique,
@@ -39,7 +39,7 @@ def brute_force_max_clique(cg: CliqueGraph) -> tuple[int, tuple[int, ...]]:
     just those through vertex 0); returns size and the lexicographically
     smallest witness codeword set among maximum cliques."""
     m = cg.size
-    rows = cg.rows
+    rows = [reversed_bits(r, m) for r in cg.rows]  # vertex j at bit j
     masks = np.arange(1 << m, dtype=np.int64)
     ok = np.ones(1 << m, dtype=bool)
     for v in range(m):
@@ -103,12 +103,36 @@ class TestMakeCliqueGraph:
                     expect = not arrays.cl[int(cg.vertices[i]) ^ int(cg.vertices[j])]
                     assert cg.has_edge(i, j) == expect
 
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65])
+    def test_rows_are_high_bit_first(self, m):
+        # vertex j of m is bit m-1-j in every row, across byte and word edges
+        n = 7
+        rng = np.random.default_rng(m)
+        others = rng.choice(np.arange(1, 1 << n), m - 1, replace=False)
+        words = np.concatenate(([0], others))
+        cl = rng.random(1 << n) < 0.4
+        cl[words] = False
+        d = np.ones(1 << n, dtype=bool)
+        d[words] = False
+        cg = make_cws_clique_graph(arrays_from_bools(n, cl, d))
+        assert cg.size == m and sorted(cg.vertices) == sorted(words)
+        for i in range(m):
+            expect = 0
+            for j in range(m):
+                edge = i != j and not cl[int(cg.vertices[i]) ^ int(cg.vertices[j])]
+                assert cg.has_edge(i, j) == edge
+                expect |= edge << (m - 1 - j)
+            assert cg.rows[i] == expect
+
     def test_dump_round_trip(self):
         rng = random.Random(2)
         cg = make_cws_clique_graph(random_cl_arrays(3, rng))
         header, *lines = cg.dump().splitlines()
         assert header == f"vertices={cg.size}"
-        assert [int.from_bytes(bytes.fromhex(ln), "little") for ln in lines] == cg.rows
+        assert [
+            reversed_bits(int.from_bytes(bytes.fromhex(ln), "little"), cg.size)
+            for ln in lines
+        ] == cg.rows
 
     def test_dump_bytes_pinned(self):
         # ring4, d=2: each row is one little-endian uint64 word
@@ -138,7 +162,7 @@ class TestMakeCliqueGraph:
             cg = make_cws_clique_graph(arrays)
             assert cg.vertices[0] == 0
             assert all(np.diff(cg.vertices) > 0)
-            assert cg.rows[0] == (1 << cg.size) - 2
+            assert cg.rows[0] == (1 << (cg.size - 1)) - 1
         assert degenerate > 0
 
 

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 
+from conftest import reversed_bits
 import cwskit.kernels as K
 from cwskit.clique import make_cws_clique_graph
 from cwskit.errormap import cl_map, error_set, setup
@@ -20,6 +21,13 @@ def _random_adjacency_rows(rng, m):
                 rows_int[i] |= 1 << j
                 rows_int[j] |= 1 << i
     return rows_int
+
+
+def _bnb(rows_int, m, cand, stop_at, budget):
+    """bnb_clique on low-bit-first rows and candidates (vertex j at bit j),
+    reversed into the kernel's high-bit-first order."""
+    rows = [reversed_bits(r, m) for r in rows_int]
+    return K.bnb_clique(rows, m, reversed_bits(cand, m), stop_at, budget)
 
 
 def _brute_force_max_clique(rows_int, m):
@@ -81,8 +89,8 @@ def test_clique_adjacency_matches_pairwise_loop():
         cl = rng.random(1 << n) < 0.4
         cl[0] = False
         verts = np.flatnonzero(~cl).astype(np.int64)
-        rows = K.clique_adjacency(verts, cl)
         m = verts.size
+        rows = [reversed_bits(r, m) for r in K.clique_adjacency(verts, cl)]
         assert len(rows) == m
         for i in range(m):
             assert rows[i] >> m == 0
@@ -96,7 +104,7 @@ def test_bnb_matches_brute_force():
     for _ in range(25):
         m = rng.randint(1, 13)
         rows_int = _random_adjacency_rows(rng, m)
-        size, members, _nodes, exhausted = K.bnb_clique(rows_int, m, (1 << m) - 1, 0, -1)
+        size, members, _nodes, exhausted = _bnb(rows_int, m, (1 << m) - 1, 0, -1)
         assert size == _brute_force_max_clique(rows_int, m)
         assert exhausted
         assert len(members) == size
@@ -108,7 +116,7 @@ def test_bnb_matches_brute_force():
 
 def test_bnb_budget_flagging():
     rows_int = _random_adjacency_rows(random.Random(5), 12)
-    _s, _m, nodes, exhausted = K.bnb_clique(rows_int, 12, (1 << 12) - 1, 0, 1)
+    _s, _m, nodes, exhausted = _bnb(rows_int, 12, (1 << 12) - 1, 0, 1)
     assert not exhausted and nodes == 2
 
 
@@ -117,14 +125,14 @@ def test_bnb_stop_at_short_circuits():
     m = 14
     rows_int = _random_adjacency_rows(random.Random(5), m)
     full = (1 << m) - 1
-    size, members, nodes, exhausted = K.bnb_clique(rows_int, m, full, 2, -1)
-    best, _mem, all_nodes, all_exhausted = K.bnb_clique(rows_int, m, full, 0, -1)
+    size, members, nodes, exhausted = _bnb(rows_int, m, full, 2, -1)
+    best, _mem, all_nodes, all_exhausted = _bnb(rows_int, m, full, 0, -1)
     assert 2 <= size < best and len(members) == size and not exhausted
     assert all_exhausted and nodes < all_nodes
 
 
 def _differential_instances(count=200, seed=8):
-    """Seeded bnb_clique arguments: m 1-69, mixed densities, random candidate
+    """Seeded `_bnb` arguments: m 1-69, mixed densities, random candidate
     sets, stop_at values and budgets."""
     rng = random.Random(seed)
     for _ in range(count):
@@ -148,14 +156,14 @@ def test_bnb_search_tree_pinned():
     # search found them, so a change of visiting order shows here
     h = hashlib.sha256()
     for args in _differential_instances():
-        h.update(repr(K.bnb_clique(*args)).encode())
+        h.update(repr(_bnb(*args)).encode())
     assert h.hexdigest() == "1027bc52af0d29b925829dee75d13846deb4b66426b0af239dfaa45dd7d9bdd1"
 
 
 def test_bnb_ring10_d3_budget_pinned():
     cg = make_cws_clique_graph(setup(error_set(10, 3), Graph.ring(10)))
     assert cg.size == 709
-    size, members, nodes, exhausted = K.bnb_clique(cg.rows, 709, (1 << 709) - 2, 0, 10_000)
+    size, members, nodes, exhausted = K.bnb_clique(cg.rows, 709, (1 << 708) - 1, 0, 10_000)
     assert (size, nodes, exhausted) == (16, 10_001, False)  # K = 17 with vertex 0
     assert members == [
         693, 652, 627, 600, 511, 526, 403, 400, 355, 334, 214, 195, 164, 116, 79, 8
@@ -165,7 +173,7 @@ def test_bnb_ring10_d3_budget_pinned():
 def test_bnb_leaves_the_recursion_limit_alone():
     limit = sys.getrecursionlimit()
     rows_int = _random_adjacency_rows(random.Random(6), 40)
-    K.bnb_clique(rows_int, 40, (1 << 40) - 1, 0, -1)
+    _bnb(rows_int, 40, (1 << 40) - 1, 0, -1)
     assert sys.getrecursionlimit() == limit
     # the search keeps its own stack, so a clique deeper than the limit leaves
     # it alone too; a low limit keeps the complete graph small
@@ -175,10 +183,10 @@ def test_bnb_leaves_the_recursion_limit_alone():
     complete = [full ^ (1 << v) for v in range(m)]
     sys.setrecursionlimit(low)
     try:
-        size, members, _nodes, exhausted = K.bnb_clique(complete, m, full, 0, -1)
+        size, members, _nodes, exhausted = _bnb(complete, m, full, 0, -1)
         assert sys.getrecursionlimit() == low
         # also when a budget cuts the search short
-        K.bnb_clique(complete, m, full, 0, 50)
+        _bnb(complete, m, full, 0, 50)
         assert sys.getrecursionlimit() == low
     finally:
         sys.setrecursionlimit(limit)
@@ -194,9 +202,9 @@ def test_bnb_frees_its_state_on_return():
     enabled = gc.isenabled()
     gc.disable()
     try:
-        K.bnb_clique(rows_int, 30, full, 0, -1)
-        K.bnb_clique(rows_int, 30, full, 0, 5)  # unwound by the budget
-        K.bnb_clique(rows_int, 30, full, 2, -1)  # unwound by stop_at
+        _bnb(rows_int, 30, full, 0, -1)
+        _bnb(rows_int, 30, full, 0, 5)  # unwound by the budget
+        _bnb(rows_int, 30, full, 2, -1)  # unwound by stop_at
         assert gc.collect() == 0
     finally:
         if enabled:

@@ -73,10 +73,9 @@ class TestIsLinear:
 def _k3_cliques(g: Graph, d: int):
     errs = error_set(g.n, d)
     cg = make_cws_clique_graph(setup(errs, g))
-    rows = cg.rows
     for i in range(1, cg.size):
         for j in range(i + 1, cg.size):
-            if (rows[i] >> j) & 1:
+            if cg.has_edge(i, j):
                 yield (int(cg.vertices[i]), int(cg.vertices[j]))
 
 
