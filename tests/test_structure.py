@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -68,6 +69,36 @@ class TestIsLinear:
     def test_additivity_labels(self):
         assert additivity_label(EX3_C1) == "additive"
         assert additivity_label(EX3_C2) == "not manifestly additive"
+
+    def test_reports_pinned(self):
+        # (is_linear, basis, violating pair) over seeded spans, spans with one
+        # word removed or added, and random codes containing the zero word
+        rng = random.Random(14)
+        h = hashlib.sha256()
+        linear = 0
+        for i in range(3000):
+            n = rng.randint(1, 7)
+            span = {0}
+            for _ in range(rng.randint(0, min(n, 4))):
+                g = rng.randrange(1 << n)
+                span |= {s ^ g for s in span}
+            words = set(span)
+            if i % 4 == 1 and len(span) > 2:
+                words.discard(rng.choice(sorted(span - {0})))
+            elif i % 4 == 2 and len(span) < 1 << n:
+                words.add(rng.choice(sorted(set(range(1 << n)) - span)))
+            elif i % 4 == 3:
+                words = {0} | {rng.randrange(1 << n) for _ in range(rng.randint(0, 9))}
+            report = is_linear(ClassicalCode.from_ints(n, rng.sample(sorted(words), len(words))))
+            linear += report.is_linear
+            h.update(repr((
+                report.is_linear,
+                None if report.basis is None else tuple(str(b) for b in report.basis),
+                None if report.violating_pair is None
+                else tuple(str(b) for b in report.violating_pair),
+            )).encode())
+        assert linear == 1818
+        assert h.hexdigest() == "f77e5c0aa056ee363495ff2ac2759d4f41ed75e27add5e7f7358c607a35615c4"
 
 
 def _k3_cliques(g: Graph, d: int):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import numpy as np
 
 from conftest import dense_pauli, random_graph
 from cwskit.clique import cws_maxclique
-from cwskit.errormap import ErrorSet, cl_map, error_set
+from cwskit.errormap import ErrorSet, _weight_errors, cl_map, error_set
 from cwskit.gf2 import ClassicalCode, PauliOp, parity
 from cwskit.graphs import Graph, graph_state_amplitudes
 from cwskit.verify import (
@@ -69,6 +70,36 @@ class TestDetectionCheck:
     def test_empty_error_set(self):
         report = detection_check(PENTAGON, error_set(5, 1))
         assert report.detects and not report.degenerate
+
+    def test_reports_pinned(self):
+        # (detects, degenerate, witness error, witness pair) over seeded codes
+        # in shuffled word order, against weight-bounded and single-weight
+        # error sets, so a change of witness choice shows here
+        rng = random.Random(14)
+        h = hashlib.sha256()
+        violations = 0
+        for _ in range(2000):
+            n = rng.randint(2, 6)
+            g = random_graph(n, rng)
+            words = list(random_code(g, rng.randint(1, min(8, 1 << n)), rng).code.values)
+            rng.shuffle(words)
+            q = CWSCode(g, ClassicalCode.from_ints(n, words))
+            if rng.random() < 0.5:
+                errs = error_set(n, rng.randint(1, min(4, n + 1)))
+            else:
+                errs = ErrorSet(n, tuple(_weight_errors(n, rng.randint(1, n))))
+            report = detection_check(q, errs)
+            witness = report.witness
+            if witness is not None:
+                violations += 1
+            h.update(repr((
+                report.detects,
+                report.degenerate,
+                None if witness is None else str(witness.error),
+                None if witness is None else tuple(str(b) for b in witness.pair),
+            )).encode())
+        assert violations == 1418
+        assert h.hexdigest() == "62ea2d69d7d5d8c1b96f9ea41d4bd629dfd2d03e7fcebf7594693ee704d8d575"
 
 
 class TestKlOracle:
