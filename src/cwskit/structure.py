@@ -25,21 +25,21 @@ class LinearityReport:
 
 
 def is_linear(c: ClassicalCode) -> LinearityReport:
-    """Closure under XOR, with a GF(2) basis when it holds."""
+    """Closure under XOR, with a GF(2) basis when it holds.
+
+    A code containing 0^n is closed exactly when it has 2^rank words; only
+    a nonlinear code is scanned, for its first pair whose XOR lies outside."""
     if not c.contains_zero():
         raise ValueError("linearity test requires the all-zeros word (standard form)")
-    values = set(c.values)
-    words = sorted(values)
-    for i, a in enumerate(words):
-        for b in words[i + 1 :]:
-            if a ^ b not in values:
-                return LinearityReport(
-                    False, None, (BitString(c.n, a), BitString(c.n, b))
-                )
+    words = sorted(c.values)
     basis = xor_basis(words)
-    if len(c.words) != 1 << len(basis):
-        raise RuntimeError("closed code size is not a power of two")
-    return LinearityReport(True, tuple(BitString(c.n, b) for b in sorted(basis)), None)
+    if len(words) == 1 << len(basis):
+        return LinearityReport(True, tuple(BitString(c.n, b) for b in sorted(basis)), None)
+    values = set(words)
+    a, b = next(
+        (a, b) for i, a in enumerate(words) for b in words[i + 1 :] if a ^ b not in values
+    )
+    return LinearityReport(False, None, (BitString(c.n, a), BitString(c.n, b)))
 
 
 def additivity_label(c: ClassicalCode) -> str:

@@ -71,46 +71,30 @@ def detection_check(q: CWSCode, errors: ErrorSet) -> VerificationReport:
     """Combinatorial detection conditions on the induced error patterns.
 
     Detects iff no pattern equals the XOR of two codewords and every
-    trivially-mapping error commutes with all codeword operators."""
+    trivially-mapping error commutes with all codeword operators.  The
+    witness of a failure is the first violating error in the order of
+    ``errors``, with the first codeword pair (in code order) whose XOR is
+    its pattern, or else the first codeword it anticommutes with."""
     if errors.n != q.n:
         raise ValueError("error set does not match code size")
     words = q.code.values
-    if not len(errors):
-        return VerificationReport(True, False, None)
+    pair_of: dict[int, tuple[int, ...]] = {}
+    for i, a in enumerate(words):
+        for b in words[i + 1 :]:
+            pair_of.setdefault(a ^ b, (a, b))
 
-    patterns = kernels.cl_patterns(errors.ubits, errors.v, q.graph.rows_array())
-    first_error_for: dict[int, int] = {}
+    patterns = kernels.cl_patterns(errors.ubits, errors.v, q.graph.rows_array()).tolist()
+    degenerate = 0 in patterns
     for idx, p in enumerate(patterns):
-        first_error_for.setdefault(int(p), idx)
-    degenerate = 0 in first_error_for
-
-    best_idx: int | None = None
-    best_pair: tuple[BitString, ...] | None = None
-
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            idx = first_error_for.get(words[i] ^ words[j])
-            if idx is not None and (best_idx is None or idx < best_idx):
-                best_idx = idx
-                best_pair = (BitString(q.n, words[i]), BitString(q.n, words[j]))
-
-    if degenerate:
-        for idx, p in enumerate(patterns):
-            if best_idx is not None and idx >= best_idx:
-                break
-            if int(p) != 0:
-                continue
-            u = int(errors.u[idx])
-            for c in words:
-                if parity(c & u):
-                    best_idx = idx
-                    best_pair = (BitString(q.n, c),)
-                    break
-
-    if best_idx is None:
-        return VerificationReport(True, degenerate, None)
-    witness = Witness(errors.paulis[best_idx], best_pair)
-    return VerificationReport(False, degenerate, witness)
+        if p:
+            pair = pair_of.get(p)
+        else:
+            u = errors.paulis[idx].u
+            pair = next(((c,) for c in words if parity(c & u)), None)
+        if pair is not None:
+            witness = Witness(errors.paulis[idx], tuple(BitString(q.n, c) for c in pair))
+            return VerificationReport(False, degenerate, witness)
+    return VerificationReport(True, degenerate, None)
 
 
 # ---------------------------------------------------------------------------
