@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -43,7 +42,6 @@ class ErrorSet:
 
     n: int
     paulis: tuple[PauliOp, ...]
-    weight_bound: int | None = None
     u: np.ndarray = field(init=False, repr=False, compare=False)
     v: np.ndarray = field(init=False, repr=False, compare=False)
     ubits: np.ndarray = field(init=False, repr=False, compare=False)
@@ -54,12 +52,6 @@ class ErrorSet:
                 raise ValueError("error set mixes qubit counts")
             if p.u == 0 and p.v == 0:
                 raise ValueError("the identity is not an error")
-        if self.weight_bound is not None:
-            expect = sum(
-                math.comb(self.n, w) * 3**w for w in range(1, self.weight_bound + 1)
-            )
-            if len(self.paulis) != expect:
-                raise ValueError("weight-bounded error set has wrong cardinality")
         count = len(self.paulis)
         u = np.fromiter((p.u for p in self.paulis), dtype=np.int64, count=count)
         v = np.fromiter((p.v for p in self.paulis), dtype=np.int64, count=count)
@@ -102,7 +94,7 @@ def error_set(n: int, d: int) -> ErrorSet:
     paulis = tuple(
         itertools.chain.from_iterable(_weight_errors(n, w) for w in range(1, d))
     )
-    return ErrorSet(n, paulis, weight_bound=d - 1)
+    return ErrorSet(n, paulis)
 
 
 # ---------------------------------------------------------------------------

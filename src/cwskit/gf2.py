@@ -364,6 +364,3 @@ class ClassicalCode:
         return ClassicalCode(
             tuple(BitString(self.n, r.mul_vec(w.value)) for w in self.words)
         )
-
-    def __contains__(self, w: BitString) -> bool:
-        return any(x.value == w.value and x.n == w.n for x in self.words)
