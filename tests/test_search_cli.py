@@ -30,7 +30,7 @@ from cwskit.search import (
     render_result,
     run_search,
 )
-from cwskit.verify import detection_check
+from cwskit.verify import VerificationReport, detection_check
 from cwskit.errormap import error_set, setup
 
 RECORD_RE = re.compile(
@@ -443,6 +443,23 @@ class TestCheckpoint:
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: checkpoint line 6 is not a record\n"
 
+    def test_stored_code_that_fails_verification_is_refused(
+        self, complete_n4_checkpoint, capsys
+    ):
+        # on the empty graph, Z on qubit 0 induces the pattern 0001, the XOR
+        # of the codewords 0 and 1: the stored code cannot detect it
+        _job, data, _plain, ck = complete_n4_checkpoint
+        head, *lines = data.decode().splitlines()
+        records = [json.loads(ln) for ln in lines]
+        (rec,) = [r for r in records if r["raw_mask"] == 0]
+        rec["code"] = [0, 1]
+        ck.write_text("\n".join([head, *map(json.dumps, records)]) + "\n")
+        capsys.readouterr()
+        assert main(["search", "--n", "4", "--d", "2", "--checkpoint", str(ck)]) == 2
+        assert capsys.readouterr().err == (
+            "error: checkpoint contains a code that fails verification\n"
+        )
+
     def test_checkpoint_job_mismatch(self, tmp_path: Path):
         ck = tmp_path / "other.ckpt"
         run_search(SearchJob(n=3, d=2, graph_source="iso"), checkpoint=ck)
@@ -584,6 +601,30 @@ class TestCli:
         assert "witness_code=" not in captured.out
         assert not out.exists()
 
+    def test_worker_failure_exits_4(self, capsys, monkeypatch):
+        def boom(_mask):
+            raise RuntimeError("induced failure")
+
+        monkeypatch.setattr(cwskit.search, "_process_mask", boom)
+        assert main(["search", "--n", "3", "--d", "2", "--graphs", "iso"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "aborted: worker failure: induced failure\n"
+        assert captured.out == ""
+
+    def test_witness_failing_detection_check_exits_4(self, tmp_path: Path, capsys,
+                                                     monkeypatch):
+        def failing(q, d):
+            return VerificationReport(False, False, None, d)
+
+        monkeypatch.setattr(cwskit.cli, "verification_report", failing)
+        out = tmp_path / "res.txt"
+        rc = main(["search", "--n", "4", "--d", "2", "--graphs", "iso", "--out", str(out)])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.err == "aborted: witness fails detection_check\n"
+        assert "witness_code=" not in captured.out
+        assert not out.exists()
+
     def test_search_cli_found_writes_result(self, tmp_path: Path, capsys):
         out = tmp_path / "res.txt"
         rc = main(["search", "--n", "4", "--d", "2", "--graphs", "iso", "--out", str(out)])
@@ -620,6 +661,24 @@ class TestCli:
         assert main(["verify", "--code", str(base.with_suffix(".code"))]) == 0
         text = capsys.readouterr().out
         assert "n=5" in text and "K=6" in text and "distance=2" in text
+
+    def test_convert_code_to_ac06(self, tmp_path: Path, capsys):
+        from cwskit.gf2 import ClassicalCode
+        from cwskit.verify import CWSCode, write_code_file
+
+        q = CWSCode(Graph.ring(5), ClassicalCode.from_texts(["00000", "11111"]))
+        write_code_file(tmp_path / "pent.code", q, "pent.graph")
+        assert main(["convert", "--code", str(tmp_path / "pent.code")]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith("n=5\nA:\n")
+        out = tmp_path / "pent.ac06"
+        assert main(["convert", "--code", str(tmp_path / "pent.code"), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == text
+        # the written file converts back to a code of the same size
+        assert main(["convert", "--ac06", str(out)]) == 0
+        back = capsys.readouterr().out.splitlines()
+        assert "n=5" in back and "K=2" in back
 
     def test_convert_requires_one_input(self, capsys):
         assert main(["convert"]) == 2
