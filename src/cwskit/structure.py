@@ -34,10 +34,12 @@ def is_linear(c: ClassicalCode) -> LinearityReport:
     words = sorted(c.values)
     basis = xor_basis(words)
     if len(words) == 1 << len(basis):
-        return LinearityReport(True, tuple(BitString(c.n, b) for b in sorted(basis)), None)
+        basis_words = tuple(BitString(c.n, b) for b in sorted(basis))
+        return LinearityReport(True, basis_words, None)
     values = set(words)
     a, b = next(
-        (a, b) for i, a in enumerate(words) for b in words[i + 1 :] if a ^ b not in values
+        (a, b) for i, a in enumerate(words) for b in words[i + 1 :]
+        if a ^ b not in values
     )
     return LinearityReport(False, None, (BitString(c.n, a), BitString(c.n, b)))
 

@@ -668,11 +668,12 @@ class TestCli:
 
         q = CWSCode(Graph.ring(5), ClassicalCode.from_texts(["00000", "11111"]))
         write_code_file(tmp_path / "pent.code", q, "pent.graph")
-        assert main(["convert", "--code", str(tmp_path / "pent.code")]) == 0
+        code = str(tmp_path / "pent.code")
+        assert main(["convert", "--code", code]) == 0
         text = capsys.readouterr().out
         assert text.startswith("n=5\nA:\n")
         out = tmp_path / "pent.ac06"
-        assert main(["convert", "--code", str(tmp_path / "pent.code"), "--out", str(out)]) == 0
+        assert main(["convert", "--code", code, "--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
         assert out.read_text() == text
         # the written file converts back to a code of the same size

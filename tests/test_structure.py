@@ -89,7 +89,8 @@ class TestIsLinear:
                 words.add(rng.choice(sorted(set(range(1 << n)) - span)))
             elif i % 4 == 3:
                 words = {0} | {rng.randrange(1 << n) for _ in range(rng.randint(0, 9))}
-            report = is_linear(ClassicalCode.from_ints(n, rng.sample(sorted(words), len(words))))
+            shuffled = rng.sample(sorted(words), len(words))
+            report = is_linear(ClassicalCode.from_ints(n, shuffled))
             linear += report.is_linear
             h.update(repr((
                 report.is_linear,
