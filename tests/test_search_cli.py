@@ -644,6 +644,40 @@ class TestCli:
         assert "distance=3" in text
         assert "linear=true" in text
 
+    @pytest.mark.parametrize(
+        "graph, words, argv, digest",
+        [
+            ("ring5", ["00000", "11111"], [],
+             "a1add987ce4a99e84046b6bc42ae227e3fd5f3f52a94a0eb69b86014571e6b43"),
+            ("ring5", ["00000", "11111"], ["--d", "2"],
+             "c038a69619b5964406420b9e6b0769d868191058d1e5d7695459a5af3aedff91"),
+            ("ring5", ["00000", "11111"], ["--d", "6"],
+             "a007713b5d925237b181c921eb0dee34705f722c787d5a0bbd48182c94c9186d"),
+            ("star4", ["0000", "0110", "0101", "0011"], [],
+             "dec4dade5c3046bfae115a1d44b5f677e6f1ec372389f8828a590a9e72850c37"),
+            ("star4", ["0000", "0110", "0101", "1011"], [],
+             "41802f930f635df3a78503a85979e12b38151fb9cb8f59e5301f1947eb986b56"),
+            ("star4", ["0000", "0110", "0101", "1011"], ["--d", "3"],
+             "9c287ea7b37a9189b3ab2e0a7516723bb34d03faa9b302068290f6381d2cf943"),
+        ],
+        ids=["pentagon", "pentagon-d2", "pentagon-d6", "linear-4-4-2",
+             "nonlinear-4-4-2", "witness"],
+    )
+    def test_verify_cli_pinned(self, graph, words, argv, digest, tmp_path: Path,
+                               capsys):
+        from cwskit.gf2 import ClassicalCode
+        from cwskit.verify import CWSCode, write_code_file
+
+        graphs = {
+            "ring5": Graph.ring(5),
+            "star4": Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+        }
+        q = CWSCode(graphs[graph], ClassicalCode.from_texts(words))
+        write_code_file(tmp_path / "q.code", q, "q.graph")
+        assert main(["verify", "--code", str(tmp_path / "q.code")] + argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_convert_cli_round_trip(self, tmp_path: Path, capsys):
         ac06_text = (
             "n=5\nA:\n"

@@ -152,6 +152,24 @@ class TestKlOracle:
 
 
 class TestCodeDistance:
+    def test_oracle_and_distance_pinned(self):
+        # (kl_oracle(q, d), code_distance(q)) over seeded codes, half of them
+        # random and half maximum cliques at distance 2 or 3, and every d
+        rng = random.Random(15)
+        h = hashlib.sha256()
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            g = random_graph(n, rng)
+            if rng.random() < 0.5:
+                q = random_code(g, rng.randint(1, min(8, 1 << n)), rng)
+            else:
+                q = CWSCode(g, cws_maxclique(error_set(n, rng.randint(2, 3)), g).sorted())
+            d = rng.randint(1, n + 1)
+            h.update(repr((kl_oracle(q, d), code_distance(q))).encode())
+        assert h.hexdigest() == (
+            "c6c938a1c7bf1876dae8dbf3c6099b3da99a2698fa43b5f918aebc65a678511e"
+        )
+
     def test_pentagon(self):
         assert code_distance(PENTAGON) == 3
 
@@ -185,6 +203,27 @@ class TestCodeDistance:
             assert code_distance(q) >= d
 
 
+def random_stabilizer(n: int, rng) -> list[PauliOp]:
+    """Graph-state generators of a random graph, then random generator
+    changes g_i <- g_i g_j and random Hadamards H g H on single qubits."""
+    g = random_graph(n, rng)
+    gens = [PauliOp(n, 1 << l, g.rows[l], 0) for l in range(n)]
+    for _ in range(rng.randint(0, 2 * n)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            gens[i] = gens[i] @ gens[j]
+    for j in range(n):
+        if rng.random() < 0.5:
+            gens = [hadamard(p, j) for p in gens]
+    return gens
+
+
+def hadamard(p: PauliOp, j: int) -> PauliOp:
+    """H p H on qubit j: X <-> Z, and XZ -> ZX = -XZ."""
+    flip = (((p.u ^ p.v) >> j) & 1) << j
+    return PauliOp(p.n, p.u ^ flip, p.v ^ flip, p.phase + 2 * (((p.u & p.v) >> j) & 1))
+
+
 class TestStabilizerStates:
     def test_graph_generators_reproduce_graph_state(self):
         rng = random.Random(3)
@@ -196,6 +235,20 @@ class TestStabilizerStates:
             amp = graph_state_amplitudes(g)
             overlap = abs(np.vdot(vec, amp))
             assert abs(overlap - 1) < 1e-9
+
+    def test_state_vectors_pinned(self):
+        # amplitudes rounded to 9 digits; + 0.0 turns -0.0 into 0.0, so the
+        # digest pins values and not the sign of a zero
+        rng = random.Random(15)
+        h = hashlib.sha256()
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            gens = random_stabilizer(n, rng)
+            vec = stabilizer_state_vector(gens, rng.randrange(1 << n))
+            h.update((np.round(vec, 9) + 0.0).tobytes())
+        assert h.hexdigest() == (
+            "458206af680c71a368bbf6e9ac657ec377340b9d7f16cd26be06e6ca45104b51"
+        )
 
     def test_kl_oracle_states_matches_cws_oracle(self):
         rng = random.Random(4)
