@@ -85,10 +85,6 @@ class BooleanFunction:
                 support.append(c)
         return cls(n, tuple(support))
 
-    @property
-    def weight(self) -> int:
-        return len(self.support)
-
     def support_strings(self) -> tuple[BitString, ...]:
         return tuple(BitString(self.n, s) for s in self.support)
 

@@ -63,9 +63,6 @@ class ErrorSet:
     def __len__(self) -> int:
         return len(self.paulis)
 
-    def __iter__(self) -> Iterator[PauliOp]:
-        return iter(self.paulis)
-
 
 def _weight_errors(n: int, w: int) -> Iterator[PauliOp]:
     for support in itertools.combinations(range(n), w):

@@ -56,19 +56,6 @@ class BitString:
     def __str__(self) -> str:
         return "".join("1" if (self.value >> i) & 1 else "0" for i in range(self.n))
 
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(f"bit index {i} out of range for n={self.n}")
-        return (self.value >> i) & 1
-
-    def __xor__(self, other: "BitString") -> "BitString":
-        if self.n != other.n:
-            raise ValueError(f"length mismatch: {self.n} != {other.n}")
-        return BitString(self.n, self.value ^ other.value)
-
-    def weight(self) -> int:
-        return self.value.bit_count()
-
 
 @dataclass(frozen=True)
 class GF2Matrix:
@@ -304,11 +291,6 @@ class PauliOp:
         if rem == 2:
             return -1
         return None
-
-    def apply_to_basis(self, x: int) -> tuple[int, complex]:
-        """Image of basis state |x>: returns (x XOR u, scalar coefficient)."""
-        coeff = (1j ** self.phase) * (-1.0 if parity(self.v & x) else 1.0)
-        return x ^ self.u, coeff
 
 
 def symplectic_product(p: PauliOp, q: PauliOp) -> int:

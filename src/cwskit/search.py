@@ -79,6 +79,8 @@ class SearchJob:
             raise ValueError(f"unknown exactness {self.exactness!r}")
         if self.target_k is not None and self.target_k < 1:
             raise ValueError("target K must be positive")
+        if self.worker_count < 1:
+            raise ValueError(f"worker count must be positive, got {self.worker_count}")
 
     def fingerprint(self) -> dict:
         """Every field but worker_count, which cannot change the result."""

@@ -151,6 +151,10 @@ def optimality_filter(
 
     An optimal additive ((n,1,d)) rules out every K > 1; an optimal additive
     ((n,2,d)) rules out every K > 2.  Nothing else prunes."""
+    if n < 1 or k < 1:
+        raise ValueError(f"n and K must be positive, got n={n}, K={k}")
+    if not 1 <= d <= n + 1:
+        raise ValueError(f"distance must be in 1..{n + 1}, got {d}")
     for entry in registry:
         if entry.n != n or entry.d != d or not entry.optimal:
             continue

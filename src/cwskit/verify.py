@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .errormap import ErrorSet, error_set, _weight_errors
+from .errormap import ErrorSet, _weight_errors
 from .gf2 import BitString, ClassicalCode, PauliOp, parity
 from .graphs import Graph, parse_graph_file, write_graph_file
 
@@ -64,7 +64,6 @@ class VerificationReport:
     detects: bool
     degenerate: bool
     witness: Witness | None
-    oracle_distance: int | None = None
 
 
 def detection_check(q: CWSCode, errors: ErrorSet) -> VerificationReport:
@@ -122,18 +121,16 @@ def _kl_distance(bras: np.ndarray, kets: np.ndarray, d: int) -> int:
     dim = kets.shape[1]
     n = dim.bit_length() - 1
     x = np.arange(dim, dtype=np.int64)
-    passed = 0
     for w in range(1, d):
         for e in _weight_errors(n, w):
             y = 1 - 2 * (np.bitwise_count(x & np.int64(e.v)) & 1).astype(np.int64)
             m = bras @ (kets * y)[:, x ^ np.int64(e.u)].T
             diag = np.diag(m)
             if np.max(np.abs(m - np.diag(diag))) > 1e-9:
-                return passed + 1
+                return w
             if np.max(np.abs(diag - diag[0])) > 1e-9:
-                return passed + 1
-        passed = w
-    return passed + 1
+                return w
+    return d
 
 
 def kl_oracle(q: CWSCode, d: int) -> int:
@@ -153,13 +150,12 @@ def code_distance(q: CWSCode) -> int:
     A one-dimensional code detects everything vacuously and reports n+1.
     For n <= MAX_ORACLE_N the result is re-derived from kl_oracle and a
     mismatch raises."""
-    passed = 0
+    distance = q.n + 1
     for w in range(1, q.n + 1):
         errs = ErrorSet(q.n, tuple(_weight_errors(q.n, w)))
         if not detection_check(q, errs).detects:
+            distance = w
             break
-        passed = w
-    distance = passed + 1
     if q.n <= MAX_ORACLE_N:
         oracle = kl_oracle(q, min(distance + 1, q.n + 1))
         if oracle != distance:
@@ -167,13 +163,6 @@ def code_distance(q: CWSCode) -> int:
                 f"detection distance {distance} disagrees with oracle {oracle}"
             )
     return distance
-
-
-def verification_report(q: CWSCode, d: int) -> VerificationReport:
-    """Detection check at distance d with the oracle distance attached."""
-    report = detection_check(q, error_set(q.n, d))
-    oracle = kl_oracle(q, d) if q.n <= MAX_ORACLE_N else None
-    return VerificationReport(report.detects, report.degenerate, report.witness, oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -184,22 +173,22 @@ def stabilizer_state_vector(
 ) -> np.ndarray:
     """State stabilized by <(-1)^(signs_i) g_i>, as a complex vector.
 
-    Expands the rank-one projector 2^-n sum_a (-1)^(signs.a) g^a applied to
-    the first computational basis state with nonzero image."""
-    n = generators[0].n
-    size = 1 << n
-    elements = [PauliOp.identity(n)]
-    for g in generators:
-        elements.extend(e @ g for e in list(elements))
-    signs_of = []
-    for a in range(1 << len(generators)):
-        signs_of.append(-1.0 if parity(signs & a) else 1.0)
-    # after the doubling loop, elements[a] is the product over subset bits a
+    Applies the commuting projectors 1 + (-1)^(signs_i) g_i, each twice the
+    projector (1 +- g_i)/2, to the first computational basis state with
+    nonzero image, and normalises.  The generator i^phase X^u Z^v maps |x>
+    to i^phase (-1)^(v.x) |x ^ u>; every amplitude stays a small Gaussian
+    integer until the final division, so the sums are exact."""
+    size = 1 << generators[0].n
+    x = np.arange(size, dtype=np.int64)
     for seed in range(size):
         vec = np.zeros(size, dtype=np.complex128)
-        for a, elem in enumerate(elements):
-            target, coeff = elem.apply_to_basis(seed)
-            vec[target] += signs_of[a] * coeff
+        vec[seed] = 1
+        for i, g in enumerate(generators):
+            coeff = (1j ** g.phase) * (-1 if (signs >> i) & 1 else 1)
+            z_phase = 1 - 2 * (np.bitwise_count(x & np.int64(g.v)) & 1).astype(np.int64)
+            image = np.empty_like(vec)
+            image[x ^ np.int64(g.u)] = coeff * z_phase * vec
+            vec = vec + image
         norm = np.linalg.norm(vec)
         if norm > 1e-9:
             return vec / norm
@@ -236,15 +225,16 @@ def write_code_file(path: Path, q: CWSCode, graph_filename: str) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def report_lines(report: VerificationReport, distance: int | None = None) -> str:
+def report_lines(
+    report: VerificationReport, distance: int, oracle_distance: int | None
+) -> str:
     lines = [
         f"detects={'true' if report.detects else 'false'}",
         f"degenerate={'true' if report.degenerate else 'false'}",
+        f"distance={distance}",
     ]
-    if distance is not None:
-        lines.append(f"distance={distance}")
-    if report.oracle_distance is not None:
-        lines.append(f"oracle_distance={report.oracle_distance}")
+    if oracle_distance is not None:
+        lines.append(f"oracle_distance={oracle_distance}")
     if report.witness is not None:
         lines.append(f"witness_error={report.witness.error}")
         lines.append("witness_pair=" + ",".join(str(b) for b in report.witness.pair))

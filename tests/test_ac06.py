@@ -134,7 +134,7 @@ class TestBooleanFunction:
         assert {str(b) for b in f.support_strings()} == {
             "11100", "00111", "01110", "11001", "10011", "01111",
         }
-        assert f.weight == 6
+        assert len(f.support) == 6
 
     def test_anf_negation(self):
         f = BooleanFunction.from_anf(2, "~v1v2")
@@ -200,7 +200,7 @@ class TestAc06ToCws:
         conv = ac06_to_cws(ex2_data())
         for w, c in zip(conv.word_operators, conv.code.words):
             for k, g in enumerate(conv.stabilizer.generators):
-                assert w.symplectic(g) == c.bit(k)
+                assert w.symplectic(g) == (c.value >> k) & 1
         # the all-zeros codeword gets the identity
         zero_at = [c.value for c in conv.code.words].index(0)
         assert conv.word_operators[zero_at] == PauliOp.identity(5)
@@ -343,7 +343,7 @@ class TestFullChain:
             data = random_ac06(n, k, rng)
             conv = ac06_to_cws(data)
             res = ac06_to_standard_form(data)
-            assert res.cws.dimension == k == data.f.weight
+            assert res.cws.dimension == k == len(data.f.support)
             in_states = [
                 stabilizer_state_vector(conv.stabilizer.generators, c.value)
                 for c in conv.code.words
@@ -395,7 +395,7 @@ class TestCwsToAc06:
     def test_pentagon_round_trip(self):
         q = CWSCode(Graph.ring(5), ClassicalCode.from_texts(["00000", "11111"]))
         data = cws_to_ac06(q)
-        assert data.f.weight == 2
+        assert len(data.f.support) == 2
         res = ac06_to_standard_form(data)
         assert res.cws.dimension == 2
         assert kl_oracle(res.cws, 3) == 3
@@ -410,7 +410,7 @@ class TestCwsToAc06:
     def test_trivial_code_round_trip(self):
         q = CWSCode(Graph.empty(3), ClassicalCode.from_texts(["000"]))
         data = cws_to_ac06(q)
-        assert data.f.weight == 1
+        assert len(data.f.support) == 1
         res = ac06_to_standard_form(data)
         assert res.cws.dimension == 1
 

@@ -3,9 +3,10 @@ has a user.
 
 A user is a Name or Attribute that mentions the definition's name in
 ``src/``, ``perfbench/``, ``benchmarks/`` or ``tests/test_acceptance.py``,
-outside the definition itself.  A field's user reads it as an attribute; a
-defaulted parameter's user is a call that sets it, by keyword or by
-position.  Unit tests do not count: code that only its own tests call, read
+outside the definition itself.  A method's user must be an Attribute
+(``.name``), so a local variable of the same name does not count.  A
+field's user reads it as an attribute; a defaulted parameter's user is a
+call that sets it, by keyword or by position.  Unit tests do not count: code that only its own tests call, read
 or set is dead weight.  Matching is by bare identifier, so a name collision
 can only let dead code through, never flag live code.
 """
@@ -70,9 +71,10 @@ def _user_nodes():
                 yield path, node
 
 
-def _references() -> dict[str, list[tuple[Path, int]]]:
-    """Identifier -> (path, line) of each Name or Attribute in the user files."""
-    refs: dict[str, list[tuple[Path, int]]] = {}
+def _references() -> dict[str, list[tuple[Path, int, bool]]]:
+    """Identifier -> (path, line, is attribute) of each Name or Attribute in
+    the user files."""
+    refs: dict[str, list[tuple[Path, int, bool]]] = {}
     for path, node in _user_nodes():
         if isinstance(node, ast.Name):
             ident = node.id
@@ -80,7 +82,9 @@ def _references() -> dict[str, list[tuple[Path, int]]]:
             ident = node.attr
         else:
             continue
-        refs.setdefault(ident, []).append((path, node.lineno))
+        refs.setdefault(ident, []).append(
+            (path, node.lineno, isinstance(node, ast.Attribute))
+        )
     return refs
 
 
@@ -88,10 +92,12 @@ def _unused() -> list[str]:
     refs = _references()
     unused = []
     for qualified, name, path, node in _definitions():
+        method = "." in qualified
         users = [
             (p, line)
-            for p, line in refs.get(name, [])
+            for p, line, attribute in refs.get(name, [])
             if not (p == path and node.lineno <= line <= node.end_lineno)
+            and (attribute or not method)
         ]
         if not users:
             unused.append(qualified)

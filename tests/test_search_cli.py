@@ -526,6 +526,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "aborted" not in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_search_cli_rejects_worker_count_below_1(self, jobs, capsys):
+        assert main(["search", "--n", "3", "--d", "2", "--jobs", jobs]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: worker count must be positive, got {jobs}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -613,10 +620,10 @@ class TestCli:
 
     def test_witness_failing_detection_check_exits_4(self, tmp_path: Path, capsys,
                                                      monkeypatch):
-        def failing(q, d):
-            return VerificationReport(False, False, None, d)
+        def failing(q, errors):
+            return VerificationReport(False, False, None)
 
-        monkeypatch.setattr(cwskit.cli, "verification_report", failing)
+        monkeypatch.setattr(cwskit.cli, "detection_check", failing)
         out = tmp_path / "res.txt"
         rc = main(["search", "--n", "4", "--d", "2", "--graphs", "iso", "--out", str(out)])
         assert rc == 4
@@ -677,6 +684,25 @@ class TestCli:
         assert main(["verify", "--code", str(tmp_path / "q.code")] + argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_verify_cli_runs_the_oracle_once(self, tmp_path: Path, capsys,
+                                             monkeypatch):
+        from cwskit.gf2 import ClassicalCode
+        from cwskit.verify import CWSCode, kl_oracle, write_code_file
+
+        calls = []
+
+        def counted(q, d):
+            calls.append(d)
+            return kl_oracle(q, d)
+
+        monkeypatch.setattr(cwskit.verify, "kl_oracle", counted)
+        monkeypatch.setattr(cwskit.cli, "kl_oracle", counted)
+        q = CWSCode(Graph.ring(5), ClassicalCode.from_texts(["00000", "11111"]))
+        write_code_file(tmp_path / "pent.code", q, "pent.graph")
+        assert main(["verify", "--code", str(tmp_path / "pent.code"), "--d", "2"]) == 0
+        assert "oracle_distance=2" in capsys.readouterr().out
+        assert calls == [4]  # code_distance's cross-check at D + 1
 
     def test_convert_cli_round_trip(self, tmp_path: Path, capsys):
         ac06_text = (
@@ -766,6 +792,24 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: structure {argv[0]} needs {missing}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "0", "--k", "3", "--d", "1"],
+            ["--n", "7", "--k", "0", "--d", "3"],
+            ["--n", "7", "--k", "3", "--d", "0"],
+            ["--n", "7", "--k", "3", "--d", "9"],
+        ],
+        ids=["n0", "k0", "d0", "d9"],
+    )
+    def test_structure_filter_rejects_bad_numbers(self, argv, tmp_path: Path, capsys):
+        reg = tmp_path / "reg.txt"
+        reg.write_text("n=7 K=2 d=3 optimal=yes source=tables\n")
+        assert main(["structure", "filter", "--registry", str(reg)] + argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_structure_cli_extend(self, tmp_path: Path, capsys):
         from cwskit.gf2 import ClassicalCode

@@ -35,7 +35,7 @@ class TestIsLinear:
         report = is_linear(EX3_C2)
         assert not report.is_linear
         a, b = report.violating_pair
-        assert (a ^ b).value not in set(EX3_C2.values)
+        assert a.value ^ b.value not in set(EX3_C2.values)
 
     def test_trivial_code(self):
         report = is_linear(ClassicalCode.from_texts(["0000"]))
@@ -281,6 +281,13 @@ class TestOptimalityFilter:
         registry = parse_registry("n=9 K=1 d=5 optimal=yes source=x\n")
         assert optimality_filter(9, 2, 5, registry).verdict == "pruned"
         assert optimality_filter(9, 1, 5, registry).verdict == "open"
+
+    @pytest.mark.parametrize(
+        "n, k, d", [(0, 2, 1), (7, 0, 3), (7, 3, 0), (7, 3, 9), (-1, 1, 1)]
+    )
+    def test_rejects_bad_parameters(self, n, k, d):
+        with pytest.raises(ValueError):
+            optimality_filter(n, k, d, ())
 
     def test_malformed_registry(self):
         with pytest.raises(ValueError):

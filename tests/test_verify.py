@@ -18,7 +18,6 @@ from cwskit.verify import (
     parse_code_file,
     report_lines,
     stabilizer_state_vector,
-    verification_report,
     write_code_file,
 )
 
@@ -48,7 +47,7 @@ class TestDetectionCheck:
         assert not report.detects
         assert str(report.witness.error) == "ZII"
         a, b = report.witness.pair
-        assert cl_map(report.witness.error, q.graph).value == (a ^ b).value
+        assert cl_map(report.witness.error, q.graph).value == a.value ^ b.value
 
     def test_degeneracy_violation_witness(self):
         q = CWSCode(Graph.empty(2), ClassicalCode.from_texts(["00", "10"]))
@@ -117,7 +116,7 @@ class TestKlOracle:
         # induced pattern must have vanishing diagonal matrix elements
         amp = graph_state_amplitudes(PENTAGON.graph)
         x = np.arange(32)
-        for e in error_set(5, 3):
+        for e in error_set(5, 3).paulis:
             if cl_map(e, PENTAGON.graph).value == 0:
                 continue
             de = dense_pauli(e)
@@ -270,8 +269,8 @@ class TestFilesAndReports:
         assert set(q.code.values) == set(PENTAGON.code.values)
 
     def test_report_lines(self):
-        report = verification_report(PENTAGON, 3)
-        text = report_lines(report, distance=3)
+        report = detection_check(PENTAGON, error_set(5, 3))
+        text = report_lines(report, 3, 3)
         assert "detects=true" in text
         assert "degenerate=false" in text
         assert "distance=3" in text
@@ -280,7 +279,8 @@ class TestFilesAndReports:
     def test_failure_report_includes_witness(self):
         q = CWSCode(Graph.empty(3), ClassicalCode.from_texts(["000", "100"]))
         report = detection_check(q, ErrorSet(3, (PauliOp.single(3, 0, "Z"),)))
-        text = report_lines(report)
+        text = report_lines(report, 1, None)
         assert "detects=false" in text
+        assert "oracle_distance" not in text
         assert "witness_error=ZII" in text
         assert "witness_pair=" in text
