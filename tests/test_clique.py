@@ -16,7 +16,7 @@ from cwskit.clique import (
     max_clique,
 )
 from cwskit.errormap import ClArrays, error_set, setup
-from cwskit.graphs import Graph
+from cwskit.graphs import Graph, edge_count
 from cwskit.verify import CWSCode, detection_check, kl_oracle
 
 
@@ -149,6 +149,35 @@ class TestMakeCliqueGraph:
         assert cg.size == 269
         assert hashlib.sha256(cg.dump().encode()).hexdigest() == (
             "c936803e1c15e7e1730ec0c43edc8a9d6d9026cce85892763992184dad36be09"
+        )
+
+    def test_setup_and_clique_graph_dumps_pinned(self):
+        # 5,422 instances: every n=5 graph at d = 1, 2, 3, 4 and 6 (the empty
+        # error set and d = n+1 among them), 300 seeded n=7 graphs at random
+        # d in 1..5, and ring9 and ring10 at d=3; 3,365 are degenerate
+        def instances():
+            for d in (1, 2, 3, 4, 6):
+                for mask in range(1 << edge_count(5)):
+                    yield Graph.from_mask(5, mask), d
+            rng = random.Random(11)
+            for _ in range(300):
+                yield Graph.from_mask(7, rng.randrange(1 << edge_count(7))), rng.randint(1, 5)
+            yield Graph.ring(9), 3
+            yield Graph.ring(10), 3
+
+        cl_d, cliques = hashlib.sha256(), hashlib.sha256()
+        degenerate = 0
+        for g, d in instances():
+            arrays = setup(error_set(g.n, d), g)
+            degenerate += arrays.degenerate
+            cl_d.update(arrays.dump().encode())
+            cliques.update(make_cws_clique_graph(arrays).dump().encode())
+        assert degenerate == 3365
+        assert cl_d.hexdigest() == (
+            "99d35911a5f1ccc81fd0e9fe01ee53acd945dc253ed6806d9bd642aa1d2c3fce"
+        )
+        assert cliques.hexdigest() == (
+            "745b3056b65839552d5c74f19687ef3c85ba34be3e7607a020476aadf45792f8"
         )
 
     def test_vertex_zero_first_and_universal_vertices_ascending(self):
