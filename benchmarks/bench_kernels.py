@@ -36,11 +36,11 @@ def bench_cl_patterns(repeat: int):
     n = 7
     errs = error_set(n, 3)
     masks = rng.integers(0, 1 << edge_count(n), 400)
-    graphs = [Graph.from_mask(n, int(m)).rows_array() for m in masks]
+    graphs = [Graph.from_mask(n, int(m)).rows for m in masks]
 
     def body():
         for rows in graphs:
-            K.cl_patterns(errs.ubits, errs.v, rows)
+            K.cl_patterns(errs.xcols, errs.v, rows)
 
     return "cl_patterns (400 graphs x 210 errors)", body, body
 
@@ -73,7 +73,8 @@ def bench_bnb(repeat: int):
             if rng.random() < 0.55:
                 rows_int[i] |= 1 << (m - 1 - j)
                 rows_int[j] |= 1 << (m - 1 - i)
-    fn = lambda: K.bnb_clique(rows_int, m, (1 << m) - 1, 0, -1)
+    tables = K.bnb_tables(rows_int, m)  # once per graph, as CliqueGraph does
+    fn = lambda: K.bnb_clique(rows_int, tables, m, (1 << m) - 1, 0, -1)
     return f"max clique branch and bound (m={m}, p=0.55)", fn, fn
 
 
@@ -84,7 +85,7 @@ def bench_bnb_ring10(repeat: int):
     """The d=3 clique graph of the ring on 10 qubits, as a search builds it."""
     cg = make_cws_clique_graph(setup(error_set(10, 3), Graph.ring(10)))
     m = cg.size
-    fn = lambda: K.bnb_clique(cg.rows, m, (1 << (m - 1)) - 1, 0, RING10_BUDGET)
+    fn = lambda: K.bnb_clique(cg.rows, cg.bnb_tables, m, (1 << (m - 1)) - 1, 0, RING10_BUDGET)
     return f"branch and bound, ring10 d=3 (m={m}, {RING10_BUDGET} nodes)", fn, fn
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,12 @@ class CliqueGraph:
     @property
     def size(self) -> int:
         return int(self.vertices.shape[0])
+
+    @cached_property
+    def bnb_tables(self) -> tuple[list, list]:
+        """`kernels.bnb_tables` of this graph, built on first use and shared
+        by every branch and bound run on it."""
+        return kernels.bnb_tables(self.rows, self.size)
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> (self.size - 1 - j)) & 1)
@@ -121,7 +128,7 @@ def max_clique(cg: CliqueGraph, budget: int = -1) -> CliqueSearchResult:
     if m > MAX_EXACT_VERTICES:
         raise ValueError(f"exact solver capped at {MAX_EXACT_VERTICES} vertices")
     _size, members, nodes, exhausted = kernels.bnb_clique(
-        cg.rows, m, (1 << (m - 1)) - 1, 0, budget
+        cg.rows, cg.bnb_tables, m, (1 << (m - 1)) - 1, 0, budget
     )
     return CliqueSearchResult(Clique(tuple(sorted([0] + members))), exhausted, nodes)
 
@@ -154,7 +161,7 @@ def lex_min_clique(
             if remaining > 1:
                 sub_budget = -1 if budget < 0 else max(0, budget - nodes)
                 size, _mem, used, exhausted = kernels.bnb_clique(
-                    cg.rows, cg.size, pv, remaining - 1, sub_budget
+                    cg.rows, cg.bnb_tables, cg.size, pv, remaining - 1, sub_budget
                 )
                 nodes += used
                 if size < remaining - 1:
@@ -183,7 +190,7 @@ def find_clique_of_size(cg: CliqueGraph, k: int, budget: int = -1) -> FixedSizeR
     if m > MAX_EXACT_VERTICES:
         raise ValueError(f"exact solver capped at {MAX_EXACT_VERTICES} vertices")
     size, members, nodes, exhausted = kernels.bnb_clique(
-        cg.rows, m, (1 << (m - 1)) - 1, k - 1, budget
+        cg.rows, cg.bnb_tables, m, (1 << (m - 1)) - 1, k - 1, budget
     )
     if size >= k - 1:
         picked = tuple(sorted([0] + sorted(members)[: k - 1]))

@@ -36,15 +36,17 @@ class ErrorSet:
     """A set of Pauli errors to detect; never contains the identity.
 
     The per-error arrays every graph of a search reads are built once, here,
-    and are read-only: ``u`` and ``v`` as int64, and ``ubits``, the E x n
-    uint8 matrix of X-support bits (``ubits[e, q]`` is bit q of ``u[e]``)
-    that ``kernels.cl_patterns`` multiplies by the adjacency matrix."""
+    and are read-only: ``u`` and ``v`` as int64, and ``xcols``, the int64
+    index arrays ``kernels.cl_patterns`` gathers adjacency rows by.  Row k
+    of ``xcols`` holds, for each error, its k-th X-support qubit in
+    ascending order, or ``n`` (a zero row) once the support runs out; there
+    are as many rows as the largest X support has qubits."""
 
     n: int
     paulis: tuple[PauliOp, ...]
     u: np.ndarray = field(init=False, repr=False, compare=False)
     v: np.ndarray = field(init=False, repr=False, compare=False)
-    ubits: np.ndarray = field(init=False, repr=False, compare=False)
+    xcols: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for p in self.paulis:
@@ -55,10 +57,15 @@ class ErrorSet:
         count = len(self.paulis)
         u = np.fromiter((p.u for p in self.paulis), dtype=np.int64, count=count)
         v = np.fromiter((p.v for p in self.paulis), dtype=np.int64, count=count)
-        ubits = ((u[:, None] >> np.arange(self.n, dtype=np.int64)) & 1).astype(np.uint8)
+        supports = [[q for q in range(self.n) if (p.u >> q) & 1] for p in self.paulis]
+        width = max(map(len, supports), default=0)
+        xcols = np.array(
+            [[s[k] if k < len(s) else self.n for s in supports] for k in range(width)],
+            dtype=np.int64,
+        ).reshape(width, count)
         object.__setattr__(self, "u", _frozen(u))
         object.__setattr__(self, "v", _frozen(v))
-        object.__setattr__(self, "ubits", _frozen(ubits))
+        object.__setattr__(self, "xcols", _frozen(xcols))
 
     def __len__(self) -> int:
         return len(self.paulis)
@@ -141,22 +148,21 @@ def setup(errors: ErrorSet, g: Graph) -> ClArrays:
     size = 1 << n
 
     cl_bits = np.zeros(size, dtype=bool)
-    basis: list[int] = []
-    if len(errors):
-        patterns = kernels.cl_patterns(errors.ubits, errors.v, g.rows_array())
-        cl_bits[patterns] = True
-        # D[i] = 1 iff i has odd overlap with some trivially-mapping X support,
-        # equivalently with some basis vector of their span.
-        basis = xor_basis(errors.u[patterns == 0].tolist())
-
     d_bits = np.zeros(size, dtype=bool)
-    if basis:
+    if not len(errors):
+        return ClArrays(n, cl_bits, d_bits)
+    patterns = kernels.cl_patterns(errors.xcols, errors.v, g.rows)
+    cl_bits[patterns] = True
+    if cl_bits[0]:
+        # D[i] = 1 iff i has odd overlap with some trivially-mapping X support,
+        # equivalently with some basis vector of their span.  A zero pattern
+        # has u != 0 (the identity is no error), so the basis is not empty.
+        basis = xor_basis(errors.u[patterns == 0].tolist())
         for lo in range(0, size, _CHUNK):
             hi = min(size, lo + _CHUNK)
             x = np.arange(lo, hi, dtype=np.int64)
-            acc = np.zeros(hi - lo, dtype=bool)
+            acc = d_bits[lo:hi]  # a view: the chunk is written in place
             for b in basis:
                 acc |= kernels.parity_of_and(x, b).astype(bool)
-            d_bits[lo:hi] = acc
 
     return ClArrays(n, cl_bits, d_bits)

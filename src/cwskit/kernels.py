@@ -35,15 +35,15 @@ def parity_of_and(values: np.ndarray, mask: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # induced classical error patterns: v XOR (XOR of adjacency rows under u)
 
-def cl_patterns(ubits: np.ndarray, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Pattern of each error: ``ubits`` is the E x n uint8 matrix of its
-    X-support bits, ``v`` its Z supports, ``rows`` the adjacency rows."""
-    n = rows.shape[0]
-    shifts = np.arange(n, dtype=np.int64)
-    adj = ((rows[:, None] >> shifts) & 1).astype(np.uint8)
-    pat = (ubits @ adj) & 1
-    packed = pat.astype(np.int64) @ (np.int64(1) << shifts)
-    return v ^ packed
+def cl_patterns(xcols: np.ndarray, v: np.ndarray, rows: tuple[int, ...]) -> np.ndarray:
+    """Pattern of each error: ``v`` holds its Z supports and ``xcols`` its
+    X-support qubits, one index array per support position, padded with n
+    (see ``ErrorSet``); ``rows`` are the n adjacency rows as ints."""
+    table = np.array(rows + (0,), dtype=np.int64)  # row n is the zero padding
+    pat = v.copy()
+    for col in xcols:
+        pat ^= table[col]
+    return pat
 
 
 # ---------------------------------------------------------------------------
@@ -65,9 +65,11 @@ def graph_signs(rows: np.ndarray, n: int) -> np.ndarray:
 
 def clique_adjacency(verts: np.ndarray, cl_bool: np.ndarray) -> list[int]:
     """Neighbour mask of each vertex, high bit first: j is a neighbour of i
-    when i != j and the pattern verts[i] ^ verts[j] is not in CL."""
-    ok = ~cl_bool[verts[:, None] ^ verts[None, :]]
-    np.fill_diagonal(ok, False)
+    when i != j and the pattern verts[i] ^ verts[j] is not in CL.  The
+    vertices are distinct, so the zero pattern occurs only for i == j."""
+    free = ~cl_bool
+    free[0] = False  # the i ^ i pattern: no vertex is its own neighbour
+    ok = free[verts[:, None] ^ verts[None, :]]
     packed = np.packbits(ok, axis=1, bitorder="big")
     pad = 8 * packed.shape[1] - verts.size  # zero bits after the last vertex
     return [int.from_bytes(row.tobytes(), "big") >> pad for row in packed]
@@ -105,20 +107,30 @@ def clique_adjacency(verts: np.ndarray, cl_bool: np.ndarray) -> list[int]:
 # pushes them as the parent's frame, and finishing a node pops it.  A node is
 # counted, and checked against the budget, when it is entered.
 
+def bnb_tables(adj_rows: list, m: int) -> tuple[list, list]:
+    """The per-graph tables `bnb_clique` colours with, built once per clique
+    graph: ``bits[b]`` is ``1 << b`` and ``skip[b]`` every vertex but the one
+    at bit b and its neighbours."""
+    full = (1 << m) - 1
+    bits = [1 << b for b in range(m)]
+    skip = [full ^ row ^ bit for row, bit in zip(reversed(adj_rows), bits)]
+    return bits, skip
+
+
 def bnb_clique(
-    adj_rows: list, m: int, cand_int: int, stop_at: int, budget: int
+    adj_rows: list, tables: tuple[list, list], m: int, cand_int: int,
+    stop_at: int, budget: int,
 ) -> tuple[int, list, int, bool]:
     """adj_rows[j] is the neighbour mask of vertex j, high bit first, as a
-    Python int; `cand_int` is high bit first too."""
+    Python int; `cand_int` is high bit first too.  `tables` is
+    `bnb_tables(adj_rows, m)`."""
     if not cand_int:
         return 0, [], 0, True
     best_size = 0
     best: list = []
     nodes = 0
     rstack = [0] * (m + 1)
-    full = (1 << m) - 1
-    bits = [1 << b for b in range(m)]
-    skip = [full ^ row ^ bit for row, bit in zip(reversed(adj_rows), bits)]
+    bits, skip = tables
     stack: list = []
     p, level = cand_int, 0
     while True:

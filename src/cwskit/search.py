@@ -352,9 +352,12 @@ def run_search(
         if job.worker_count <= 1 or len(pending) <= 1:
             consume(map(_process_mask, pending))
         else:
+            # no more workers than graphs; --jobs is otherwise taken as asked,
+            # also above the CPU count
+            workers = min(job.worker_count, len(pending))
             ctx = mp.get_context("fork")
-            chunk = max(1, min(1024, len(pending) // (job.worker_count * 16)))
-            with ctx.Pool(job.worker_count) as pool:
+            chunk = max(1, min(1024, len(pending) // (workers * 16)))
+            with ctx.Pool(workers) as pool:
                 consume(pool.imap_unordered(_process_mask, pending, chunksize=chunk))
     except Exception as exc:
         raise SearchAborted(f"worker failure: {exc}") from exc

@@ -82,7 +82,7 @@ def detection_check(q: CWSCode, errors: ErrorSet) -> VerificationReport:
         for b in words[i + 1 :]:
             pair_of.setdefault(a ^ b, (a, b))
 
-    patterns = kernels.cl_patterns(errors.ubits, errors.v, q.graph.rows_array()).tolist()
+    patterns = kernels.cl_patterns(errors.xcols, errors.v, q.graph.rows).tolist()
     degenerate = 0 in patterns
     for idx, p in enumerate(patterns):
         if p:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph, reversed_bits
+from cwskit import kernels
 from cwskit.clique import (
     CliqueGraph,
     cws_maxclique,
@@ -225,6 +226,20 @@ class TestMaxClique:
         assert res.exact and res.nodes == 5416
         words = sorted(int(cg.vertices[i]) for i in res.clique.members)
         assert words == [0, 35, 70, 146, 177, 212, 313, 350, 367, 427, 460, 509]
+
+    def test_one_table_build_per_clique_graph(self, monkeypatch):
+        # the solve and the refinement's 17 searches share the graph's tables
+        built = []
+        tables = kernels.bnb_tables
+
+        def counted(rows, m):
+            built.append(m)
+            return tables(rows, m)
+
+        monkeypatch.setattr(kernels, "bnb_tables", counted)
+        cg = make_cws_clique_graph(setup(error_set(9, 3), Graph.ring(9)))
+        res = lex_min_clique(cg, max_clique(cg))
+        assert built == [269] and res.nodes == 5416
 
     def test_refinement_without_an_exact_answer_or_budget_is_a_no_op(self):
         cg = make_cws_clique_graph(setup(error_set(9, 3), Graph.ring(9)))

@@ -55,18 +55,28 @@ class TestErrorSet:
     def test_arrays_are_read_only(self):
         errs = error_set(4, 2)
         u, v = errs.u, errs.v
-        for arr in (u, v, errs.ubits):
+        for arr in (u, v, errs.xcols):
             with pytest.raises(ValueError):
                 arr[0] = 1
         with pytest.raises(ValueError):
             u += 1
 
-    def test_ubits_are_the_x_support_bits(self):
-        errs = error_set(4, 3)
-        assert errs.ubits.shape == (len(errs), 4)
-        assert errs.ubits.dtype == np.uint8
-        for row, p in zip(errs.ubits.tolist(), errs.paulis):
-            assert row == [(p.u >> q) & 1 for q in range(4)]
+    def test_xcols_are_the_x_support_qubits_padded_with_n(self):
+        # one row per support position, as many as the widest X support:
+        # d-1 of them, n at d = n+1, none for the empty error set
+        for n, d in [(4, 3), (4, 5), (3, 1)]:
+            errs = error_set(n, d)
+            assert errs.xcols.shape == (d - 1, len(errs))
+            assert errs.xcols.dtype == np.int64
+            for col, p in zip(errs.xcols.T.tolist(), errs.paulis):
+                support = [q for q in range(n) if (p.u >> q) & 1]
+                assert col == support + [n] * (d - 1 - len(support))
+
+    def test_xcols_width_is_the_widest_x_support(self):
+        z_only = ErrorSet(3, (PauliOp.single(3, 0, "Z"), PauliOp(3, 0, 0b110)))
+        assert z_only.xcols.shape == (0, 2)
+        mixed = ErrorSet(3, (PauliOp(3, 0b101, 0), PauliOp.single(3, 2, "Y")))
+        assert mixed.xcols.tolist() == [[0, 2], [2, 3]]
 
     def test_every_constructor_gives_the_same_setup_and_check(self):
         built = error_set(5, 3)
@@ -81,7 +91,7 @@ class TestErrorSet:
         ]
         for errs in sets:
             assert errs.paulis == built.paulis
-            assert np.array_equal(errs.ubits, built.ubits)
+            assert np.array_equal(errs.xcols, built.xcols)
             assert setup(errs, g).dump() == setup(built, g).dump()
             for q in codes:
                 assert detection_check(q, errs) == detection_check(q, built)

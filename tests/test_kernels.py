@@ -8,7 +8,7 @@ import numpy as np
 from conftest import reversed_bits
 import cwskit.kernels as K
 from cwskit.clique import make_cws_clique_graph
-from cwskit.errormap import cl_map, error_set, setup
+from cwskit.errormap import ErrorSet, cl_map, error_set, setup
 from cwskit.gf2 import PauliOp
 from cwskit.graphs import Graph, edge_count
 
@@ -27,7 +27,7 @@ def _bnb(rows_int, m, cand, stop_at, budget):
     """bnb_clique on low-bit-first rows and candidates (vertex j at bit j),
     reversed into the kernel's high-bit-first order."""
     rows = [reversed_bits(r, m) for r in rows_int]
-    return K.bnb_clique(rows, m, reversed_bits(cand, m), stop_at, budget)
+    return K.bnb_clique(rows, K.bnb_tables(rows, m), m, reversed_bits(cand, m), stop_at, budget)
 
 
 def _brute_force_max_clique(rows_int, m):
@@ -58,18 +58,23 @@ def test_pack_unpack_round_trip():
 
 
 def test_cl_patterns_match_cl_map():
+    # every X-support weight 0..n and the empty error set
     rng = random.Random(1)
     for n in (1, 4, 10):
         g = Graph.from_mask(n, rng.randrange(1 << edge_count(n)))
         paulis = [
             PauliOp(n, rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(200)
         ]
-        ubits = np.array(
-            [[(p.u >> q) & 1 for q in range(n)] for p in paulis], dtype=np.uint8
-        )
-        v = np.array([p.v for p in paulis], dtype=np.int64)
-        got = K.cl_patterns(ubits, v, g.rows_array())
+        for w in range(n + 1):
+            u = sum(1 << q for q in rng.sample(range(n), w))
+            paulis.append(PauliOp(n, u, rng.randrange(1 << n) if w else 1))
+        paulis = [p for p in paulis if p.u or p.v]
+        errs = ErrorSet(n, tuple(paulis))
+        assert {p.u.bit_count() for p in paulis} == set(range(n + 1))
+        got = K.cl_patterns(errs.xcols, errs.v, g.rows)
         assert [int(x) for x in got] == [cl_map(p, g).value for p in paulis]
+    empty = ErrorSet(3, ())
+    assert K.cl_patterns(empty.xcols, empty.v, Graph.ring(3).rows).shape == (0,)
 
 
 def test_graph_signs_match_edge_list():
@@ -163,7 +168,9 @@ def test_bnb_search_tree_pinned():
 def test_bnb_ring10_d3_budget_pinned():
     cg = make_cws_clique_graph(setup(error_set(10, 3), Graph.ring(10)))
     assert cg.size == 709
-    size, members, nodes, exhausted = K.bnb_clique(cg.rows, 709, (1 << 708) - 1, 0, 10_000)
+    size, members, nodes, exhausted = K.bnb_clique(
+        cg.rows, cg.bnb_tables, 709, (1 << 708) - 1, 0, 10_000
+    )
     assert (size, nodes, exhausted) == (16, 10_001, False)  # K = 17 with vertex 0
     assert members == [
         693, 652, 627, 600, 511, 526, 403, 400, 355, 334, 214, 195, 164, 116, 79, 8

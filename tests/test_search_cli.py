@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import multiprocessing as mp
 import re
 from pathlib import Path
 
@@ -71,6 +72,34 @@ class TestRunSearch:
         par = run_search(SearchJob(n=4, d=2, graph_source="all", worker_count=2))
         assert calls.read_text().splitlines() == ["4"]
         assert par.records == run_search(SearchJob(n=4, d=2, graph_source="all")).records
+
+    def test_pool_never_exceeds_the_pending_graphs(self, monkeypatch):
+        # the pool is recorded and run in this process, so asking for a
+        # thousand workers starts none
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(mp.get_context("fork"), "Pool", InProcessPool)
+        job = SearchJob(n=4, d=2, graph_source="iso", worker_count=1000)
+        res = run_search(job)
+        assert asked == [res.total_graphs] and res.total_graphs == 11
+        seq = run_search(SearchJob(n=4, d=2, graph_source="iso"))
+        assert render_result(res) == render_result(seq)
+        # a count below the number of graphs is taken as asked
+        run_search(SearchJob(n=4, d=2, graph_source="iso", worker_count=3))
+        assert asked[1:] == [3]
 
     def test_result_file_format(self):
         res = run_search(SearchJob(n=3, d=2, graph_source="all"))
@@ -594,8 +623,8 @@ class TestCli:
         # only the Knill-Laflamme oracle sees that
         cl_patterns = kernels.cl_patterns
 
-        def hide_last(u, v, rows):
-            patterns = cl_patterns(u, v, rows)
+        def hide_last(xcols, v, rows):
+            patterns = cl_patterns(xcols, v, rows)
             patterns[-1] = patterns[0]
             return patterns
 
