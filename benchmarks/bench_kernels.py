@@ -85,7 +85,8 @@ def bench_bnb_ring10(repeat: int):
     """The d=3 clique graph of the ring on 10 qubits, as a search builds it."""
     cg = make_cws_clique_graph(setup(error_set(10, 3), Graph.ring(10)))
     m = cg.size
-    fn = lambda: K.bnb_clique(cg.rows, cg.bnb_tables, m, (1 << (m - 1)) - 1, 0, RING10_BUDGET)
+    tables = cg.bnb_tables
+    fn = lambda: K.bnb_clique(cg.rows, tables, m, (1 << (m - 1)) - 1, 0, RING10_BUDGET)
     return f"branch and bound, ring10 d=3 (m={m}, {RING10_BUDGET} nodes)", fn, fn
 
 

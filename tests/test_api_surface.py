@@ -11,8 +11,8 @@ syntax (``a @ b``, ``len(x)``, an f-string), which bare identifiers cannot
 tie to a class: an operator node would count as a user of every ``__xor__``
 while ints are XORed everywhere.  So every dunder but the construction
 hooks ``__init__`` and ``__post_init__`` (used wherever their class is)
-must be listed in KEEP with the code that calls it.  Unit tests do not count: code that only its own tests call, read
-or set is dead weight.  Matching is by bare identifier, so a name collision
+must be listed in KEEP with the code that calls it.  Unit tests do not
+count: code that only its own tests call, read or set is dead weight.  Matching is by bare identifier, so a name collision
 can only let dead code through, never flag live code.
 """
 

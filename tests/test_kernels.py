@@ -27,7 +27,8 @@ def _bnb(rows_int, m, cand, stop_at, budget):
     """bnb_clique on low-bit-first rows and candidates (vertex j at bit j),
     reversed into the kernel's high-bit-first order."""
     rows = [reversed_bits(r, m) for r in rows_int]
-    return K.bnb_clique(rows, K.bnb_tables(rows, m), m, reversed_bits(cand, m), stop_at, budget)
+    tables = K.bnb_tables(rows, m)
+    return K.bnb_clique(rows, tables, m, reversed_bits(cand, m), stop_at, budget)
 
 
 def _brute_force_max_clique(rows_int, m):
