@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import cwskit.cli
 from cwskit import kernels
 from cwskit.cli import main
-from cwskit.clique import make_cws_clique_graph
+from cwskit.clique import cws_maxclique, make_cws_clique_graph
 from cwskit.graphs import (
     Graph,
     canonical_form,
@@ -31,8 +31,9 @@ from cwskit.search import (
     render_result,
     run_search,
 )
-from cwskit.verify import VerificationReport, detection_check
-from cwskit.errormap import error_set, setup
+from cwskit.verify import CWSCode, VerificationReport, detection_check
+from cwskit.errormap import cl_map, error_set, setup
+from cwskit.gf2 import ClassicalCode
 
 RECORD_RE = re.compile(
     r"^graph=[0-9a-f]+ cliquegraph_vertices=\d+ bestK=\d+ status=(exact|bound)$"
@@ -488,6 +489,90 @@ class TestCheckpoint:
         assert capsys.readouterr().err == (
             "error: checkpoint contains a code that fails verification\n"
         )
+
+    @pytest.mark.parametrize(
+        "code, message",
+        [
+            ([0, 16], "value 16 out of range for n=4"),
+            ([0, -1], "value -1 out of range for n=4"),
+            ([0, 16, -1], "value -1 out of range for n=4"),  # smallest first
+            ([0, 16, 16], "value 16 out of range for n=4"),  # range before repeats
+            ([0, 5, 5], "codewords must be pairwise distinct"),
+            ([5, 5], "codewords must be pairwise distinct"),  # repeats before zero
+            ([3, 5], "standard form requires the all-zeros codeword"),
+            # on the empty graph X on qubit 0 maps to the zero pattern and
+            # anticommutes with 0011; no error maps onto 0011 itself
+            ([0, 3], "checkpoint contains a code that fails verification"),
+        ],
+        ids=["above-range", "negative", "both-out-of-range", "out-of-range-repeat",
+             "repeated", "repeated-no-zero", "no-zero", "trivial-error-only"],
+    )
+    def test_stored_code_with_a_bad_word_is_refused(
+        self, code, message, complete_n4_checkpoint, capsys
+    ):
+        _job, data, _plain, ck = complete_n4_checkpoint
+        head, *lines = data.decode().splitlines()
+        records = [json.loads(ln) for ln in lines]
+        (rec,) = [r for r in records if r["raw_mask"] == 0]
+        rec["code"], rec["bestK"] = code, len(code)
+        ck.write_text("\n".join([head, *map(json.dumps, records)]) + "\n")
+        capsys.readouterr()
+        assert main(["search", "--n", "4", "--d", "2", "--checkpoint", str(ck)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_trivial_error_only_case_fails_on_a_zero_pattern(self):
+        g, errors = Graph.empty(4), error_set(4, 2)
+        assert all(cl_map(e, g).value != 3 for e in errors.paulis)
+        report = detection_check(CWSCode(g, ClassicalCode.from_ints(4, [0, 3])), errors)
+        assert str(report.witness.error) == "XIII"
+        assert cl_map(report.witness.error, g).value == 0
+
+    @pytest.mark.parametrize("raw_mask", [1 << 70, -5], ids=["2^70", "-5"])
+    def test_foreign_record_is_decided_on_its_low_edge_bits(
+        self, raw_mask, complete_n4_checkpoint, capsys
+    ):
+        # a record of no graph of the job is verified, never replayed; its
+        # graph is the one Graph.from_mask reads: the low 6 bits of the mask
+        job, data, plain, ck = complete_n4_checkpoint
+        g = Graph.from_mask(4, raw_mask & 63)
+        assert g == Graph.from_mask(4, raw_mask)
+        passing = list(cws_maxclique(error_set(4, 2), g).values)
+        argv = ["search", "--n", "4", "--d", "2", "--checkpoint", str(ck)]
+        for code, rc in [([0], 0), (passing, 0), ([0, 1], 2)]:
+            record = {"raw_mask": raw_mask, "canon_mask": 0, "m": 1,
+                      "bestK": len(code), "status": "exact", "code": code}
+            ck.write_bytes(data + (json.dumps(record) + "\n").encode())
+            capsys.readouterr()
+            assert main(argv) == rc
+            out, err = capsys.readouterr()
+            if rc == 0:
+                assert render_result(run_search(job, checkpoint=ck)) == plain
+            else:
+                assert err == "error: checkpoint contains a code that fails verification\n"
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--n", "5", "--d", "2", "--graphs", "all"],
+             "6504ca76b485f208fab2d8ff70413a0872fddf1fc1861b4c3e80521077901b00"),
+            (["--n", "6", "--d", "3", "--k", "3", "--graphs", "iso"],
+             "b9b6d245abca28d477c648e147cec84c4bb810991f82abd252e0d81acd5195d9"),
+            (["--n", "5", "--d", "2", "--graphs", "lc"],
+             "27826d46e7866d77e70fe6530e46e642611590fcb883bc5e5a194bccf75b80f9"),
+        ],
+        ids=["n5-d2-all", "n6-d3-k3-iso", "n5-d2-lc"],
+    )
+    def test_run_and_resume_outputs_pinned(self, argv, digest, tmp_path: Path, capsys):
+        # exit code, stdout, result file and checkpoint of a checkpointed run
+        # and of its resume from the complete checkpoint
+        ck, out = tmp_path / "run.ckpt", tmp_path / "res.txt"
+        h = hashlib.sha256()
+        for _ in range(2):
+            rc = main(["search", *argv, "--checkpoint", str(ck), "--out", str(out)])
+            h.update(repr((rc, capsys.readouterr().out)).encode())
+            h.update(out.read_bytes())
+            h.update(ck.read_bytes())
+        assert h.hexdigest() == digest
 
     def test_checkpoint_job_mismatch(self, tmp_path: Path):
         ck = tmp_path / "other.ckpt"

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 
 from conftest import dense_pauli, random_graph
-from cwskit.clique import cws_maxclique
-from cwskit.errormap import ErrorSet, _weight_errors, cl_map, error_set
+from cwskit.clique import cws_maxclique, make_cws_clique_graph
+from cwskit.errormap import ErrorSet, _weight_errors, cl_map, error_set, setup
 from cwskit.gf2 import ClassicalCode, PauliOp, parity
 from cwskit.graphs import Graph, graph_state_amplitudes
 from cwskit.verify import (
@@ -33,6 +33,46 @@ def random_code(g: Graph, k: int, rng) -> CWSCode:
     while len(words) < k:
         words.add(rng.randrange(1 << g.n))
     return CWSCode(g, ClassicalCode.from_ints(g.n, sorted(words)))
+
+
+def detection_instances(rng, per_case: int):
+    """(graph, words, errors) for every n in 1..7 and d in 1..n+1, per_case
+    of each.  A third of the graphs get an isolated vertex, so X on it maps
+    to the zero pattern.  The words contain 0, in shuffled order: a random
+    clique of the clique graph (the code a search could store), that clique
+    plus one random word, or random words."""
+    for n in range(1, 8):
+        for d in range(1, n + 2):
+            errors = error_set(n, d)
+            for _ in range(per_case):
+                g = random_graph(n, rng)
+                if rng.random() < 1 / 3:
+                    v = rng.randrange(n)
+                    g = Graph(n, tuple(0 if i == v else r & ~(1 << v)
+                                       for i, r in enumerate(g.rows)))
+                kind = rng.randrange(3)
+                if kind < 2:
+                    cg = make_cws_clique_graph(setup(errors, g))
+                    top = cg.size - 1
+                    order = list(range(1, top + 1))
+                    rng.shuffle(order)
+                    members = [0]
+                    common = (1 << top) - 1  # neighbours of every member
+                    for v in order:
+                        if (common >> (top - v)) & 1:
+                            members.append(v)
+                            common &= cg.rows[v]
+                    words = [int(cg.vertices[i]) for i in members]
+                    if kind == 1 and len(words) < 1 << n:
+                        extra = rng.randrange(1, 1 << n)
+                        while extra in words:
+                            extra = rng.randrange(1, 1 << n)
+                        words.append(extra)
+                else:
+                    words = list(random_code(g, rng.randint(1, min(8, 1 << n)), rng)
+                                 .code.values)
+                rng.shuffle(words)
+                yield g, words, errors
 
 
 class TestDetectionCheck:
@@ -99,6 +139,29 @@ class TestDetectionCheck:
             )).encode())
         assert violations == 1418
         assert h.hexdigest() == "62ea2d69d7d5d8c1b96f9ea41d4bd629dfd2d03e7fcebf7594693ee704d8d575"
+
+    def test_reports_pinned_for_every_n_and_d(self):
+        # 150 instances for each of the 35 (n, d) with n in 1..7 and d in
+        # 1..n+1: valid clique codes, clique codes with one word too many,
+        # and random codes, a third of them on degenerate graphs
+        h = hashlib.sha256()
+        tally = [0, 0, 0]  # passing, failing on one word, failing on a pair
+        for g, words, errors in detection_instances(random.Random(17), 150):
+            report = detection_check(CWSCode(g, ClassicalCode.from_ints(g.n, words)),
+                                     errors)
+            witness = report.witness
+            tally[0 if witness is None else len(witness.pair)] += 1
+            h.update(repr((
+                report.detects,
+                report.degenerate,
+                None if witness is None else str(witness.error),
+                None if witness is None else tuple(str(b) for b in witness.pair),
+            )).encode())
+        assert sum(tally) == 5250
+        assert tally == [2689, 1018, 1543]
+        assert h.hexdigest() == (
+            "e5b772a178da6c64d9a0be770505432f546a946b387cf548cdf364cff3efefdd"
+        )
 
 
 class TestKlOracle:
