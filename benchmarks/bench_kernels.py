@@ -20,6 +20,8 @@ import cwskit.kernels as K
 from cwskit.clique import make_cws_clique_graph
 from cwskit.errormap import error_set, setup
 from cwskit.graphs import Graph, class_table, edge_count
+from cwskit.search import SearchJob, run_search
+from cwskit.verify import first_failing_code
 
 
 def timeit(fn, repeat: int) -> float:
@@ -96,6 +98,17 @@ def bench_canon(repeat: int):
     return f"class table build (n={n}, 156 classes, {n}! perms)", fn, fn
 
 
+def bench_checkpoint_verify(repeat: int):
+    """The stored codes of the n=5 d=2 `all` sweep, verified as a resume
+    verifies its checkpoint."""
+    records = run_search(SearchJob(n=5, d=2, graph_source="all")).records
+    masks = [r.raw_mask for r in records]
+    codes = [list(r.code) for r in records]
+    errors = error_set(5, 2)
+    fn = lambda: first_failing_code(masks, codes, errors)
+    return f"checkpoint verify (n=5 d=2 all, {len(masks)} records)", fn, fn
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=3)
@@ -108,6 +121,7 @@ def main() -> None:
         bench_bnb,
         bench_bnb_ring10,
         bench_canon,
+        bench_checkpoint_verify,
     ]
     print(f"{'kernel':<55} {'time':>10}")
     for bench in benches:

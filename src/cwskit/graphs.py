@@ -124,6 +124,31 @@ class Graph:
         return np.array(self.rows, dtype=np.int64)
 
 
+@lru_cache(maxsize=16)
+def _edge_row_bits(n: int) -> np.ndarray:
+    """Read-only (E, n) int64 table: the row bits edge mask bit b sets, 1 << j
+    in column i and 1 << i in column j for its edge (i, j)."""
+    table = np.zeros((edge_count(n), n), dtype=np.int64)
+    for bit, i, j in _edge_positions(n):
+        table[bit, i] = 1 << j
+        table[bit, j] = 1 << i
+    table.flags.writeable = False
+    return table
+
+
+def rows_table(n: int, masks: Sequence[int]) -> np.ndarray:
+    """Adjacency rows of many graphs at once: row r of the (R, n) int64 table
+    is ``Graph.from_mask(n, masks[r]).rows``.
+
+    Like ``from_mask``, it reads only the low E = n(n-1)/2 bits of a mask, so
+    a mask of any size or sign gives the graph ``from_mask`` builds from it.
+    E must stay below 63 (n <= 11)."""
+    low = (1 << edge_count(n)) - 1
+    kept = np.array([mask & low for mask in masks], dtype=np.int64)
+    bits = (kept[:, None] >> np.arange(edge_count(n))) & 1
+    return bits @ _edge_row_bits(n)
+
+
 def mask_hex(n: int, mask: int) -> str:
     width = max(1, (edge_count(n) + 3) // 4)
     return f"{mask:0{width}x}"

@@ -16,7 +16,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .clique import (
     Clique,
@@ -41,7 +41,7 @@ from .graphs import (
     mask_hex,
     parse_graph_file,
 )
-from .verify import CWSCode, detection_check
+from .verify import CWSCode, first_failing_code
 
 COVERING_SOURCES = {"all", "iso", "lc"}
 
@@ -89,8 +89,7 @@ class SearchJob:
         return fields
 
 
-@dataclass(frozen=True)
-class GraphRecord:
+class GraphRecord(NamedTuple):
     n: int
     canon_mask: int
     raw_mask: int
@@ -256,12 +255,18 @@ def _is_header(obj: dict) -> bool:
 def _is_record(obj: dict) -> bool:
     """Whether `obj` holds the fields `_record_from` reads, typed as a search
     writes them: int masks, m and bestK (never bools), a known status, and a
-    code that is absent, null or a list of ints."""
+    code that is absent, null or a list of ints.  A search stores a code of
+    exactly bestK words, so a non-empty code of another length is refused."""
     code = obj.get("code")
     return (
         all(type(obj.get(k)) is int for k in ("raw_mask", "canon_mask", "m", "bestK"))
         and obj.get("status") in ("exact", "bound")
-        and (code is None or type(code) is list and all(type(c) is int for c in code))
+        and (
+            code is None
+            or type(code) is list
+            and all(type(c) is int for c in code)
+            and (not code or len(code) == obj["bestK"])
+        )
     )
 
 
@@ -281,6 +286,11 @@ def _checkpoint_line(
 def _load_checkpoint(path: Path, job: SearchJob) -> dict[int, dict]:
     """Replay completed records; every stored code must re-verify.
 
+    The stored codes are verified together once every line is decoded, by
+    `verify.first_failing_code`: on ints, in chunks, with no Graph or
+    ClassicalCode per record.  So a line that does not decode is reported
+    before a stored code that fails, wherever the two are in the file.
+
     An interrupted run can leave a torn last line.  Once every complete
     line has been replayed, everything after the final newline is cut from
     the file (all of it when no complete header line exists), so that the
@@ -297,18 +307,19 @@ def _load_checkpoint(path: Path, job: SearchJob) -> dict[int, dict]:
         header = _checkpoint_line(lines[0], 1, _is_header, "job header")
         if header["job"] != job.fingerprint():
             raise ValueError("checkpoint belongs to a different job")
-    errors = error_set(job.n, job.d)
+    masks: list[int] = []
+    codes: list[list[int]] = []
     for lineno, ln in enumerate(lines[1:], start=2):
         ln = ln.strip()
         if not ln:
             continue
         rec = _checkpoint_line(ln, lineno, _is_record, "record")
         if rec.get("code"):
-            g = Graph.from_mask(job.n, rec["raw_mask"])
-            q = CWSCode(g, ClassicalCode.from_ints(job.n, sorted(rec["code"])))
-            if not detection_check(q, errors).detects:
-                raise ValueError("checkpoint contains a code that fails verification")
+            masks.append(rec["raw_mask"])
+            codes.append(rec["code"])
         done[rec["raw_mask"]] = rec
+    if first_failing_code(masks, codes, error_set(job.n, job.d)) >= 0:
+        raise ValueError("checkpoint contains a code that fails verification")
     if keep < len(data):
         os.truncate(path, keep)
     return done

@@ -23,7 +23,7 @@ import numpy as np
 from . import kernels
 from .errormap import ErrorSet, _weight_errors
 from .gf2 import BitString, ClassicalCode, PauliOp, parity
-from .graphs import Graph, parse_graph_file, write_graph_file
+from .graphs import Graph, parse_graph_file, rows_table, write_graph_file
 
 MAX_ORACLE_N = 12
 
@@ -66,6 +66,30 @@ class VerificationReport:
     witness: Witness | None
 
 
+def _first_violation(
+    words: Sequence[int], patterns: Sequence[int], errors: ErrorSet
+) -> int:
+    """Index of the first error of ``errors`` that breaks the detection
+    conditions of the codewords ``words``, or -1 when none does; ``patterns``
+    are the errors' induced patterns, in the same order.
+
+    An error breaks them when its pattern is the XOR of two codewords, or is
+    zero while the error anticommutes with a codeword.  A code that detects
+    every error (most codes checked are) is settled by one set test: no
+    pattern is 0 or an XOR of two codewords.  Only a hit walks the errors."""
+    hits = {a ^ b for a in words for b in words}  # with 0, as a ^ a
+    if hits.isdisjoint(patterns):
+        return -1
+    paulis = errors.paulis
+    for idx, p in enumerate(patterns):
+        if p:
+            if p in hits:
+                return idx
+        elif any(parity(c & paulis[idx].u) for c in words):
+            return idx
+    return -1
+
+
 def detection_check(q: CWSCode, errors: ErrorSet) -> VerificationReport:
     """Combinatorial detection conditions on the induced error patterns.
 
@@ -77,23 +101,63 @@ def detection_check(q: CWSCode, errors: ErrorSet) -> VerificationReport:
     if errors.n != q.n:
         raise ValueError("error set does not match code size")
     words = q.code.values
-    pair_of: dict[int, tuple[int, ...]] = {}
-    for i, a in enumerate(words):
-        for b in words[i + 1 :]:
-            pair_of.setdefault(a ^ b, (a, b))
-
     patterns = kernels.cl_patterns(errors.xcols, errors.v, q.graph.rows).tolist()
     degenerate = 0 in patterns
-    for idx, p in enumerate(patterns):
-        if p:
-            pair = pair_of.get(p)
-        else:
-            u = errors.paulis[idx].u
-            pair = next(((c,) for c in words if parity(c & u)), None)
-        if pair is not None:
-            witness = Witness(errors.paulis[idx], tuple(BitString(q.n, c) for c in pair))
-            return VerificationReport(False, degenerate, witness)
-    return VerificationReport(True, degenerate, None)
+    idx = _first_violation(words, patterns, errors)
+    if idx < 0:
+        return VerificationReport(True, degenerate, None)
+    error, p = errors.paulis[idx], patterns[idx]
+    if p:
+        pair = next(
+            (a, b) for i, a in enumerate(words) for b in words[i + 1 :] if a ^ b == p
+        )
+    else:
+        pair = next((c,) for c in words if parity(c & error.u))
+    witness = Witness(error, tuple(BitString(q.n, c) for c in pair))
+    return VerificationReport(False, degenerate, witness)
+
+
+VERIFY_CHUNK = 4096  # graphs per pattern table: (VERIFY_CHUNK, E) int64
+
+
+def _check_words(n: int, words: Sequence[int]) -> None:
+    """Refuse the codewords that ``CWSCode(g, ClassicalCode.from_ints(n,
+    sorted(words)))`` refuses, with its message: a word outside 0..2^n-1
+    (the smallest such word), else a repeated word, else no all-zeros word."""
+    if min(words) < 0 or max(words) >> n:
+        bad = min(c for c in words if c < 0 or c >> n)
+        raise ValueError(f"value {bad} out of range for n={n}")
+    distinct = set(words)
+    if len(distinct) < len(words):
+        raise ValueError("codewords must be pairwise distinct")
+    if 0 not in distinct:
+        raise ValueError("standard form requires the all-zeros codeword")
+
+
+def first_failing_code(
+    masks: Sequence[int], codes: Sequence[Sequence[int]], errors: ErrorSet
+) -> int:
+    """Index of the first (graph edge mask, codewords) pair whose code fails
+    ``detection_check``, or -1 when every code detects ``errors``.
+
+    The check runs on ints, with no Graph or ClassicalCode per pair: each
+    chunk of up to VERIFY_CHUNK masks becomes one adjacency table
+    (``graphs.rows_table``, which reads a mask's low n(n-1)/2 bits as
+    ``Graph.from_mask`` does), one ``cl_patterns`` call maps every error
+    through all of its graphs, and each code is tested against its graph's
+    patterns by the core ``detection_check`` uses.  The words of each code
+    are first checked as ``CWSCode`` would check them (a ValueError with its
+    message), in pair order, so the first bad pair is the one reported."""
+    n = errors.n
+    for lo in range(0, len(masks), VERIFY_CHUNK):
+        hi = lo + VERIFY_CHUNK
+        table = rows_table(n, masks[lo:hi])
+        patterns = kernels.cl_patterns(errors.xcols, errors.v, table).tolist()
+        for i, (words, pats) in enumerate(zip(codes[lo:hi], patterns), lo):
+            _check_words(n, words)
+            if _first_violation(words, pats, errors) >= 0:
+                return i
+    return -1
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from cwskit.graphs import (
     graph_state_amplitudes,
     isomorphism_classes,
     lc_orbit,
+    rows_table,
     lc_orbit_masks,
     local_complement,
     mask_hex,
@@ -72,6 +73,20 @@ class TestGraphBasics:
         for n in (2, 5, 10):
             for i, j in itertools.combinations(range(n), 2):
                 assert Graph.from_mask(n, 1 << edge_bit(i, j, n)).edges() == [(i, j)]
+
+    def test_rows_table_reads_the_low_edge_bits_as_from_mask(self):
+        # masks of any size or sign, as a foreign checkpoint record may hold
+        rng = random.Random(6)
+        for n in range(1, 12):
+            e = edge_count(n)
+            masks = [rng.randrange(1 << e) + (rng.randrange(-1 << 80, 1 << 80) << e)
+                     for _ in range(40)] + [0, (1 << e) - 1, -1, -5, 1 << 70]
+            table = rows_table(n, masks)
+            assert table.shape == (len(masks), n) and table.dtype == np.int64
+            assert [tuple(r) for r in table.tolist()] == [
+                Graph.from_mask(n, m).rows for m in masks
+            ]
+        assert rows_table(4, []).shape == (0, 4)
 
     def test_edge_bit_layout_is_colex_prefix_first(self):
         # edge (0,1) occupies the top bit so early vertices dominate the order

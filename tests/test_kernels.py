@@ -10,7 +10,7 @@ import cwskit.kernels as K
 from cwskit.clique import make_cws_clique_graph
 from cwskit.errormap import ErrorSet, cl_map, error_set, setup
 from cwskit.gf2 import PauliOp
-from cwskit.graphs import Graph, edge_count
+from cwskit.graphs import Graph, edge_count, rows_table
 
 
 def _random_adjacency_rows(rng, m):
@@ -76,6 +76,19 @@ def test_cl_patterns_match_cl_map():
         assert [int(x) for x in got] == [cl_map(p, g).value for p in paulis]
     empty = ErrorSet(3, ())
     assert K.cl_patterns(empty.xcols, empty.v, Graph.ring(3).rows).shape == (0,)
+
+
+def test_cl_patterns_of_a_row_table_stack_the_single_graph_patterns():
+    rng = random.Random(4)
+    for n, d in [(1, 2), (4, 1), (4, 3), (7, 3), (7, 8)]:
+        errs = error_set(n, d)
+        masks = [rng.randrange(1 << edge_count(n)) for _ in range(9)]
+        got = K.cl_patterns(errs.xcols, errs.v, rows_table(n, masks))
+        assert got.shape == (len(masks), len(errs))
+        for mask, row in zip(masks, got.tolist()):
+            single = K.cl_patterns(errs.xcols, errs.v, Graph.from_mask(n, mask).rows)
+            assert row == single.tolist()
+    assert K.cl_patterns(errs.xcols, errs.v, rows_table(7, [])).shape == (0, len(errs))
 
 
 def test_graph_signs_match_edge_list():

@@ -33,7 +33,7 @@ from cwskit.search import (
 )
 from cwskit.verify import CWSCode, VerificationReport, detection_check
 from cwskit.errormap import cl_map, error_set, setup
-from cwskit.gf2 import ClassicalCode
+from cwskit.gf2 import BitString, ClassicalCode
 
 RECORD_RE = re.compile(
     r"^graph=[0-9a-f]+ cliquegraph_vertices=\d+ bestK=\d+ status=(exact|bound)$"
@@ -482,7 +482,7 @@ class TestCheckpoint:
         head, *lines = data.decode().splitlines()
         records = [json.loads(ln) for ln in lines]
         (rec,) = [r for r in records if r["raw_mask"] == 0]
-        rec["code"] = [0, 1]
+        rec["code"], rec["bestK"] = [0, 1], 2
         ck.write_text("\n".join([head, *map(json.dumps, records)]) + "\n")
         capsys.readouterr()
         assert main(["search", "--n", "4", "--d", "2", "--checkpoint", str(ck)]) == 2
@@ -573,6 +573,47 @@ class TestCheckpoint:
             h.update(out.read_bytes())
             h.update(ck.read_bytes())
         assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("best_k", [9, 3])
+    def test_record_whose_code_is_not_best_k_words_is_refused(
+        self, best_k, tmp_path: Path, capsys
+    ):
+        # a search stores exactly bestK words; a record claiming another K
+        # beside its code would set summary_bestK and keep the witness
+        ck = tmp_path / "k.ckpt"
+        argv = ["search", "--n", "4", "--d", "2", "--graphs", "iso",
+                "--checkpoint", str(ck)]
+        assert main(argv) == 0
+        head, *lines = ck.read_text().splitlines()
+        i = next(i for i, ln in enumerate(lines) if json.loads(ln)["bestK"] == 4)
+        rec = json.loads(lines[i])
+        rec["bestK"] = best_k
+        lines[i] = json.dumps(rec)
+        ck.write_text("\n".join([head, *lines]) + "\n")
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: checkpoint line {i + 2} is not a record\n"
+        )
+
+    def test_resume_builds_only_the_witness_objects(self, tmp_path: Path, monkeypatch):
+        # stored codes are verified on ints: resuming the complete n=5
+        # checkpoint builds one Graph, ClassicalCode and CWSCode, and the
+        # BitStrings of their words, all for the witness
+        job = SearchJob(n=5, d=2, graph_source="all")
+        ck = tmp_path / "all.ckpt"
+        full = run_search(job, checkpoint=ck)
+        built = []
+        for cls in (Graph, ClassicalCode, CWSCode, BitString):
+            def counted(self, hook=cls.__post_init__):
+                built.append(type(self).__name__)
+                hook(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        resumed = run_search(job, checkpoint=ck)
+        assert render_result(resumed) == render_result(full)
+        assert resumed.witness == full.witness
+        assert sorted(built) == ["BitString"] * 6 + ["CWSCode", "ClassicalCode", "Graph"]
 
     def test_checkpoint_job_mismatch(self, tmp_path: Path):
         ck = tmp_path / "other.ckpt"

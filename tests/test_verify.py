@@ -3,7 +3,9 @@ import random
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import cwskit.verify
 from conftest import dense_pauli, random_graph
 from cwskit.clique import cws_maxclique, make_cws_clique_graph
 from cwskit.errormap import ErrorSet, _weight_errors, cl_map, error_set, setup
@@ -13,6 +15,7 @@ from cwskit.verify import (
     CWSCode,
     code_distance,
     detection_check,
+    first_failing_code,
     kl_oracle,
     kl_oracle_states,
     parse_code_file,
@@ -35,14 +38,14 @@ def random_code(g: Graph, k: int, rng) -> CWSCode:
     return CWSCode(g, ClassicalCode.from_ints(g.n, sorted(words)))
 
 
-def detection_instances(rng, per_case: int):
-    """(graph, words, errors) for every n in 1..7 and d in 1..n+1, per_case
-    of each.  A third of the graphs get an isolated vertex, so X on it maps
+def detection_instances(rng, per_case: int, max_d: int = 8):
+    """(graph, words, errors) for every n in 1..7 and d in 1..min(n+1, max_d),
+    per_case of each.  A third of the graphs get an isolated vertex, so X on it maps
     to the zero pattern.  The words contain 0, in shuffled order: a random
     clique of the clique graph (the code a search could store), that clique
     plus one random word, or random words."""
     for n in range(1, 8):
-        for d in range(1, n + 2):
+        for d in range(1, min(n + 1, max_d) + 1):
             errors = error_set(n, d)
             for _ in range(per_case):
                 g = random_graph(n, rng)
@@ -162,6 +165,63 @@ class TestDetectionCheck:
         assert h.hexdigest() == (
             "e5b772a178da6c64d9a0be770505432f546a946b387cf548cdf364cff3efefdd"
         )
+
+
+class TestFirstFailingCode:
+    def test_agrees_with_detection_check_over_seeded_batches(self, monkeypatch):
+        # 10,150 batches of 1 to 8 (graph, code) pairs, each of one (n, d)
+        # with n in 1..7 and d <= 4; three graphs a chunk, so most batches
+        # span chunks; masks carry random bits above the edge bits, which
+        # must not count
+        monkeypatch.setattr(cwskit.verify, "VERIFY_CHUNK", 3)
+        rng = random.Random(23)
+        pools: dict[tuple[int, int], list] = {}
+        for g, words, errors in detection_instances(rng, 60, max_d=4):
+            q = CWSCode(g, ClassicalCode.from_ints(g.n, words))
+            pools.setdefault((g.n, len(errors)), []).append(
+                (g.mask(), words, errors, detection_check(q, errors).detects)
+            )
+        batches = 0
+        boundary = [0, 0]  # first failures last in a chunk, first in a chunk
+        for pool in pools.values():
+            errors = pool[0][2]
+            shift = errors.n * (errors.n - 1) // 2  # the edge bits
+            for _ in range(406):
+                picked = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
+                masks = [m + (rng.randint(-4, 4) << shift) for m, *_ in picked]
+                codes = [words for _m, words, _e, _ok in picked]
+                expect = next((i for i, p in enumerate(picked) if not p[3]), -1)
+                assert first_failing_code(masks, codes, errors) == expect
+                batches += 1
+                if expect >= 3:
+                    boundary[expect % 3 == 0] += 1
+        assert batches == 10_150
+        assert min(boundary) > 0
+
+    @pytest.mark.parametrize("at", [cwskit.verify.VERIFY_CHUNK - 1,
+                                    cwskit.verify.VERIFY_CHUNK])
+    def test_failure_on_either_side_of_a_full_chunk(self, at):
+        errors = error_set(5, 2)
+        g = Graph.ring(5)
+        good = list(cws_maxclique(errors, g).values)
+        masks = [g.mask()] * (cwskit.verify.VERIFY_CHUNK + 1)
+        codes = [good] * len(masks)
+        assert first_failing_code(masks, codes, errors) == -1
+        codes[at] = [0, 1]  # Z on qubit 0 maps 0 onto 1
+        assert first_failing_code(masks, codes, errors) == at
+
+    @pytest.mark.parametrize(
+        "words, message",
+        [([0, 8], "value 8 out of range for n=3"),
+         ([0, 9, -2], "value -2 out of range for n=3"),
+         ([0, 1, 1], "codewords must be pairwise distinct"),
+         ([1, 2], "standard form requires the all-zeros codeword")],
+    )
+    def test_refuses_what_cws_code_refuses(self, words, message):
+        with pytest.raises(ValueError, match=message):
+            CWSCode(Graph.empty(3), ClassicalCode.from_ints(3, sorted(words)))
+        with pytest.raises(ValueError, match=message):
+            first_failing_code([0], [words], error_set(3, 2))
 
 
 class TestKlOracle:
