@@ -152,10 +152,12 @@ def first_failing_code(
     for lo in range(0, len(masks), VERIFY_CHUNK):
         hi = lo + VERIFY_CHUNK
         table = rows_table(n, masks[lo:hi])
-        patterns = kernels.cl_patterns(errors.xcols, errors.v, table).tolist()
+        patterns = kernels.cl_patterns(errors.xcols, errors.v, table)
         for i, (words, pats) in enumerate(zip(codes[lo:hi], patterns), lo):
             _check_words(n, words)
-            if _first_violation(words, pats, errors) >= 0:
+            # one row of ints at a time: a whole chunk as lists would raise
+            # the peak memory of a resume
+            if _first_violation(words, pats.tolist(), errors) >= 0:
                 return i
     return -1
 
