@@ -18,11 +18,11 @@ from cwskit.graphs import (
     graph_state_amplitudes,
     isomorphism_classes,
     lc_orbit,
-    rows_table,
     lc_orbit_masks,
     local_complement,
     mask_hex,
     parse_graph_file,
+    rows_table,
     write_graph_file,
     _canonical_dfs,
 )

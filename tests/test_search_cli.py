@@ -490,6 +490,33 @@ class TestCheckpoint:
             "error: checkpoint contains a code that fails verification\n"
         )
 
+    def test_lines_are_decoded_before_codes_are_verified(
+        self, complete_n4_checkpoint, capsys
+    ):
+        # a failing code leaves a torn tail uncut; an undecodable line after
+        # the failing code is still the fault reported
+        _job, data, _plain, ck = complete_n4_checkpoint
+        head, *lines = data.decode().splitlines()
+        records = [json.loads(ln) for ln in lines]
+        (rec,) = [r for r in records if r["raw_mask"] == 0]
+        rec["code"], rec["bestK"] = [0, 1], 2
+        body = [head, *map(json.dumps, records)]
+        argv = ["search", "--n", "4", "--d", "2", "--checkpoint", str(ck)]
+        torn = ("\n".join(body) + '\n{"raw_mask": 3').encode()
+        ck.write_bytes(torn)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: checkpoint contains a code that fails verification\n"
+        )
+        assert ck.read_bytes() == torn
+        body.append("not json")
+        ck.write_text("\n".join(body) + "\n")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: checkpoint line {len(body)} cannot be decoded\n"
+        )
+
     @pytest.mark.parametrize(
         "code, message",
         [
@@ -751,7 +778,7 @@ class TestCli:
 
         def hide_last(xcols, v, rows):
             patterns = cl_patterns(xcols, v, rows)
-            patterns[-1] = patterns[0]
+            patterns[..., -1] = patterns[..., 0]  # per graph, also for a row table
             return patterns
 
         monkeypatch.setattr(kernels, "cl_patterns", hide_last)
