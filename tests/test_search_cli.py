@@ -229,6 +229,64 @@ class TestRunSearch:
             run_search(SearchJob(n=3, d=2, graph_source="iso"))
 
 
+# sha256 of exit code, stdout, result file and checkpoint of a checkpointed
+# `cwskit search` run and of its resume from the complete checkpoint
+RUN_PINS = {
+    "n5-d2-all": (
+        ["--n", "5", "--d", "2", "--graphs", "all"],
+        "6504ca76b485f208fab2d8ff70413a0872fddf1fc1861b4c3e80521077901b00"),
+    "n6-d3-k3-iso": (
+        ["--n", "6", "--d", "3", "--k", "3", "--graphs", "iso"],
+        "b9b6d245abca28d477c648e147cec84c4bb810991f82abd252e0d81acd5195d9"),
+    "n5-d2-lc": (
+        ["--n", "5", "--d", "2", "--graphs", "lc"],
+        "27826d46e7866d77e70fe6530e46e642611590fcb883bc5e5a194bccf75b80f9"),
+    **{
+        f"n4-d{d}-all": (["--n", "4", "--d", str(d), "--graphs", "all"], digest)
+        for d, digest in [
+            (1, "ca0c71a0a2fd9a763c0203a4cacb8d639758b3a44f031f4598585e077dcc00bc"),
+            (2, "e49bc6d9cb44425834114ec8bfb9b4f822ef32c67dcd58e69a06fb70bdab3493"),
+            (3, "750abda62052f75712fae6953acaf704017816061933d5569b60cad2deb0be55"),
+            (4, "04a69a872a5e98e6069a06df92747c4007224a6a079462a48e8261600ab680e8"),
+            (5, "372113fba56f837ab9ed8fc23ffc6940308117bffb23531045c7b4e2d0aa416b"),
+        ]
+    },
+    "n5-d3-all": (
+        ["--n", "5", "--d", "3", "--graphs", "all"],
+        "ee0101601d692fe4cd36a01874ce0241299075471b2a563b9f44ae95e7aa0482"),
+    # bound and exact records side by side
+    "n5-d2-all-budget3": (
+        ["--n", "5", "--d", "2", "--graphs", "all", "--budget", "3"],
+        "4868cb4680a1420da3554dad466874208110c72204df83069747aed546d61408"),
+    # records land in completion order: the checkpoint is hashed sorted
+    "n5-d2-all-jobs2": (
+        ["--n", "5", "--d", "2", "--graphs", "all", "--jobs", "2"],
+        "78385a96ab4129344acce9cacdc5443179d171daac721078d1acf17cb8cda652"),
+    "n6-d2-iso": (
+        ["--n", "6", "--d", "2", "--graphs", "iso"],
+        "dd1e2420f2cf8dd40bf03062bab881ce0e21e8d336cd112edea57bada4914a79"),
+    "n6-d3-k3-lc": (
+        ["--n", "6", "--d", "3", "--k", "3", "--graphs", "lc"],
+        "538f29e8656edb49d49c0535060ecc6176a313c30843f4e2a31ef16680fa2922"),
+}
+
+
+def run_and_resume_digest(argv: list[str], tmp_path: Path, capsys) -> str:
+    ck, out = tmp_path / "run.ckpt", tmp_path / "res.txt"
+    ck.unlink(missing_ok=True)
+    h = hashlib.sha256()
+    for _ in range(2):
+        rc = main(["search", *argv, "--checkpoint", str(ck), "--out", str(out)])
+        h.update(repr((rc, capsys.readouterr().out)).encode())
+        h.update(out.read_bytes())
+        data = ck.read_bytes()
+        if "--jobs" in argv:
+            head, *records = data.splitlines(keepends=True)
+            data = head + b"".join(sorted(records))
+        h.update(data)
+    return h.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def complete_n4_checkpoint(tmp_path_factory):
     """(job, its complete checkpoint's bytes, uninterrupted result, scratch path)."""
@@ -577,29 +635,9 @@ class TestCheckpoint:
             else:
                 assert err == "error: checkpoint contains a code that fails verification\n"
 
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (["--n", "5", "--d", "2", "--graphs", "all"],
-             "6504ca76b485f208fab2d8ff70413a0872fddf1fc1861b4c3e80521077901b00"),
-            (["--n", "6", "--d", "3", "--k", "3", "--graphs", "iso"],
-             "b9b6d245abca28d477c648e147cec84c4bb810991f82abd252e0d81acd5195d9"),
-            (["--n", "5", "--d", "2", "--graphs", "lc"],
-             "27826d46e7866d77e70fe6530e46e642611590fcb883bc5e5a194bccf75b80f9"),
-        ],
-        ids=["n5-d2-all", "n6-d3-k3-iso", "n5-d2-lc"],
-    )
+    @pytest.mark.parametrize("argv, digest", RUN_PINS.values(), ids=RUN_PINS.keys())
     def test_run_and_resume_outputs_pinned(self, argv, digest, tmp_path: Path, capsys):
-        # exit code, stdout, result file and checkpoint of a checkpointed run
-        # and of its resume from the complete checkpoint
-        ck, out = tmp_path / "run.ckpt", tmp_path / "res.txt"
-        h = hashlib.sha256()
-        for _ in range(2):
-            rc = main(["search", *argv, "--checkpoint", str(ck), "--out", str(out)])
-            h.update(repr((rc, capsys.readouterr().out)).encode())
-            h.update(out.read_bytes())
-            h.update(ck.read_bytes())
-        assert h.hexdigest() == digest
+        assert run_and_resume_digest(argv, tmp_path, capsys) == digest
 
     @pytest.mark.parametrize("best_k", [9, 3])
     def test_record_whose_code_is_not_best_k_words_is_refused(
