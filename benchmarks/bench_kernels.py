@@ -17,10 +17,10 @@ import time
 import numpy as np
 
 import cwskit.kernels as K
-from cwskit.clique import make_cws_clique_graph
-from cwskit.errormap import error_set, setup
-from cwskit.graphs import Graph, class_table, edge_count
-from cwskit.search import SearchJob, run_search
+from cwskit.clique import clique_graphs, make_cws_clique_graph
+from cwskit.errormap import error_set, setup, setup_table
+from cwskit.graphs import Graph, class_table, edge_count, rows_table
+from cwskit.search import BUILD_CHUNK, SearchJob, run_search
 from cwskit.verify import first_failing_code
 
 
@@ -59,11 +59,27 @@ def bench_graph_signs(repeat: int):
 def bench_clique_adjacency(repeat: int):
     rng = np.random.default_rng(2)
     n = 10
-    cl = rng.random(1 << n) < 0.6
-    cl[0] = False
-    verts = np.flatnonzero(~cl).astype(np.int64)
+    cl = rng.random((1, 1 << n)) < 0.6
+    cl[:, 0] = False
+    verts = np.flatnonzero(~cl[0])[None]
     fn = lambda: K.clique_adjacency(verts, cl)
-    return f"clique_adjacency ({verts.size} vertices)", fn, fn
+    return f"clique_adjacency ({verts.shape[1]} vertices)", fn, fn
+
+
+def bench_clique_graphs(repeat: int):
+    """The 1,024 graphs of the n=5 d=2 `all` sweep through the batched
+    build, BUILD_CHUNK graphs at a time, as a search builds them: row
+    table, CL/D arrays, then the clique graphs."""
+    n = 5
+    errors = error_set(n, 2)
+    masks = list(range(1 << edge_count(n)))
+
+    def body():
+        for lo in range(0, len(masks), BUILD_CHUNK):
+            chunk = masks[lo : lo + BUILD_CHUNK]
+            list(clique_graphs(n, *setup_table(errors, rows_table(n, chunk))))
+
+    return f"batched clique-graph build (n=5 d=2, {len(masks)} graphs)", body, body
 
 
 def bench_bnb(repeat: int):
@@ -111,13 +127,14 @@ def bench_checkpoint_verify(repeat: int):
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
 
     benches = [
         bench_cl_patterns,
         bench_graph_signs,
         bench_clique_adjacency,
+        bench_clique_graphs,
         bench_bnb,
         bench_bnb_ring10,
         bench_canon,

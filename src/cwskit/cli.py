@@ -117,6 +117,8 @@ def _cmd_search(args) -> int:
             + ",".join(str(w) for w in result.witness.code.sorted().words)
         )
     print(f"elapsed={result.elapsed:.2f}s", file=sys.stderr)
+    if result.inconclusive_reason is not None:
+        print(f"inconclusive: {result.inconclusive_reason}", file=sys.stderr)
     return result.exit_code
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -82,22 +83,43 @@ class CliqueGraph:
         return "\n".join(lines) + "\n"
 
 
-def make_cws_clique_graph(arrays: ClArrays) -> CliqueGraph:
-    """Admissible codewords plus compatibility edges, per the setup arrays."""
-    n = arrays.n
+def clique_graphs(n: int, cl: np.ndarray, d: np.ndarray) -> Iterator[CliqueGraph]:
+    """The clique graphs of R setups, in row order, from their (R, 2^n) CL
+    and D arrays (``errormap.setup_table``): admissible codewords plus
+    compatibility edges.
+
+    The vertices of every graph come from one stable argsort; the adjacency
+    takes one ``kernels.clique_adjacency`` call per vertex count m.  Each
+    CliqueGraph is made only when the iterator reaches it, so a caller that
+    drops one before taking the next holds one graph's B&B tables at a time."""
     if n > MAX_INDEX_SPACE_N:
         raise ValueError(
             f"clique graphs are materialised only up to n={MAX_INDEX_SPACE_N}"
         )
-    ok = ~arrays.cl & ~arrays.d
-    ok[0] = True  # the all-zeros word is always a vertex
-    vertices = np.flatnonzero(ok).astype(np.int64)
-    m = vertices.shape[0]
-    if m > MAX_MATERIALIZED_VERTICES:
+    ok = ~cl & ~d
+    ok[:, 0] = True  # the all-zeros word is always a vertex
+    sizes = np.count_nonzero(ok, axis=1)
+    m_max = int(sizes.max(initial=0))
+    if m_max > MAX_MATERIALIZED_VERTICES:
         raise ValueError(
-            f"clique graph with {m} vertices exceeds the materialisation cap"
+            f"clique graph with {m_max} vertices exceeds the materialisation cap"
         )
-    return CliqueGraph(n, vertices, kernels.clique_adjacency(vertices, arrays.cl))
+    # each row: its vertices ascending, then the other words
+    order = np.argsort(~ok, axis=1, kind="stable")
+    vertices: list = [None] * len(sizes)
+    rows: list = [None] * len(sizes)
+    for m in np.unique(sizes).tolist():
+        group = np.flatnonzero(sizes == m)
+        verts = order[group, :m]
+        adjacency = kernels.clique_adjacency(verts, cl[group])
+        for r, v, adj in zip(group.tolist(), verts, adjacency):
+            vertices[r], rows[r] = v, adj
+    return (CliqueGraph(n, v, adj) for v, adj in zip(vertices, rows))
+
+
+def make_cws_clique_graph(arrays: ClArrays) -> CliqueGraph:
+    """Admissible codewords plus compatibility edges, per the setup arrays."""
+    return next(clique_graphs(arrays.n, arrays.cl[None], arrays.d[None]))
 
 
 @dataclass(frozen=True)

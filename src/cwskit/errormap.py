@@ -138,6 +138,42 @@ class ClArrays:
         )
 
 
+def setup_table(errors: ErrorSet, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CL and D arrays of R graphs at once, from their (R, n) int64
+    adjacency row table (``graphs.rows_table``): two (R, 2^n) bool arrays,
+    row r those of graph r.
+
+    One ``kernels.cl_patterns`` call maps every error through every graph.
+    D is computed only for degenerate graphs (CL holds 0): D[i] = 1 iff i
+    has odd overlap with some trivially-mapping X support, equivalently with
+    some vector of a basis of their span, which has at most n vectors.  A
+    zero pattern has u != 0 (the identity is no error), so a degenerate
+    graph's basis is not empty."""
+    count, n = rows.shape
+    size = 1 << n
+    cl = np.zeros((count, size), dtype=bool)
+    d = np.zeros((count, size), dtype=bool)
+    if not len(errors) or not count:
+        return cl, d
+    patterns = kernels.cl_patterns(errors.xcols, errors.v, rows)
+    cl[np.arange(count)[:, None], patterns] = True
+    degenerate = np.flatnonzero(cl[:, 0])
+    if degenerate.size:
+        bases = [xor_basis(errors.u[zero].tolist()) for zero in patterns[degenerate] == 0]
+        # basis[k, r] is vector k of degenerate graph r's basis, or 0 past its end
+        basis = np.zeros((max(map(len, bases)), degenerate.size, 1), dtype=np.int64)
+        for r, b in enumerate(bases):
+            basis[: len(b), r, 0] = b
+        for lo in range(0, size, _CHUNK):
+            hi = min(size, lo + _CHUNK)
+            x = np.arange(lo, hi, dtype=np.int64)
+            acc = np.zeros((degenerate.size, hi - lo), dtype=bool)
+            for b in basis:
+                acc |= kernels.parity_of_and(x, b).astype(bool)
+            d[degenerate, lo:hi] = acc
+    return cl, d
+
+
 def setup(errors: ErrorSet, g: Graph) -> ClArrays:
     """Compute the CL and D arrays for an error set acting through a graph."""
     if errors.n != g.n:
@@ -145,24 +181,5 @@ def setup(errors: ErrorSet, g: Graph) -> ClArrays:
     n = g.n
     if n > MAX_SETUP_N:
         raise ValueError(f"setup supports n <= {MAX_SETUP_N}")
-    size = 1 << n
-
-    cl_bits = np.zeros(size, dtype=bool)
-    d_bits = np.zeros(size, dtype=bool)
-    if not len(errors):
-        return ClArrays(n, cl_bits, d_bits)
-    patterns = kernels.cl_patterns(errors.xcols, errors.v, g.rows)
-    cl_bits[patterns] = True
-    if cl_bits[0]:
-        # D[i] = 1 iff i has odd overlap with some trivially-mapping X support,
-        # equivalently with some basis vector of their span.  A zero pattern
-        # has u != 0 (the identity is no error), so the basis is not empty.
-        basis = xor_basis(errors.u[patterns == 0].tolist())
-        for lo in range(0, size, _CHUNK):
-            hi = min(size, lo + _CHUNK)
-            x = np.arange(lo, hi, dtype=np.int64)
-            acc = d_bits[lo:hi]  # a view: the chunk is written in place
-            for b in basis:
-                acc |= kernels.parity_of_and(x, b).astype(bool)
-
-    return ClArrays(n, cl_bits, d_bits)
+    cl, d = setup_table(errors, np.array([g.rows], dtype=np.int64))
+    return ClArrays(n, cl[0], d[0])

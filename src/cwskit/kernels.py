@@ -27,8 +27,9 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return bytes_.view(np.uint64)
 
 
-def parity_of_and(values: np.ndarray, mask: int) -> np.ndarray:
-    """Elementwise parity of popcount(values & mask), as uint8."""
+def parity_of_and(values: np.ndarray, mask: int | np.ndarray) -> np.ndarray:
+    """Elementwise parity of popcount(values & mask), as uint8; an int64
+    array ``mask`` broadcasts against ``values``."""
     return (np.bitwise_count(values & np.int64(mask)) & 1).astype(np.uint8)
 
 
@@ -73,16 +74,47 @@ def graph_signs(rows: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # CWS clique-graph adjacency over vertex indices
 
-def clique_adjacency(verts: np.ndarray, cl_bool: np.ndarray) -> list[int]:
-    """Neighbour mask of each vertex, high bit first: j is a neighbour of i
-    when i != j and the pattern verts[i] ^ verts[j] is not in CL.  The
-    vertices are distinct, so the zero pattern occurs only for i == j."""
+_GATHER_CELLS = 1 << 15  # adjacency cells gathered per step
+
+
+def clique_adjacency(verts: np.ndarray, cl_bool: np.ndarray) -> list[list[int]]:
+    """Neighbour masks of R clique graphs with m vertices each, high bit
+    first.  Row r of the (R, m) ``verts`` lists graph r's vertices, row r of
+    the (R, 2^n) ``cl_bool`` its CL array; j is a neighbour of i when
+    i != j and the pattern verts[r, i] ^ verts[r, j] is not in CL.  The
+    vertices of a graph are distinct, so the zero pattern occurs only for
+    i == j.
+
+    The R * m masks are gathered a block of whole masks at a time, so the
+    index arrays stay small however large one graph is."""
+    count, m = verts.shape
+    size = cl_bool.shape[1]
     free = ~cl_bool
-    free[0] = False  # the i ^ i pattern: no vertex is its own neighbour
-    ok = free[verts[:, None] ^ verts[None, :]]
-    packed = np.packbits(ok, axis=1, bitorder="big")
-    pad = 8 * packed.shape[1] - verts.size  # zero bits after the last vertex
-    return [int.from_bytes(row.tobytes(), "big") >> pad for row in packed]
+    free[:, 0] = False  # the i ^ i pattern: no vertex is its own neighbour
+    free = free.ravel()
+    # graph r's vertices as indices into its row of the flat free array; the
+    # words are below size = 2^n, so XOR keeps a graph's offset r * size
+    based = verts | (np.arange(count) * size)[:, None]
+    graph = np.repeat(np.arange(count), m)  # graph r of mask k = (r, i)
+    centre = verts.ravel()  # vertex verts[r, i] of mask k
+    nbytes = (m + 7) >> 3
+    masks: list[int] = []
+    step = max(1, _GATHER_CELLS // m)
+    for lo in range(0, count * m, step):
+        index = based[graph[lo : lo + step]]
+        index ^= centre[lo : lo + step, None]
+        packed = np.packbits(free.take(index), axis=1, bitorder="big")
+        if m <= 64:  # one big-endian word per mask, zero bits after vertex m-1
+            words = np.zeros((packed.shape[0], 8), dtype=np.uint8)
+            words[:, :nbytes] = packed
+            masks.extend((words.view(">u8")[:, 0] >> (64 - m)).tolist())
+        else:
+            data = packed.tobytes()
+            masks.extend(
+                int.from_bytes(data[k : k + nbytes], "big") >> (8 * nbytes - m)
+                for k in range(0, len(data), nbytes)
+            )
+    return [masks[r * m : (r + 1) * m] for r in range(count)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ concluded from an exact, fully exhausted run over a class-covering source.
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing as mp
 import os
@@ -16,18 +17,20 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .clique import (
     Clique,
+    CliqueGraph,
     CliqueSearchResult,
+    clique_graphs,
     find_clique_of_size,
     heuristic_clique,
     lex_min_clique,
     make_cws_clique_graph,
     max_clique,
 )
-from .errormap import error_set, setup
+from .errormap import error_set, setup, setup_table
 from .gf2 import ClassicalCode
 from .graphs import (
     MAX_CANONICAL_N,
@@ -40,6 +43,7 @@ from .graphs import (
     lc_orbit_masks,
     mask_hex,
     parse_graph_file,
+    rows_table,
 )
 from .verify import CWSCode, first_failing_code
 
@@ -48,6 +52,8 @@ COVERING_SOURCES = {"all", "iso", "lc"}
 EXIT_FOUND = 0
 EXIT_ABSENT = 3
 EXIT_INCONCLUSIVE = 4
+
+PROGRESS_EVERY = 5000  # --progress prints a line per this many solved graphs
 
 
 class SearchAborted(RuntimeError):
@@ -119,48 +125,84 @@ class SearchResult:
 
     @property
     def exit_code(self) -> int:
+        if self.inconclusive_reason is not None:
+            return EXIT_INCONCLUSIVE
         job = self.job
-        found = job.target_k is not None and self.summary_best_k >= job.target_k
+        if job.target_k is None or self.summary_best_k >= job.target_k:
+            return EXIT_FOUND
+        return EXIT_ABSENT
+
+    @property
+    def inconclusive_reason(self) -> str | None:
+        """Why the run is inconclusive (exit 4), or None when it is not.
+
+        A heuristic run without a target, and a run that found its target,
+        are never inconclusive.  Absence of a target is proven only by the
+        exact solver over a covering source, and any run needs every record
+        exact."""
+        job = self.job
         if job.target_k is None:
             if job.exactness == "heuristic":
-                return EXIT_FOUND
-            all_exact = all(r.status == "exact" for r in self.records)
-            return EXIT_FOUND if all_exact else EXIT_INCONCLUSIVE
-        if found:
-            return EXIT_FOUND
-        absence_proven = (
-            job.exactness == "exact"
-            and job.graph_source in COVERING_SOURCES
-            and all(r.status == "exact" for r in self.records)
-        )
-        return EXIT_ABSENT if absence_proven else EXIT_INCONCLUSIVE
+                return None
+        elif self.summary_best_k >= job.target_k:
+            return None
+        elif job.exactness == "heuristic":
+            return "--heuristic finds lower bounds only"
+        elif job.graph_source not in COVERING_SOURCES:
+            return f"--graphs {job.graph_source} does not cover every graph class"
+        bound = sum(r.status == "bound" for r in self.records)
+        if bound:
+            return (
+                f"{bound} of {self.total_graphs} graphs budget-bound"
+                f" at --budget {job.budget}"
+            )
+        return None
 
 
 # ---------------------------------------------------------------------------
 # per-search state and graph processing
+
+# Pending graphs whose CL/D arrays and clique graphs are built together, in a
+# few NumPy calls; each graph is then solved on its own.
+BUILD_CHUNK = 256
 
 # The job, its error set and, for `all`, the class table: filled once per
 # search by `run_search` before the pool forks, so workers inherit them.
 _W: dict = {}
 
 
-def _canon_mask(mask: int, g: Graph) -> int:
-    """Canonical id of a pending graph: iso/lc masks already are one, `all`
-    looks it up in the class table, `file` runs the DFS."""
-    source = _W["job"].graph_source
-    if source in {"iso", "lc"}:
-        return mask
-    if source == "all":
-        return int(_W["canon"][mask])
-    return canonical_form(g).mask
+def _canon_masks(masks: list[int]) -> list[int]:
+    """Canonical ids of pending graphs: iso/lc masks already are one, `all`
+    looks them up in the class table, `file` runs the DFS."""
+    job: SearchJob = _W["job"]
+    if job.graph_source in {"iso", "lc"}:
+        return masks
+    if job.graph_source == "all":
+        return _W["canon"][masks].tolist()
+    return [canonical_form(Graph.from_mask(job.n, mask)).mask for mask in masks]
 
 
-def _process_mask(mask: int) -> tuple[int, dict]:
+def _processed(masks: list[int]) -> Iterator[tuple[int, dict]]:
+    """`_process_mask` of each graph, in order, built BUILD_CHUNK at a time.
+
+    A graph is solved only when the iterator reaches it, and its clique
+    graph is dropped before the next one is solved."""
+    n = _W["job"].n
+    for lo in range(0, len(masks), BUILD_CHUNK):
+        chunk = masks[lo : lo + BUILD_CHUNK]
+        graphs = clique_graphs(n, *setup_table(_W["errors"], rows_table(n, chunk)))
+        for mask, canon, cg in zip(chunk, _canon_masks(chunk), graphs):
+            yield _process_mask(mask, canon, cg)
+
+
+def _process_chunk(masks: list[int]) -> list[tuple[int, dict]]:
+    """A worker's task: `_processed` of a slice of the pending graphs."""
+    return list(_processed(masks))
+
+
+def _process_mask(mask: int, canon: int, cg: CliqueGraph) -> tuple[int, dict]:
     """(B&B nodes, checkpoint record) of one graph; the nodes stay in memory."""
     job: SearchJob = _W["job"]
-    g = Graph.from_mask(job.n, mask)
-    canon = _canon_mask(mask, g)
-    cg = make_cws_clique_graph(setup(_W["errors"], g))
     target_k = job.target_k
     code: tuple[int, ...] | None = None
     nodes = 0
@@ -350,26 +392,35 @@ def run_search(
     outcomes: list[dict] = [done[m] for m in masks if m in done]
     solved_nodes: dict[int, int] = {}  # raw mask -> B&B nodes, this run only
 
+    solve_start = time.monotonic()
+
     def consume(stream) -> None:
         for idx, (nodes, rec) in enumerate(stream):
             outcomes.append(rec)
             solved_nodes[rec["raw_mask"]] = nodes
             if ck_handle:
                 ck_handle.write(json.dumps(rec) + "\n")
-            if progress and (idx + 1) % 5000 == 0:
-                print(f"processed {idx + 1}/{len(pending)}", file=sys.stderr)
+            if progress and (idx + 1) % PROGRESS_EVERY == 0:
+                rate = (idx + 1) / max(time.monotonic() - solve_start, 1e-9)
+                eta = (len(pending) - idx - 1) / rate
+                print(
+                    f"processed {idx + 1}/{len(pending)} {rate:.0f} graphs/s eta {eta:.0f}s",
+                    file=sys.stderr,
+                )
 
     try:
         if job.worker_count <= 1 or len(pending) <= 1:
-            consume(map(_process_mask, pending))
+            consume(_processed(pending))
         else:
             # no more workers than graphs; --jobs is otherwise taken as asked,
             # also above the CPU count
             workers = min(job.worker_count, len(pending))
             ctx = mp.get_context("fork")
-            chunk = max(1, min(1024, len(pending) // (workers * 16)))
+            size = max(1, min(BUILD_CHUNK, len(pending) // (workers * 16)))
+            tasks = [pending[i : i + size] for i in range(0, len(pending), size)]
             with ctx.Pool(workers) as pool:
-                consume(pool.imap_unordered(_process_mask, pending, chunksize=chunk))
+                results = pool.imap_unordered(_process_chunk, tasks, chunksize=1)
+                consume(itertools.chain.from_iterable(results))
     except Exception as exc:
         raise SearchAborted(f"worker failure: {exc}") from exc
     finally:

@@ -9,6 +9,7 @@ from conftest import random_graph, reversed_bits
 from cwskit import kernels
 from cwskit.clique import (
     CliqueGraph,
+    clique_graphs,
     cws_maxclique,
     find_clique_of_size,
     heuristic_clique,
@@ -16,8 +17,8 @@ from cwskit.clique import (
     make_cws_clique_graph,
     max_clique,
 )
-from cwskit.errormap import ClArrays, error_set, setup
-from cwskit.graphs import Graph, edge_count
+from cwskit.errormap import ClArrays, cl_map, error_set, setup, setup_table
+from cwskit.graphs import Graph, edge_count, rows_table
 from cwskit.verify import CWSCode, detection_check, kl_oracle
 
 
@@ -194,6 +195,73 @@ class TestMakeCliqueGraph:
             assert all(np.diff(cg.vertices) > 0)
             assert cg.rows[0] == (1 << (cg.size - 1)) - 1
         assert degenerate > 0
+
+
+def reference_build(g: Graph, patterns: list[int], errors) -> tuple[set, set, list, list]:
+    """(CL, D, vertices, rows) of one graph from the definitions, given the
+    cl_map pattern of each error: D holds the words with odd overlap with
+    the X support of some error whose pattern is zero, the vertices are 0
+    and every word in neither set, and two vertices are joined when their
+    XOR is not in CL."""
+    cl = set(patterns)
+    zero_u = [e.u for e, p in zip(errors.paulis, patterns) if p == 0]
+    d = {x for x in range(1 << g.n) if any((x & u).bit_count() & 1 for u in zero_u)}
+    vertices = [0] + [x for x in range(1, 1 << g.n) if x not in cl and x not in d]
+    m = len(vertices)
+    rows = [
+        sum(1 << (m - 1 - j) for j, b in enumerate(vertices) if a != b and a ^ b not in cl)
+        for a in vertices
+    ]
+    return cl, d, vertices, rows
+
+
+class TestBatchedBuild:
+    """`setup_table` and `clique_graphs` over many graphs at once, one chunk
+    of mixed vertex counts per (n, d), against `reference_build`."""
+
+    def check(self, n: int, masks: list[int], ds) -> tuple[int, int, set]:
+        """(degenerate instances, instances with m = 1, vertex counts seen)."""
+        full = error_set(n, n + 1)
+        graphs = [Graph.from_mask(n, mask) for mask in masks]
+        patterns = [[cl_map(e, g).value for e in full.paulis] for g in graphs]
+        degenerate, single, sizes = 0, 0, set()
+        for d in ds:
+            errors = error_set(n, d)
+            assert errors.paulis == full.paulis[: len(errors)]  # ascending weight
+            cl, dd = setup_table(errors, rows_table(n, masks))
+            assert cl.shape == dd.shape == (len(masks), 1 << n)
+            built = list(clique_graphs(n, cl, dd))
+            for r, g in enumerate(graphs):
+                ref_cl, ref_d, vertices, rows = reference_build(
+                    g, patterns[r][: len(errors)], errors
+                )
+                assert set(np.flatnonzero(cl[r]).tolist()) == ref_cl
+                assert set(np.flatnonzero(dd[r]).tolist()) == ref_d
+                assert built[r].vertices.tolist() == vertices
+                assert built[r].rows == rows
+                degenerate += 0 in ref_cl
+                single += len(vertices) == 1
+                sizes.add(len(vertices))
+        return degenerate, single, sizes
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_graph_at_every_distance(self, n):
+        degenerate, single, sizes = self.check(
+            n, list(range(1 << edge_count(n))), range(1, n + 2)
+        )
+        assert degenerate > 0 and single > 0 and len(sizes) > 1
+
+    @pytest.mark.parametrize("n, count", [(6, 24), (7, 10)])
+    def test_seeded_graphs(self, n, count):
+        rng = random.Random(n)
+        masks = [0] + [rng.randrange(1 << edge_count(n)) for _ in range(count)]
+        degenerate, single, sizes = self.check(n, masks, range(1, n + 2))
+        assert degenerate > 0 and single > 0 and len(sizes) > 1
+
+    def test_no_graphs(self):
+        cl, d = setup_table(error_set(4, 2), rows_table(4, []))
+        assert cl.shape == d.shape == (0, 16)
+        assert list(clique_graphs(4, cl, d)) == []
 
 
 class TestMaxClique:

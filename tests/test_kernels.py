@@ -103,19 +103,24 @@ def test_graph_signs_match_edge_list():
 
 
 def test_clique_adjacency_matches_pairwise_loop():
+    # R graphs of m vertices each, one to three words per row
     rng = np.random.default_rng(3)
-    for n in (2, 4, 6, 7):
-        cl = rng.random(1 << n) < 0.4
-        cl[0] = False
-        verts = np.flatnonzero(~cl).astype(np.int64)
-        m = verts.size
-        rows = [reversed_bits(r, m) for r in K.clique_adjacency(verts, cl)]
-        assert len(rows) == m
-        for i in range(m):
-            assert rows[i] >> m == 0
-            for j in range(m):
-                edge = i != j and not cl[verts[i] ^ verts[j]]
-                assert bool((rows[i] >> j) & 1) == edge
+    for n, m in ((2, 1), (2, 3), (4, 9), (6, 40), (7, 64), (7, 65), (7, 128)):
+        count = 3
+        cl = rng.random((count, 1 << n)) < 0.4
+        verts = np.array(
+            [np.sort(rng.choice(1 << n, m, replace=False)) for _ in range(count)]
+        )
+        adjacency = K.clique_adjacency(verts, cl)
+        assert len(adjacency) == count
+        for r in range(count):
+            rows = [reversed_bits(x, m) for x in adjacency[r]]
+            assert len(rows) == m
+            for i in range(m):
+                assert rows[i] >> m == 0
+                for j in range(m):
+                    edge = i != j and not cl[r, verts[r, i] ^ verts[r, j]]
+                    assert bool((rows[i] >> j) & 1) == edge
 
 
 def test_bnb_matches_brute_force():

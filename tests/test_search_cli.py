@@ -221,7 +221,7 @@ class TestRunSearch:
         assert res.exit_code == EXIT_FOUND
 
     def test_worker_failure_aborts(self, monkeypatch):
-        def boom(_mask):
+        def boom(*_args):
             raise RuntimeError("induced failure")
 
         monkeypatch.setattr(cwskit.search, "_process_mask", boom)
@@ -439,11 +439,11 @@ class TestCheckpoint:
         process = cwskit.search._process_mask
         calls = []
 
-        def checked(mask):
+        def checked(mask, *args):
             on_disk = ck.read_text().splitlines()
             assert len(on_disk) == 1 + len(calls)
             calls.append(mask)
-            return process(mask)
+            return process(mask, *args)
 
         monkeypatch.setattr(cwskit.search, "_process_mask", checked)
         res = run_search(job, checkpoint=ck)
@@ -639,6 +639,18 @@ class TestCheckpoint:
     def test_run_and_resume_outputs_pinned(self, argv, digest, tmp_path: Path, capsys):
         assert run_and_resume_digest(argv, tmp_path, capsys) == digest
 
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_build_chunk_moves_no_output(self, chunk, tmp_path: Path, capsys,
+                                         monkeypatch):
+        # chunks that split the graphs unevenly, down to one graph per chunk
+        monkeypatch.setattr(cwskit.search, "BUILD_CHUNK", chunk)
+        moved = [
+            key
+            for key, (argv, digest) in RUN_PINS.items()
+            if run_and_resume_digest(argv, tmp_path, capsys) != digest
+        ]
+        assert moved == []
+
     @pytest.mark.parametrize("best_k", [9, 3])
     def test_record_whose_code_is_not_best_k_words_is_refused(
         self, best_k, tmp_path: Path, capsys
@@ -828,8 +840,55 @@ class TestCli:
         assert "witness_code=" not in captured.out
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["--n", "5", "--d", "2", "--budget", "3"],
+             "766 of 1024 graphs budget-bound at --budget 3"),
+            (["--n", "4", "--d", "2", "--k", "5", "--graphs", "iso", "--heuristic"],
+             "--heuristic finds lower bounds only"),
+            (["--n", "3", "--d", "2", "--k", "5", "--graphs", "file"],
+             "--graphs file does not cover every graph class"),
+        ],
+        ids=["budget", "heuristic", "file"],
+    )
+    def test_inconclusive_exit_gives_its_reason(self, argv, reason, tmp_path: Path,
+                                                capsys):
+        if "file" in argv:
+            argv = [*argv, "--graph", self._graph_file(tmp_path, Graph.ring(3))]
+        assert main(["search", *argv]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("elapsed=")
+        assert err[1:] == [f"inconclusive: {reason}"]
+
+    @pytest.mark.parametrize(
+        "argv, rc",
+        [(["--n", "4", "--d", "2"], 0), (["--n", "5", "--d", "3", "--k", "3"], 3),
+         (["--n", "4", "--d", "2", "--heuristic", "--budget", "3"], 0)],
+    )
+    def test_conclusive_exit_gives_no_reason(self, argv, rc, capsys):
+        assert main(["search", *argv]) == rc
+        assert "inconclusive" not in capsys.readouterr().err
+
+    def test_progress_lines_give_rate_and_eta(self, capsys, monkeypatch):
+        argv = ["search", "--n", "4", "--d", "2"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setattr(cwskit.search, "PROGRESS_EVERY", 16)
+        assert main([*argv, "--progress"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain
+        lines = [ln for ln in captured.err.splitlines() if ln.startswith("processed")]
+        counts = []
+        for ln in lines:
+            match = re.fullmatch(r"processed (\d+)/64 (\d+) graphs/s eta (\d+)s", ln)
+            assert match, ln
+            counts.append(int(match[1]))
+        assert counts == [16, 32, 48, 64]
+        assert lines[-1].endswith(" eta 0s")
+
     def test_worker_failure_exits_4(self, capsys, monkeypatch):
-        def boom(_mask):
+        def boom(*_args):
             raise RuntimeError("induced failure")
 
         monkeypatch.setattr(cwskit.search, "_process_mask", boom)
