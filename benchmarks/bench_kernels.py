@@ -38,13 +38,9 @@ def bench_cl_patterns(repeat: int):
     n = 7
     errs = error_set(n, 3)
     masks = rng.integers(0, 1 << edge_count(n), 400)
-    graphs = [Graph.from_mask(n, int(m)).rows for m in masks]
-
-    def body():
-        for rows in graphs:
-            K.cl_patterns(errs.xcols, errs.v, rows)
-
-    return "cl_patterns (400 graphs x 210 errors)", body, body
+    rows = rows_table(n, masks.tolist())
+    fn = lambda: K.cl_patterns(errs.xcols, errs.v, rows)
+    return "cl_patterns (400 graphs x 210 errors)", fn, fn
 
 
 def bench_graph_signs(repeat: int):

@@ -116,15 +116,14 @@ def cl_map(e: PauliOp, g: Graph) -> BitString:
     return BitString(g.n, acc)
 
 
+@dataclass(eq=False)
 class ClArrays:
-    """The CL and D arrays: boolean arrays of length 2^n indexed by codeword."""
+    """The CL and D arrays: boolean arrays of length 2^n indexed by codeword,
+    as ``setup`` builds them."""
 
-    def __init__(self, n: int, cl: np.ndarray, d: np.ndarray) -> None:
-        self.n = n
-        self.cl = np.asarray(cl, dtype=bool)
-        self.d = np.asarray(d, dtype=bool)
-        if self.cl.shape != (1 << n,) or self.d.shape != (1 << n,):
-            raise ValueError("CL and D arrays must have length 2^n")
+    n: int
+    cl: np.ndarray
+    d: np.ndarray
 
     @property
     def degenerate(self) -> bool:

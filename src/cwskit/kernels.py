@@ -36,25 +36,19 @@ def parity_of_and(values: np.ndarray, mask: int | np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # induced classical error patterns: v XOR (XOR of adjacency rows under u)
 
-def cl_patterns(
-    xcols: np.ndarray, v: np.ndarray, rows: tuple[int, ...] | np.ndarray
-) -> np.ndarray:
-    """Pattern of each error: ``v`` holds its Z supports and ``xcols`` its
-    X-support qubits, one index array per support position, padded with n
-    (see ``ErrorSet``).  ``rows`` are the n adjacency rows of one graph as a
-    tuple of ints, giving the E patterns, or the (R, n) int64 row table of R
-    graphs (``graphs.rows_table``), giving an (R, E) array."""
-    if isinstance(rows, tuple):
-        table = np.array(rows + (0,), dtype=np.int64)  # row n is the zero padding
-        pat = v.copy()
-    else:
-        # graphs along the last axis, so that table[col] gathers rows as above
-        table = np.zeros((rows.shape[1] + 1, rows.shape[0]), dtype=np.int64)
-        table[:-1] = rows.T
-        pat = np.repeat(v[:, None], rows.shape[0], axis=1)
+def cl_patterns(xcols: np.ndarray, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Pattern of each error through each of R graphs, as an (R, E) array:
+    ``v`` holds the errors' Z supports and ``xcols`` their X-support qubits,
+    one index array per support position, padded with n (see ``ErrorSet``);
+    ``rows`` is the (R, n) int64 adjacency row table (``graphs.rows_table``)."""
+    # graphs along the last axis, so that table[col] gathers row col of every
+    # graph; row n is the zero padding
+    table = np.zeros((rows.shape[1] + 1, rows.shape[0]), dtype=np.int64)
+    table[:-1] = rows.T
+    pat = np.repeat(v[:, None], rows.shape[0], axis=1)
     for col in xcols:
         pat ^= table[col]
-    return pat.T  # (E,) or (R, E)
+    return pat.T
 
 
 # ---------------------------------------------------------------------------

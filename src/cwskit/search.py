@@ -1,9 +1,9 @@
 """Search orchestration: stream graphs, solve per-graph clique instances on a
 worker pool, persist deterministic results, and support checkpoint/resume.
 
-Workers pull raw graph ids (edge masks) and process them independently; the
-collector sorts records by canonical id so output never depends on
-completion order or worker count.  Absence of a target dimension is only
+Workers take slices of the raw graph ids (edge masks) and deliver records
+in graph order, so the checkpoint of a pool run is that of a serial run; the
+result sorts them by canonical id.  Absence of a target dimension is only
 concluded from an exact, fully exhausted run over a class-covering source.
 """
 
@@ -113,6 +113,14 @@ class GraphRecord(NamedTuple):
     def sort_key(self) -> tuple[int, int]:
         return (self.canon_mask, self.raw_mask)
 
+    def checkpoint_line(self) -> str:
+        """The record as one JSON checkpoint line, without its newline."""
+        code = None if self.code is None else list(self.code)
+        return json.dumps({
+            "raw_mask": self.raw_mask, "canon_mask": self.canon_mask, "m": self.m,
+            "bestK": self.best_k, "status": self.status, "code": code,
+        })
+
 
 @dataclass
 class SearchResult:
@@ -182,7 +190,7 @@ def _canon_masks(masks: list[int]) -> list[int]:
     return [canonical_form(Graph.from_mask(job.n, mask)).mask for mask in masks]
 
 
-def _processed(masks: list[int]) -> Iterator[tuple[int, dict]]:
+def _processed(masks: list[int]) -> Iterator[tuple[int, GraphRecord]]:
     """`_process_mask` of each graph, in order, built BUILD_CHUNK at a time.
 
     A graph is solved only when the iterator reaches it, and its clique
@@ -195,13 +203,13 @@ def _processed(masks: list[int]) -> Iterator[tuple[int, dict]]:
             yield _process_mask(mask, canon, cg)
 
 
-def _process_chunk(masks: list[int]) -> list[tuple[int, dict]]:
+def _process_chunk(masks: list[int]) -> list[tuple[int, GraphRecord]]:
     """A worker's task: `_processed` of a slice of the pending graphs."""
     return list(_processed(masks))
 
 
-def _process_mask(mask: int, canon: int, cg: CliqueGraph) -> tuple[int, dict]:
-    """(B&B nodes, checkpoint record) of one graph; the nodes stay in memory."""
+def _process_mask(mask: int, canon: int, cg: CliqueGraph) -> tuple[int, GraphRecord]:
+    """(B&B nodes, record) of one graph; the nodes never reach the checkpoint."""
     job: SearchJob = _W["job"]
     target_k = job.target_k
     code: tuple[int, ...] | None = None
@@ -227,25 +235,9 @@ def _process_mask(mask: int, canon: int, cg: CliqueGraph) -> tuple[int, dict]:
             best_k = res.best_size
             status = "exact" if res.exhausted else "bound"
 
-    return nodes, {
-        "raw_mask": mask,
-        "canon_mask": canon,
-        "m": cg.size,
-        "bestK": best_k,
-        "status": status,
-        "code": list(code) if code is not None else None,
-    }
-
-
-def _record_from(n: int, rec: dict) -> GraphRecord:
-    return GraphRecord(
-        n=n,
-        canon_mask=rec["canon_mask"],
-        raw_mask=rec["raw_mask"],
-        m=rec["m"],
-        best_k=rec["bestK"],
-        status=rec["status"],
-        code=tuple(rec["code"]) if rec.get("code") else None,
+    return nodes, GraphRecord(
+        n=job.n, canon_mask=canon, raw_mask=mask, m=cg.size,
+        best_k=best_k, status=status, code=code,
     )
 
 
@@ -295,7 +287,7 @@ def _is_header(obj: dict) -> bool:
 
 
 def _is_record(obj: dict) -> bool:
-    """Whether `obj` holds the fields `_record_from` reads, typed as a search
+    """Whether `obj` holds the fields of a `GraphRecord`, typed as a search
     writes them: int masks, m and bestK (never bools), a known status, and a
     code that is absent, null or a list of ints.  A search stores a code of
     exactly bestK words, so a non-empty code of another length is refused."""
@@ -325,8 +317,8 @@ def _checkpoint_line(
     return obj
 
 
-def _load_checkpoint(path: Path, job: SearchJob) -> dict[int, dict]:
-    """Replay completed records; every stored code must re-verify.
+def _load_checkpoint(path: Path, job: SearchJob) -> dict[int, GraphRecord]:
+    """Replay completed records by raw mask; every stored code must re-verify.
 
     The stored codes are verified together once every line is decoded, by
     `verify.first_failing_code`: on ints, in chunks, with no Graph or
@@ -339,7 +331,7 @@ def _load_checkpoint(path: Path, job: SearchJob) -> dict[int, dict]:
     next append starts a line of its own.  A complete line that does not
     decode, or decodes to something other than a header or a record, is
     corruption, not a torn tail, and raises."""
-    done: dict[int, dict] = {}
+    done: dict[int, GraphRecord] = {}
     data = path.read_bytes() if path.exists() else b""
     keep = data.rfind(b"\n") + 1
     lines = data[:keep].decode().splitlines()
@@ -350,16 +342,21 @@ def _load_checkpoint(path: Path, job: SearchJob) -> dict[int, dict]:
         if header["job"] != job.fingerprint():
             raise ValueError("checkpoint belongs to a different job")
     masks: list[int] = []
-    codes: list[list[int]] = []
+    codes: list[tuple[int, ...]] = []
     for lineno, ln in enumerate(lines[1:], start=2):
         ln = ln.strip()
         if not ln:
             continue
-        rec = _checkpoint_line(ln, lineno, _is_record, "record")
-        if rec.get("code"):
-            masks.append(rec["raw_mask"])
-            codes.append(rec["code"])
-        done[rec["raw_mask"]] = rec
+        obj = _checkpoint_line(ln, lineno, _is_record, "record")
+        rec = GraphRecord(
+            n=job.n, canon_mask=obj["canon_mask"], raw_mask=obj["raw_mask"], m=obj["m"],
+            best_k=obj["bestK"], status=obj["status"],
+            code=tuple(obj["code"]) if obj.get("code") else None,
+        )
+        if rec.code:
+            masks.append(rec.raw_mask)
+            codes.append(rec.code)
+        done[rec.raw_mask] = rec
     if first_failing_code(masks, codes, error_set(job.n, job.d)) >= 0:
         raise ValueError("checkpoint contains a code that fails verification")
     if keep < len(data):
@@ -388,18 +385,19 @@ def run_search(
         if ck_handle.tell() == 0:
             ck_handle.write(json.dumps({"job": job.fingerprint()}) + "\n")
 
-    # a checkpoint may hold graphs outside this job's list; replay only ours
-    outcomes: list[dict] = [done[m] for m in masks if m in done]
+    # a checkpoint may hold graphs outside this job's list; replay only ours.
+    # Solved records join them, and the list is sorted once the run ends.
+    records = [done[m] for m in masks if m in done]
     solved_nodes: dict[int, int] = {}  # raw mask -> B&B nodes, this run only
 
     solve_start = time.monotonic()
 
     def consume(stream) -> None:
         for idx, (nodes, rec) in enumerate(stream):
-            outcomes.append(rec)
-            solved_nodes[rec["raw_mask"]] = nodes
+            records.append(rec)
+            solved_nodes[rec.raw_mask] = nodes
             if ck_handle:
-                ck_handle.write(json.dumps(rec) + "\n")
+                ck_handle.write(rec.checkpoint_line() + "\n")
             if progress and (idx + 1) % PROGRESS_EVERY == 0:
                 rate = (idx + 1) / max(time.monotonic() - solve_start, 1e-9)
                 eta = (len(pending) - idx - 1) / rate
@@ -419,7 +417,8 @@ def run_search(
             size = max(1, min(BUILD_CHUNK, len(pending) // (workers * 16)))
             tasks = [pending[i : i + size] for i in range(0, len(pending), size)]
             with ctx.Pool(workers) as pool:
-                results = pool.imap_unordered(_process_chunk, tasks, chunksize=1)
+                # in task order, so records reach the checkpoint in graph order
+                results = pool.imap(_process_chunk, tasks, chunksize=1)
                 consume(itertools.chain.from_iterable(results))
     except Exception as exc:
         raise SearchAborted(f"worker failure: {exc}") from exc
@@ -427,7 +426,6 @@ def run_search(
         if ck_handle:
             ck_handle.close()
 
-    records = [_record_from(job.n, rec) for rec in outcomes]
     records.sort(key=GraphRecord.sort_key)
 
     best_k = max((r.best_k for r in records), default=0)

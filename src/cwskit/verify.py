@@ -101,7 +101,8 @@ def detection_check(q: CWSCode, errors: ErrorSet) -> VerificationReport:
     if errors.n != q.n:
         raise ValueError("error set does not match code size")
     words = q.code.values
-    patterns = kernels.cl_patterns(errors.xcols, errors.v, q.graph.rows).tolist()
+    table = q.graph.rows_array()[None]
+    patterns = kernels.cl_patterns(errors.xcols, errors.v, table)[0].tolist()
     degenerate = 0 in patterns
     idx = _first_violation(words, patterns, errors)
     if idx < 0:
@@ -165,15 +166,17 @@ def first_failing_code(
 # ---------------------------------------------------------------------------
 # dense oracle
 
+def _z_signs(x: np.ndarray, z: int) -> np.ndarray:
+    """(-1)^(popcount(x & z)) for each basis string of ``x``, as int64: the
+    sign Z^z puts on |x>."""
+    return 1 - 2 * (np.bitwise_count(x & np.int64(z)) & 1).astype(np.int64)
+
+
 def _basis_matrix(q: CWSCode) -> np.ndarray:
     """Rows are the integer-scaled vectors of Z^c |G> over the codewords."""
     signs = kernels.graph_signs(q.graph.rows_array(), q.n)
     x = np.arange(1 << q.n, dtype=np.int64)
-    rows = []
-    for c in q.code.values:
-        z_phase = 1 - 2 * (np.bitwise_count(x & np.int64(c)) & 1).astype(np.int64)
-        rows.append(signs * z_phase)
-    return np.array(rows, dtype=np.int64)
+    return np.array([signs * _z_signs(x, c) for c in q.code.values], dtype=np.int64)
 
 
 def _kl_distance(bras: np.ndarray, kets: np.ndarray, d: int) -> int:
@@ -189,8 +192,7 @@ def _kl_distance(bras: np.ndarray, kets: np.ndarray, d: int) -> int:
     x = np.arange(dim, dtype=np.int64)
     for w in range(1, d):
         for e in _weight_errors(n, w):
-            y = 1 - 2 * (np.bitwise_count(x & np.int64(e.v)) & 1).astype(np.int64)
-            m = bras @ (kets * y)[:, x ^ np.int64(e.u)].T
+            m = bras @ (kets * _z_signs(x, e.v))[:, x ^ np.int64(e.u)].T
             diag = np.diag(m)
             if np.max(np.abs(m - np.diag(diag))) > 1e-9:
                 return w
@@ -251,9 +253,8 @@ def stabilizer_state_vector(
         vec[seed] = 1
         for i, g in enumerate(generators):
             coeff = (1j ** g.phase) * (-1 if (signs >> i) & 1 else 1)
-            z_phase = 1 - 2 * (np.bitwise_count(x & np.int64(g.v)) & 1).astype(np.int64)
             image = np.empty_like(vec)
-            image[x ^ np.int64(g.u)] = coeff * z_phase * vec
+            image[x ^ np.int64(g.u)] = coeff * _z_signs(x, g.v) * vec
             vec = vec + image
         norm = np.linalg.norm(vec)
         if norm > 1e-9:

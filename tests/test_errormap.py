@@ -221,10 +221,6 @@ class TestSetup:
             "n=5 which=CL\nfeffff7f00000000\nn=5 which=D\n0000000000000000\n"
         )
 
-    def test_array_lengths_checked(self):
-        with pytest.raises(ValueError):
-            ClArrays(3, np.zeros(7, dtype=bool), np.zeros(8, dtype=bool))
-
     def test_mismatched_sizes(self):
         with pytest.raises(ValueError):
             setup(error_set(3, 2), Graph.empty(4))

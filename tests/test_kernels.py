@@ -59,7 +59,7 @@ def test_pack_unpack_round_trip():
 
 
 def test_cl_patterns_match_cl_map():
-    # every X-support weight 0..n and the empty error set
+    # one-row tables: every X-support weight 0..n and the empty error set
     rng = random.Random(1)
     for n in (1, 4, 10):
         g = Graph.from_mask(n, rng.randrange(1 << edge_count(n)))
@@ -72,10 +72,12 @@ def test_cl_patterns_match_cl_map():
         paulis = [p for p in paulis if p.u or p.v]
         errs = ErrorSet(n, tuple(paulis))
         assert {p.u.bit_count() for p in paulis} == set(range(n + 1))
-        got = K.cl_patterns(errs.xcols, errs.v, g.rows)
-        assert [int(x) for x in got] == [cl_map(p, g).value for p in paulis]
+        got = K.cl_patterns(errs.xcols, errs.v, g.rows_array()[None])
+        assert got.shape == (1, len(paulis))
+        assert got[0].tolist() == [cl_map(p, g).value for p in paulis]
     empty = ErrorSet(3, ())
-    assert K.cl_patterns(empty.xcols, empty.v, Graph.ring(3).rows).shape == (0,)
+    table = Graph.ring(3).rows_array()[None]
+    assert K.cl_patterns(empty.xcols, empty.v, table).shape == (1, 0)
 
 
 def test_cl_patterns_of_a_row_table_stack_the_single_graph_patterns():
@@ -86,8 +88,8 @@ def test_cl_patterns_of_a_row_table_stack_the_single_graph_patterns():
         got = K.cl_patterns(errs.xcols, errs.v, rows_table(n, masks))
         assert got.shape == (len(masks), len(errs))
         for mask, row in zip(masks, got.tolist()):
-            single = K.cl_patterns(errs.xcols, errs.v, Graph.from_mask(n, mask).rows)
-            assert row == single.tolist()
+            g = Graph.from_mask(n, mask)
+            assert row == [cl_map(p, g).value for p in errs.paulis]
     assert K.cl_patterns(errs.xcols, errs.v, rows_table(7, [])).shape == (0, len(errs))
 
 

@@ -26,6 +26,7 @@ from cwskit.search import (
     EXIT_ABSENT,
     EXIT_FOUND,
     EXIT_INCONCLUSIVE,
+    GraphRecord,
     SearchAborted,
     SearchJob,
     render_result,
@@ -89,7 +90,7 @@ class TestRunSearch:
             def __exit__(self, *exc):
                 return False
 
-            def imap_unordered(self, fn, items, chunksize):
+            def imap(self, fn, items, chunksize):
                 return map(fn, items)
 
         monkeypatch.setattr(mp.get_context("fork"), "Pool", InProcessPool)
@@ -258,10 +259,6 @@ RUN_PINS = {
     "n5-d2-all-budget3": (
         ["--n", "5", "--d", "2", "--graphs", "all", "--budget", "3"],
         "4868cb4680a1420da3554dad466874208110c72204df83069747aed546d61408"),
-    # records land in completion order: the checkpoint is hashed sorted
-    "n5-d2-all-jobs2": (
-        ["--n", "5", "--d", "2", "--graphs", "all", "--jobs", "2"],
-        "78385a96ab4129344acce9cacdc5443179d171daac721078d1acf17cb8cda652"),
     "n6-d2-iso": (
         ["--n", "6", "--d", "2", "--graphs", "iso"],
         "dd1e2420f2cf8dd40bf03062bab881ce0e21e8d336cd112edea57bada4914a79"),
@@ -269,6 +266,11 @@ RUN_PINS = {
         ["--n", "6", "--d", "3", "--k", "3", "--graphs", "lc"],
         "538f29e8656edb49d49c0535060ecc6176a313c30843f4e2a31ef16680fa2922"),
 }
+# a pool delivers records in graph order: its outputs are the serial run's
+RUN_PINS.update(
+    (f"{key}-jobs2", ([*RUN_PINS[key][0], "--jobs", "2"], RUN_PINS[key][1]))
+    for key in ("n5-d2-all", "n6-d2-iso", "n6-d3-k3-lc")
+)
 
 
 def run_and_resume_digest(argv: list[str], tmp_path: Path, capsys) -> str:
@@ -279,11 +281,7 @@ def run_and_resume_digest(argv: list[str], tmp_path: Path, capsys) -> str:
         rc = main(["search", *argv, "--checkpoint", str(ck), "--out", str(out)])
         h.update(repr((rc, capsys.readouterr().out)).encode())
         h.update(out.read_bytes())
-        data = ck.read_bytes()
-        if "--jobs" in argv:
-            head, *records = data.splitlines(keepends=True)
-            data = head + b"".join(sorted(records))
-        h.update(data)
+        h.update(ck.read_bytes())
     return h.hexdigest()
 
 
@@ -410,6 +408,22 @@ class TestCheckpoint:
 
         monkeypatch.setattr(cwskit.search, "class_table", boom)
         assert render_result(run_search(job, checkpoint=ck)) == render_result(full)
+
+    @pytest.mark.parametrize(
+        "job",
+        [
+            SearchJob(n=4, d=2, graph_source="all"),
+            SearchJob(n=5, d=2, graph_source="all", budget=3),  # bound records
+            SearchJob(n=6, d=3, target_k=3, graph_source="iso"),  # no codes
+        ],
+        ids=["n4-d2-all", "n5-d2-all-budget3", "n6-d3-k3-iso"],
+    )
+    def test_loaded_checkpoint_is_the_result_records(self, job, tmp_path: Path):
+        # a replayed record is the one the run that stored it returned
+        ck = tmp_path / "run.ckpt"
+        res = run_search(job, checkpoint=ck)
+        done = cwskit.search._load_checkpoint(ck, job).values()
+        assert sorted(done, key=GraphRecord.sort_key) == res.records
 
     def test_checkpoint_torn_line_ignored(self, tmp_path: Path):
         job = SearchJob(n=3, d=2, graph_source="iso")
