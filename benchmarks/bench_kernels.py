@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import random
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -20,7 +22,7 @@ import cwskit.kernels as K
 from cwskit.clique import clique_graphs, make_cws_clique_graph
 from cwskit.errormap import error_set, setup, setup_table
 from cwskit.graphs import Graph, class_table, edge_count, rows_table
-from cwskit.search import BUILD_CHUNK, SearchJob, run_search
+from cwskit.search import BUILD_CHUNK, SearchJob, _load_checkpoint, run_search
 from cwskit.verify import first_failing_code
 
 
@@ -121,6 +123,19 @@ def bench_checkpoint_verify(repeat: int):
     return f"checkpoint verify (n=5 d=2 all, {len(masks)} records)", fn, fn
 
 
+def bench_checkpoint_load(repeat: int):
+    """The complete checkpoint of the n=5 d=2 `all` sweep, loaded as a
+    resume loads it: every line decoded, then every stored code verified."""
+    job = SearchJob(n=5, d=2, graph_source="all")
+    tmp = tempfile.TemporaryDirectory()  # removed once `fn` is collected
+    run_search(job, checkpoint=Path(tmp.name) / "sweep5.ckpt")
+
+    def fn():
+        return _load_checkpoint(Path(tmp.name) / "sweep5.ckpt", job)
+
+    return f"checkpoint load (n=5 d=2 all, {len(fn())} records)", fn, fn
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=5)
@@ -135,6 +150,7 @@ def main() -> None:
         bench_bnb_ring10,
         bench_canon,
         bench_checkpoint_verify,
+        bench_checkpoint_load,
     ]
     print(f"{'kernel':<55} {'time':>10}")
     for bench in benches:

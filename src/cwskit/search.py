@@ -12,12 +12,11 @@ from __future__ import annotations
 import itertools
 import json
 import multiprocessing as mp
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .clique import (
     Clique,
@@ -81,6 +80,8 @@ class SearchJob:
             raise ValueError(f"unknown graph source {self.graph_source!r}")
         if self.graph_source == "file" and not self.graph_file:
             raise ValueError("file source needs a graph file")
+        if self.graph_file is not None and self.graph_source != "file":
+            raise ValueError("a graph file needs the file graph source")
         if self.exactness not in {"exact", "heuristic"}:
             raise ValueError(f"unknown exactness {self.exactness!r}")
         if self.target_k is not None and self.target_k < 1:
@@ -282,10 +283,6 @@ def _graph_masks(job: SearchJob) -> list[int]:
     return [masks[0] for masks in lc_orbit_masks(job.n)]
 
 
-def _is_header(obj: dict) -> bool:
-    return "job" in obj
-
-
 def _is_record(obj: dict) -> bool:
     """Whether `obj` holds the fields of a `GraphRecord`, typed as a search
     writes them: int masks, m and bestK (never bools), a known status, and a
@@ -304,15 +301,15 @@ def _is_record(obj: dict) -> bool:
     )
 
 
-def _checkpoint_line(
-    ln: str, lineno: int, valid: Callable[[dict], bool], what: str
-) -> dict:
-    """One complete checkpoint line, decoded: an object that `valid` accepts."""
+def _checkpoint_line(ln: bytes, lineno: int) -> dict:
+    """Complete checkpoint line `lineno`, decoded: the job header on line 1,
+    a record on every later line."""
     try:
-        obj = json.loads(ln)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(ln.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"checkpoint line {lineno} cannot be decoded") from exc
-    if not isinstance(obj, dict) or not valid(obj):
+    if not isinstance(obj, dict) or not ("job" in obj if lineno == 1 else _is_record(obj)):
+        what = "job header" if lineno == 1 else "record"
         raise ValueError(f"checkpoint line {lineno} is not a {what}")
     return obj
 
@@ -320,7 +317,9 @@ def _checkpoint_line(
 def _load_checkpoint(path: Path, job: SearchJob) -> dict[int, GraphRecord]:
     """Replay completed records by raw mask; every stored code must re-verify.
 
-    The stored codes are verified together once every line is decoded, by
+    The file is read in one pass, one line at a time, and never held whole.
+    Blank lines are skipped; the job header is line 1.  The stored codes are
+    verified together once every line is decoded, by
     `verify.first_failing_code`: on ints, in chunks, with no Graph or
     ClassicalCode per record.  So a line that does not decode is reported
     before a stored code that fails, wherever the two are in the file.
@@ -332,35 +331,39 @@ def _load_checkpoint(path: Path, job: SearchJob) -> dict[int, GraphRecord]:
     decode, or decodes to something other than a header or a record, is
     corruption, not a torn tail, and raises."""
     done: dict[int, GraphRecord] = {}
-    data = path.read_bytes() if path.exists() else b""
-    keep = data.rfind(b"\n") + 1
-    lines = data[:keep].decode().splitlines()
-    if not any(ln.strip() for ln in lines):
-        keep, lines = 0, []
-    else:
-        header = _checkpoint_line(lines[0], 1, _is_header, "job header")
-        if header["job"] != job.fingerprint():
-            raise ValueError("checkpoint belongs to a different job")
-    masks: list[int] = []
-    codes: list[tuple[int, ...]] = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        ln = ln.strip()
-        if not ln:
-            continue
-        obj = _checkpoint_line(ln, lineno, _is_record, "record")
-        rec = GraphRecord(
-            n=job.n, canon_mask=obj["canon_mask"], raw_mask=obj["raw_mask"], m=obj["m"],
-            best_k=obj["bestK"], status=obj["status"],
-            code=tuple(obj["code"]) if obj.get("code") else None,
-        )
-        if rec.code:
-            masks.append(rec.raw_mask)
-            codes.append(rec.code)
-        done[rec.raw_mask] = rec
-    if first_failing_code(masks, codes, error_set(job.n, job.d)) >= 0:
-        raise ValueError("checkpoint contains a code that fails verification")
-    if keep < len(data):
-        os.truncate(path, keep)
+    coded: list[GraphRecord] = []  # records with a code, repeated masks included
+    if not path.exists():
+        return done
+    with open(path, "r+b") as f:
+        header, read = None, 0  # the decoded header, bytes of complete lines
+        for lineno, ln in enumerate(f, start=1):
+            if not ln.endswith(b"\n"):
+                break  # the torn tail
+            read += len(ln)
+            if ln.isspace():
+                continue
+            if header is None:
+                # the first non-blank line: unless it is line 1, line 1 is
+                # blank, and a blank header line does not decode
+                header = _checkpoint_line(ln if lineno == 1 else b"", 1)
+                if header["job"] != job.fingerprint():
+                    raise ValueError("checkpoint belongs to a different job")
+                continue
+            obj = _checkpoint_line(ln, lineno)
+            rec = GraphRecord(
+                n=job.n, canon_mask=obj["canon_mask"], raw_mask=obj["raw_mask"], m=obj["m"],
+                best_k=obj["bestK"], status=obj["status"],
+                code=tuple(obj["code"]) if obj.get("code") else None,
+            )
+            if rec.code:
+                coded.append(rec)
+            done[rec.raw_mask] = rec
+        masks, codes = [r.raw_mask for r in coded], [r.code for r in coded]
+        if first_failing_code(masks, codes, error_set(job.n, job.d)) >= 0:
+            raise ValueError("checkpoint contains a code that fails verification")
+        keep = read if header else 0
+        if keep < f.tell():
+            f.truncate(keep)
     return done
 
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import multiprocessing as mp
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -589,6 +590,38 @@ class TestCheckpoint:
             f"error: checkpoint line {len(body)} cannot be decoded\n"
         )
 
+    def test_invalid_utf8_line_reports_its_number(self, complete_n4_checkpoint, capsys):
+        # a byte that is not UTF-8 makes its own line undecodable, reported
+        # by number like any other line that does not decode
+        _job, data, _plain, ck = complete_n4_checkpoint
+        lines = data.split(b"\n")
+        lines[5] = lines[5].replace(b'"exact"', b'"ex\xffact"')
+        ck.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert main(["search", "--n", "4", "--d", "2", "--checkpoint", str(ck)]) == 2
+        assert capsys.readouterr().err == "error: checkpoint line 6 cannot be decoded\n"
+
+    def test_load_never_holds_the_whole_file(self, tmp_path: Path):
+        # null codes verify nothing, so the file, not the pattern table,
+        # would set the peak; a loader that holds the file (or its text or
+        # lines) beside the records peaks near twice what it returns
+        job = SearchJob(n=6, d=3, graph_source="all")
+        ck = tmp_path / "null.ckpt"
+        lines = [json.dumps({"job": job.fingerprint()})] + [
+            GraphRecord(n=6, canon_mask=mask, raw_mask=mask, m=40, best_k=3,
+                        status="bound", code=None).checkpoint_line()
+            for mask in range(20_000)
+        ]
+        ck.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            done = cwskit.search._load_checkpoint(ck, job)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(done) == 20_000
+        assert peak <= 1.5 * held
+
     @pytest.mark.parametrize(
         "code, message",
         [
@@ -771,6 +804,23 @@ class TestCli:
         assert main(["search", "--n", str(n), "--d", str(d)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "aborted" not in err
+
+    @pytest.mark.parametrize("source", ["all", "iso", "lc"])
+    @pytest.mark.parametrize("exists", [True, False], ids=["file", "missing"])
+    def test_graph_file_without_file_source_is_usage_error(
+        self, source, exists, tmp_path: Path, capsys
+    ):
+        # the file would be ignored: the search would run over every graph
+        # of the source, and a checkpoint would not match the same job
+        # without the stray path
+        gf = tmp_path / "g.graph"
+        if exists:
+            gf.write_text(write_graph_file(Graph.ring(4)))
+        argv = ["search", "--n", "4", "--d", "2", "--graphs", source, "--graph", str(gf)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: a graph file needs the file graph source\n"
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_search_cli_rejects_worker_count_below_1(self, jobs, capsys):
