@@ -136,24 +136,27 @@ def bench_checkpoint_load(repeat: int):
     return f"checkpoint load (n=5 d=2 all, {len(fn())} records)", fn, fn
 
 
+# The cases `main` times, in order.
+BENCHES = [
+    bench_cl_patterns,
+    bench_graph_signs,
+    bench_clique_adjacency,
+    bench_clique_graphs,
+    bench_bnb,
+    bench_bnb_ring10,
+    bench_canon,
+    bench_checkpoint_verify,
+    bench_checkpoint_load,
+]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
 
-    benches = [
-        bench_cl_patterns,
-        bench_graph_signs,
-        bench_clique_adjacency,
-        bench_clique_graphs,
-        bench_bnb,
-        bench_bnb_ring10,
-        bench_canon,
-        bench_checkpoint_verify,
-        bench_checkpoint_load,
-    ]
     print(f"{'kernel':<55} {'time':>10}")
-    for bench in benches:
+    for bench in BENCHES:
         name, fn, _same = bench(args.repeat)
         t = timeit(fn, args.repeat)
         line = f"{name:<55} {t * 1e3:>8.2f}ms"

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -40,7 +39,8 @@ class Clique:
 
 class CliqueGraph:
     """rows[i] is the neighbour mask of vertex i, as a Python int, high bit
-    first: vertex j of the m vertices is bit m-1-j (see `kernels`).
+    first: vertex j of the m vertices is bit m-1-j (see `kernels`).  `size`
+    is m, a plain attribute.
 
     The branch and bound colours with `bit_length`, which in this order finds
     the lowest vertex left by reading the top digit of an int; the search
@@ -53,23 +53,23 @@ class CliqueGraph:
         self.n = n
         self.vertices = vertices
         self.rows = rows
+        self.size = len(rows)
+        self._tables: tuple[list, list] | None = None
 
     @property
-    def size(self) -> int:
-        return int(self.vertices.shape[0])
-
-    @cached_property
     def bnb_tables(self) -> tuple[list, list]:
-        """`kernels.bnb_tables` of this graph, built on first use and shared
-        by every branch and bound run on it."""
-        return kernels.bnb_tables(self.rows, self.size)
+        """`kernels.bnb_tables` of this graph, built on first use and kept in
+        a plain attribute, shared by every branch and bound run on it."""
+        if self._tables is None:
+            self._tables = kernels.bnb_tables(self.rows, self.size)
+        return self._tables
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> (self.size - 1 - j)) & 1)
 
     def codewords(self, clique: Clique) -> tuple[int, ...]:
         """The member words of a clique, as ints."""
-        return tuple(int(self.vertices[i]) for i in clique.members)
+        return tuple(self.vertices.take(clique.members).tolist())
 
     def dump(self) -> str:
         """Each row as hex little-endian uint64 words, ceil(m/64) of them,

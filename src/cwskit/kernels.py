@@ -129,13 +129,15 @@ def clique_adjacency(verts: np.ndarray, cl_bool: np.ndarray) -> list[list[int]]:
 #
 # Sets are high bit first (vertex j is bit m-1-j), so "lowest vertex" is the
 # top bit.  A colouring step, about 30 per node on the solve10 graphs, is
-# then `bit_length`, a list lookup and an AND with the positive mask
-# `skip[b]` (everything but the vertex and its neighbours).  In CPython each
-# is cheap on a big int: `bit_length` reads the top digit only, and an AND
-# of two non-negative ints takes no two's-complement detour and shrinks as
-# the top bits are cleared.  Branching takes the lowest bit (`cls & -cls`),
-# one or two times a node.  The classes hold the same vertices as with the
-# opposite bit order, so the search tree is the same node for node.
+# then `b = qc.bit_length()`, two list lookups indexed by b itself
+# (`bits[b]` is the top bit, `1 << (b - 1)`) and an AND with the positive
+# mask `skip[b]` (everything but that vertex and its neighbours).  In CPython
+# each is cheap on a big int: `bit_length` reads the top digit only, and an
+# AND of two non-negative ints takes no two's-complement detour and shrinks
+# as the top bits are cleared.  Branching takes the lowest bit
+# (`cls & -cls`), one or two times a node.  The classes hold the same
+# vertices as with the opposite bit order, so the search tree is the same
+# node for node.
 #
 # The search is one loop over an explicit stack, depth first.  The node being
 # worked on lives in locals: its candidates left `p`, its colour classes, the
@@ -143,14 +145,23 @@ def clique_adjacency(verts: np.ndarray, cl_bool: np.ndarray) -> list[list[int]]:
 # pushes them as the parent's frame, and finishing a node pops it.  A node is
 # counted, and checked against the budget, when it is entered.
 
+# bits[k] is 1 << (k - 1), a set's top bit when its bit_length is k (bits[0]
+# is 0).  One table serves every graph: it only grows, to the largest m
+# solved, and no entry ever changes, so no caller can see another's use.
+_BITS = [0]
+
+
 def bnb_tables(adj_rows: list, m: int) -> tuple[list, list]:
-    """The per-graph tables `bnb_clique` colours with, built once per clique
-    graph: ``bits[b]`` is ``1 << b`` and ``skip[b]`` every vertex but the one
-    at bit b and its neighbours."""
+    """The tables `bnb_clique` colours with, both indexed by the
+    `bit_length` k of a set whose top bit is the vertex at bit k - 1:
+    ``bits[k]`` is that bit, from one table shared by every graph, and
+    ``skip[k]`` every vertex but that one and its neighbours, built once per
+    clique graph (``skip[0]`` is unused)."""
+    if len(_BITS) <= m:
+        _BITS.extend(1 << (k - 1) for k in range(len(_BITS), m + 1))
     full = (1 << m) - 1
-    bits = [1 << b for b in range(m)]
-    skip = [full ^ row ^ bit for row, bit in zip(reversed(adj_rows), bits)]
-    return bits, skip
+    skip = [0] + [full ^ row ^ _BITS[k] for k, row in enumerate(reversed(adj_rows), 1)]
+    return _BITS, skip
 
 
 def bnb_clique(
@@ -179,7 +190,7 @@ def bnb_clique(
             cls = 0
             qc = q
             while qc:
-                b = qc.bit_length() - 1
+                b = qc.bit_length()
                 cls |= bits[b]
                 qc &= skip[b]
             classes.append(cls)

@@ -115,12 +115,15 @@ class GraphRecord(NamedTuple):
         return (self.canon_mask, self.raw_mask)
 
     def checkpoint_line(self) -> str:
-        """The record as one JSON checkpoint line, without its newline."""
-        code = None if self.code is None else list(self.code)
-        return json.dumps({
-            "raw_mask": self.raw_mask, "canon_mask": self.canon_mask, "m": self.m,
-            "bestK": self.best_k, "status": self.status, "code": code,
-        })
+        """The record as one JSON checkpoint line, without its newline: the
+        bytes `json.dumps` gives for the dict of keys raw_mask, canon_mask,
+        m, bestK, status and code (a list, or null), formatted directly."""
+        code = "null" if self.code is None else f"[{', '.join(map(str, self.code))}]"
+        return (
+            f'{{"raw_mask": {self.raw_mask}, "canon_mask": {self.canon_mask}, '
+            f'"m": {self.m}, "bestK": {self.best_k}, "status": "{self.status}", '
+            f'"code": {code}}}'
+        )
 
 
 @dataclass
@@ -376,6 +379,11 @@ def run_search(
     masks = _graph_masks(job)
     done = _load_checkpoint(checkpoint, job) if checkpoint else {}
     pending = [m for m in masks if m not in done]
+    # a checkpoint may hold graphs outside this job's list; replay only ours.
+    # Solved records join them, and the list is sorted once the run ends.
+    records = [done[m] for m in masks if m in done]
+    total_graphs = len(masks)
+    del done, masks  # freed now, not held to the end of the run
     _W["job"] = job
     _W["errors"] = error_set(job.n, job.d)
     _W["canon"] = (
@@ -388,9 +396,6 @@ def run_search(
         if ck_handle.tell() == 0:
             ck_handle.write(json.dumps({"job": job.fingerprint()}) + "\n")
 
-    # a checkpoint may hold graphs outside this job's list; replay only ours.
-    # Solved records join them, and the list is sorted once the run ends.
-    records = [done[m] for m in masks if m in done]
     solved_nodes: dict[int, int] = {}  # raw mask -> B&B nodes, this run only
 
     solve_start = time.monotonic()
@@ -443,7 +448,7 @@ def run_search(
         records=records,
         summary_best_k=best_k,
         witness=witness,
-        total_graphs=len(masks),
+        total_graphs=total_graphs,
         elapsed=time.monotonic() - start,
     )
 

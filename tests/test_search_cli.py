@@ -426,6 +426,32 @@ class TestCheckpoint:
         done = cwskit.search._load_checkpoint(ck, job).values()
         assert sorted(done, key=GraphRecord.sort_key) == res.records
 
+    @pytest.mark.parametrize(
+        "job",
+        [
+            SearchJob(n=4, d=2, graph_source="all"),
+            SearchJob(n=4, d=2, graph_source="iso"),
+            SearchJob(n=4, d=2, graph_source="lc"),
+            SearchJob(n=4, d=2, graph_source="all", exactness="heuristic"),
+            SearchJob(n=4, d=2, target_k=4, graph_source="all"),  # absent records
+        ],
+        ids=["n4-d2-all", "n4-d2-iso", "n4-d2-lc", "n4-d2-all-heuristic",
+             "n4-d2-k4-all"],
+    )
+    def test_checkpoint_line_is_json_dumps_of_the_record(self, job):
+        records = run_search(job).records
+        if job.target_k:
+            assert {r.code is None for r in records} == {True, False}
+        # a 45-bit mask of an n=10 graph
+        records.append(GraphRecord(n=10, canon_mask=(1 << 45) - 1, raw_mask=(1 << 44) | 5,
+                                   m=709, best_k=3, status="bound", code=(0, 17, 1023)))
+        for rec in records:
+            code = None if rec.code is None else list(rec.code)
+            assert rec.checkpoint_line() == json.dumps({
+                "raw_mask": rec.raw_mask, "canon_mask": rec.canon_mask, "m": rec.m,
+                "bestK": rec.best_k, "status": rec.status, "code": code,
+            })
+
     def test_checkpoint_torn_line_ignored(self, tmp_path: Path):
         job = SearchJob(n=3, d=2, graph_source="iso")
         ck = tmp_path / "torn.ckpt"
