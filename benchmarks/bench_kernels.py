@@ -21,7 +21,7 @@ import numpy as np
 import cwskit.kernels as K
 from cwskit.clique import clique_graphs, make_cws_clique_graph
 from cwskit.errormap import error_set, setup, setup_table
-from cwskit.graphs import Graph, class_table, edge_count, rows_table
+from cwskit.graphs import Graph, class_table, edge_count, lc_orbit_masks, rows_table
 from cwskit.search import BUILD_CHUNK, SearchJob, _load_checkpoint, run_search
 from cwskit.verify import first_failing_code
 
@@ -112,6 +112,13 @@ def bench_canon(repeat: int):
     return f"class table build (n={n}, 156 classes, {n}! perms)", fn, fn
 
 
+def bench_lc_orbits(repeat: int):
+    """The LC orbits of the n=7 graphs, as `--graphs lc --n 7` lists them:
+    the class table, then the mask-level closure of each orbit."""
+    fn = lambda: list(lc_orbit_masks(7))
+    return f"LC orbits (n=7, {len(fn())} orbits)", fn, fn
+
+
 def bench_checkpoint_verify(repeat: int):
     """The stored codes of the n=5 d=2 `all` sweep, verified as a resume
     verifies its checkpoint."""
@@ -145,6 +152,7 @@ BENCHES = [
     bench_bnb,
     bench_bnb_ring10,
     bench_canon,
+    bench_lc_orbits,
     bench_checkpoint_verify,
     bench_checkpoint_load,
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -203,29 +203,31 @@ class CanonicalForm:
 
 
 @lru_cache(maxsize=8)
-def _perm_tables(n: int) -> np.ndarray:
-    """Action of every vertex permutation on edge-mask bit positions:
-    row p maps bit edge_bit(i, j) to edge_bit(perm[i], perm[j])."""
+def _perm_weights(n: int) -> np.ndarray:
+    """Read-only (E, n!) int64 table of the action of every vertex
+    permutation on edge-mask bits: row edge_bit(i, j), column p holds
+    ``1 << edge_bit(perm[i], perm[j])``, so a mask's image under
+    permutation p is the sum of column p over the mask's set bits."""
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    maps = np.zeros((len(perms), max(1, edge_count(n))), dtype=np.int32)
+    weights = np.zeros((max(1, edge_count(n)), len(perms)), dtype=np.int64)
     for j in range(n):
         for i in range(j):
             lo = np.minimum(perms[:, i], perms[:, j])
             hi = np.maximum(perms[:, i], perms[:, j])
-            maps[:, edge_bit(i, j, n)] = edge_count(n) - 1 - (hi * (hi - 1) // 2 + lo)
-    return maps
+            weights[edge_bit(i, j, n)] = 1 << (edge_count(n) - 1 - (hi * (hi - 1) // 2 + lo))
+    weights.flags.writeable = False
+    return weights
 
 
-def _canonical_dfs(g: Graph) -> int:
-    """Branch-and-bound search for the minimum edge mask over relabellings.
+def _canonical_dfs(n: int, rows: Sequence[int]) -> int:
+    """Branch-and-bound search for the minimum edge mask over relabellings
+    of the n-vertex graph with adjacency rows `rows`.
 
     Builds the mask prefix position by position (new vertex k fixes the edge
     bits towards positions 0..k-1) and prunes branches whose prefix already
     exceeds the best complete mask found.
     """
-    n = g.n
     nedge = edge_count(n)
-    rows = g.rows
     best_mask = [None]
 
     def descend(assigned: list[int], used: int, prefix: int, bits: int) -> None:
@@ -264,7 +266,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
         raise ValueError(f"canonical_form supports n <= {MAX_CANONICAL_N}")
     if n == 1:
         return CanonicalForm(1, 0)
-    return CanonicalForm(n, _canonical_dfs(g))
+    return CanonicalForm(n, _canonical_dfs(n, g.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -283,38 +285,36 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
         yield Graph.from_mask(n, mask)
 
 
-_SCAN_WORDS = 1024  # visited words inspected per step of the orbit pass
+_SCAN = 4096  # visited entries inspected per step of the orbit pass
 
 
 def _orbit_pass(n: int, canon: np.ndarray | None = None) -> Iterator[tuple[int, int]]:
     """(minimum mask, size) of every isomorphism class, in increasing order.
 
     Walks the masks upwards; the first mask not yet marked is always its
-    orbit's minimum.  All n! images of it are computed at once and marked in
-    a packed visited bitset and, when `canon` is given, labelled with the
-    minimum in ``canon[image]``.
+    orbit's minimum.  All n! images of it are computed at once, as the sum
+    of the rows of `_perm_weights` that its set bits select, and marked in
+    a visited array of one byte per mask; when `canon` is given they are
+    labelled with the minimum in ``canon[image]``.  The visited array has
+    2^E entries (32 KB at n=6, 2 MB at n=7, 256 MB at n=8), and the pass
+    commits its pages as it touches them.
     """
-    weights = np.left_shift(np.int64(1), _perm_tables(n).astype(np.int64))
+    weights = _perm_weights(n)
     total = 1 << edge_count(n)
-    visited = np.zeros(max(1, (total + 63) >> 6), dtype=np.uint64)
-    word = 0
-    while word < visited.size:
-        open_words = np.flatnonzero(~visited[word : word + _SCAN_WORDS])
-        if open_words.size == 0:
-            word += _SCAN_WORDS
+    visited = np.zeros(total, dtype=bool)
+    mask = 0
+    while mask < total:
+        window = visited[mask : mask + _SCAN]
+        step = int(window.argmin())  # the first unvisited entry, if any
+        if window[step]:
+            mask += _SCAN
             continue
-        word += int(open_words[0])
-        free = int(~visited[word])
-        mask = (word << 6) + (free & -free).bit_length() - 1
-        if mask >= total:
-            return
-        bits = [e for e in range(mask.bit_length()) if (mask >> e) & 1]
-        images = weights[:, bits].sum(axis=1)
-        np.bitwise_or.at(
-            visited,
-            images >> 6,
-            np.left_shift(np.uint64(1), (images & 63).astype(np.uint64)),
-        )
+        mask += step
+        images = np.zeros(weights.shape[1], dtype=np.int64)
+        for e in range(mask.bit_length()):
+            if (mask >> e) & 1:
+                images += weights[e]
+        visited[images] = True
         if canon is not None:
             canon[images] = mask
         # orbit-stabiliser: images repeat once per automorphism of the graph
@@ -364,29 +364,51 @@ def local_complement(g: Graph, v: int) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
-def _lc_closure(n: int, start: int, label: Callable[[Graph], int]) -> list[int]:
+@lru_cache(maxsize=16)
+def _clique_masks(n: int) -> np.ndarray:
+    """Read-only table of 2^n int64 edge masks: entry s has the bit of every
+    edge (i, j) with both i and j in vertex set s.  Local complementation at
+    v flips exactly the edges among v's neighbours, so it takes a graph's
+    mask to ``mask ^ table[rows[v]]``."""
+    sets = np.arange(1 << n, dtype=np.int64)
+    table = np.zeros(1 << n, dtype=np.int64)
+    for bit, i, j in _edge_positions(n):
+        table |= ((sets >> i) & (sets >> j) & 1) << bit
+    table.flags.writeable = False
+    return table
+
+
+def _lc_closure(
+    n: int, start: int, label: Callable[[np.ndarray], list[int]]
+) -> list[int]:
     """Sorted class labels reachable from label `start` by local
-    complementation; `label` maps a graph to its class label."""
+    complementation; `label` maps an array of edge masks to their class
+    labels.
+
+    Works on masks, one frontier of new classes at a time: the local
+    complements of every frontier mask at every vertex are one XOR with
+    `_clique_masks` rows, labelled in one call, and no Graph is built."""
+    table = _clique_masks(n)
     seen = {start}
     frontier = [start]
     while frontier:
-        cur = Graph.from_mask(n, frontier.pop())
-        for v in range(n):
-            nxt = label(local_complement(cur, v))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
+        masks = np.array(frontier, dtype=np.int64)[:, None] ^ table[rows_table(n, frontier)]
+        new = set(label(masks.ravel())) - seen
+        seen |= new
+        frontier = list(new)
     return sorted(seen)
 
 
-def _dfs_label(g: Graph) -> int:
-    return canonical_form(g).mask
+def _dfs_labels(n: int, masks: np.ndarray) -> list[int]:
+    """Canonical masks of n-vertex graphs given by their edge masks, each
+    found by `_canonical_dfs` (n <= MAX_CANONICAL_N)."""
+    return [_canonical_dfs(n, rows) for rows in rows_table(n, masks.tolist()).tolist()]
 
 
 def lc_orbit(g: Graph) -> list[int]:
     """Sorted canonical masks of the isomorphism classes reachable from g by
     local complementation."""
-    return _lc_closure(g.n, _dfs_label(g), _dfs_label)
+    return _lc_closure(g.n, canonical_form(g).mask, partial(_dfs_labels, g.n))
 
 
 def lc_orbit_masks(n: int) -> Iterator[tuple[int, ...]]:
@@ -397,11 +419,11 @@ def lc_orbit_masks(n: int) -> Iterator[tuple[int, ...]]:
     if n <= MAX_TABLE_N:
         canon, classes = class_table(n)
 
-        def label(h: Graph) -> int:
-            return int(canon[h.mask()])
+        def label(masks: np.ndarray) -> list[int]:
+            return canon[masks].tolist()
 
     else:
-        classes, label = _orbit_pass(n), _dfs_label
+        classes, label = _orbit_pass(n), partial(_dfs_labels, n)
     seen: set[int] = set()
     for rep, _size in classes:
         if rep in seen:

@@ -291,17 +291,23 @@ def _is_record(obj: dict) -> bool:
     writes them: int masks, m and bestK (never bools), a known status, and a
     code that is absent, null or a list of ints.  A search stores a code of
     exactly bestK words, so a non-empty code of another length is refused."""
-    code = obj.get("code")
-    return (
-        all(type(obj.get(k)) is int for k in ("raw_mask", "canon_mask", "m", "bestK"))
+    if not (
+        type(obj.get("raw_mask")) is int
+        and type(obj.get("canon_mask")) is int
+        and type(obj.get("m")) is int
+        and type(obj.get("bestK")) is int
         and obj.get("status") in ("exact", "bound")
-        and (
-            code is None
-            or type(code) is list
-            and all(type(c) is int for c in code)
-            and (not code or len(code) == obj["bestK"])
-        )
-    )
+    ):
+        return False
+    code = obj.get("code")
+    if code is None:
+        return True
+    if type(code) is not list:
+        return False
+    for c in code:
+        if type(c) is not int:
+            return False
+    return not code or len(code) == obj["bestK"]
 
 
 def _checkpoint_line(ln: bytes, lineno: int) -> dict:
@@ -353,10 +359,10 @@ def _load_checkpoint(path: Path, job: SearchJob) -> dict[int, GraphRecord]:
                     raise ValueError("checkpoint belongs to a different job")
                 continue
             obj = _checkpoint_line(ln, lineno)
+            code = obj.get("code")
             rec = GraphRecord(
-                n=job.n, canon_mask=obj["canon_mask"], raw_mask=obj["raw_mask"], m=obj["m"],
-                best_k=obj["bestK"], status=obj["status"],
-                code=tuple(obj["code"]) if obj.get("code") else None,
+                job.n, obj["canon_mask"], obj["raw_mask"], obj["m"], obj["bestK"],
+                obj["status"], tuple(code) if code else None,
             )
             if rec.code:
                 coded.append(rec)
@@ -434,7 +440,10 @@ def run_search(
         if ck_handle:
             ck_handle.close()
 
-    records.sort(key=GraphRecord.sort_key)
+    # the order of GraphRecord.sort_key: fields start n, canon_mask, raw_mask,
+    # and raw masks are unique in a run, so no two records tie before them;
+    # a key function would build a tuple per record
+    records.sort()
 
     best_k = max((r.best_k for r in records), default=0)
     witness = None

@@ -31,6 +31,7 @@ USERS = (
 # Kept without a user, each for the reason given.
 KEEP = {
     "cl_map": "per-error reference the cl_patterns kernel is tested against",
+    "local_complement": "Graph-level reference the mask-level LC closure is tested against",
     "symplectic_product": "definition-level route for certified absence",
     "PauliOp.single": "builds the single-qubit errors of the tests",
     "Graph.permute": "relabelling that the canonical-form tests apply",

@@ -25,6 +25,7 @@ from cwskit.graphs import (
     rows_table,
     write_graph_file,
     _canonical_dfs,
+    _clique_masks,
 )
 
 
@@ -163,17 +164,17 @@ class TestClassTable:
     def test_table_matches_dfs_n6(self):
         canon, _classes = class_table(6)
         for mask in range(1 << edge_count(6)):
-            assert int(canon[mask]) == _canonical_dfs(Graph.from_mask(6, mask))
+            assert int(canon[mask]) == _canonical_dfs(6, Graph.from_mask(6, mask).rows)
 
     def test_table_matches_dfs_n7_sample(self):
         rng = random.Random(7)
         canon, classes = class_table(7)
         assert len(classes) == 1044
         for mask in rng.sample(range(1 << edge_count(7)), 300):
-            assert int(canon[mask]) == _canonical_dfs(Graph.from_mask(7, mask))
+            assert int(canon[mask]) == _canonical_dfs(7, Graph.from_mask(7, mask).rows)
 
     def test_n8_classes_start_without_table(self):
-        # no 2^28-entry table at n=8: the bitset pass still yields classes;
+        # no 2^28-entry table at n=8: the orbit pass still yields classes;
         # the empty graph, 28 single edges, then 8 * C(7,2) two-edge paths
         first = list(itertools.islice(isomorphism_classes(8), 3))
         assert [(g.mask(), s) for g, s in first] == [(0, 1), (1, 28), (3, 168)]
@@ -244,6 +245,21 @@ class TestLocalComplementation:
             g = random_graph(6, rng)
             v = rng.randrange(6)
             assert local_complement(local_complement(g, v), v).rows == g.rows
+
+    def test_mask_level_matches_graph_level(self):
+        # the closure's step: row v of every mask's graph picks the
+        # _clique_masks entry whose XOR is the local complement at v
+        rng = random.Random(11)
+        for n in range(1, 11):
+            if n <= 5:
+                masks = list(range(1 << edge_count(n)))
+            else:
+                masks = [rng.randrange(1 << edge_count(n)) for _ in range(200)]
+            got = np.array(masks, dtype=np.int64)[:, None] ^ _clique_masks(n)[rows_table(n, masks)]
+            assert got.tolist() == [
+                [local_complement(Graph.from_mask(n, m), v).mask() for v in range(n)]
+                for m in masks
+            ]
 
     def test_orbit_counts_small(self):
         # Danielsen-Parker LC orbit counts, cross-checked by the partition

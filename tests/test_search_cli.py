@@ -746,6 +746,38 @@ class TestCheckpoint:
             f"error: checkpoint line {i + 2} is not a record\n"
         )
 
+    def test_is_record_keeps_the_verdict_of_the_generator_form(self):
+        # the record check before it was written as flat tests
+        def reference(obj):
+            code = obj.get("code")
+            return (
+                all(type(obj.get(k)) is int for k in ("raw_mask", "canon_mask", "m", "bestK"))
+                and obj.get("status") in ("exact", "bound")
+                and (
+                    code is None
+                    or type(code) is list
+                    and all(type(c) is int for c in code)
+                    and (not code or len(code) == obj["bestK"])
+                )
+            )
+
+        good = {"raw_mask": 5, "canon_mask": 3, "m": 7, "bestK": 2,
+                "status": "exact", "code": [0, 6]}
+        values = [0, 2, -1, 1 << 70, True, False, 2.0, "2", None, [2], {"k": 2}]
+        codes = [None, [], [0], [0, 6], [0, 6, 9], [0, True], [0, 6.0], ["0", 6],
+                 [None, 1], [[0], 6], (0, 6), "06", 6, 6.0, True, {"0": 6}]
+        objs = [good, {}, {"code": [0, 6]}]
+        for key in good:
+            objs.append({k: v for k, v in good.items() if k != key})
+            for value in values + codes + ["bound", "exact", "EXACT", "unknown", ""]:
+                objs.append({**good, key: value})
+        for code in codes:
+            for best_k in (0, 1, 2, 3, True, 2.0):
+                objs.append({**good, "code": code, "bestK": best_k})
+        verdicts = [cwskit.search._is_record(obj) for obj in objs]
+        assert verdicts == [reference(obj) for obj in objs]
+        assert True in verdicts and False in verdicts
+
     def test_resume_builds_only_the_witness_objects(self, tmp_path: Path, monkeypatch):
         # stored codes are verified on ints: resuming the complete n=5
         # checkpoint builds one Graph, ClassicalCode and CWSCode, and the
