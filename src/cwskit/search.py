@@ -310,11 +310,28 @@ def _is_record(obj: dict) -> bool:
     return not code or len(code) == obj["bestK"]
 
 
+_DECODER = json.JSONDecoder()  # json.loads's settings, built once
+
+
+def _decode_line(text: str):
+    """`json.loads(text)` for a line that ends in a newline.
+
+    The line a search writes is one JSON value and its newline; `raw_decode`
+    reads that value without the whitespace scans and checks of `loads`.
+    Any other line (leading or other trailing whitespace, more text, a BOM,
+    no value) is left to `json.loads`, so every line gets its verdict."""
+    try:
+        obj, end = _DECODER.raw_decode(text)
+    except json.JSONDecodeError:
+        return json.loads(text)
+    return obj if text[end:] == "\n" else json.loads(text)
+
+
 def _checkpoint_line(ln: bytes, lineno: int) -> dict:
     """Complete checkpoint line `lineno`, decoded: the job header on line 1,
     a record on every later line."""
     try:
-        obj = json.loads(ln.decode())
+        obj = _decode_line(ln.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"checkpoint line {lineno} cannot be decoded") from exc
     if not isinstance(obj, dict) or not ("job" in obj if lineno == 1 else _is_record(obj)):

@@ -14,6 +14,7 @@ scaled vectors and every comparison is exact.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -119,6 +120,7 @@ def detection_check(q: CWSCode, errors: ErrorSet) -> VerificationReport:
 
 
 VERIFY_CHUNK = 4096  # graphs per pattern table: (VERIFY_CHUNK, E) int64
+VERIFY_BLOCK = 1 << 13  # word pairs, pattern keys and zero-pattern tests per block
 
 
 def _check_words(n: int, words: Sequence[int]) -> None:
@@ -141,26 +143,153 @@ def first_failing_code(
     """Index of the first (graph edge mask, codewords) pair whose code fails
     ``detection_check``, or -1 when every code detects ``errors``.
 
-    The check runs on ints, with no Graph or ClassicalCode per pair: each
+    The check runs on arrays, with no Graph or ClassicalCode per pair: each
     chunk of up to VERIFY_CHUNK masks becomes one adjacency table
     (``graphs.rows_table``, which reads a mask's low n(n-1)/2 bits as
     ``Graph.from_mask`` does), one ``cl_patterns`` call maps every error
-    through all of its graphs, and each code is tested against its graph's
-    patterns by the core ``detection_check`` uses.  The words of each code
-    are first checked as ``CWSCode`` would check them (a ValueError with its
-    message), in pair order, so the first bad pair is the one reported."""
+    through all of its graphs, and the chunk's codes are tested together
+    (``_chunk_failure``).  The words of a code are checked as ``CWSCode``
+    would check them, and the first failing pair is checked again by
+    ``_check_words``: bad words raise its ValueError, with its message, and
+    a failing code is otherwise reported by index."""
     n = errors.n
     for lo in range(0, len(masks), VERIFY_CHUNK):
         hi = lo + VERIFY_CHUNK
-        table = rows_table(n, masks[lo:hi])
-        patterns = kernels.cl_patterns(errors.xcols, errors.v, table)
-        for i, (words, pats) in enumerate(zip(codes[lo:hi], patterns), lo):
-            _check_words(n, words)
-            # one row of ints at a time: a whole chunk as lists would raise
-            # the peak memory of a resume
-            if _first_violation(words, pats.tolist(), errors) >= 0:
-                return i
+        chunk_masks, chunk_codes = masks[lo:hi], codes[lo:hi]
+        try:
+            bad = _chunk_failure(chunk_masks, chunk_codes, errors)
+        except OverflowError:
+            # a word beyond int64 is out of range for every n: the codes
+            # before the first such code are tested as arrays, and that
+            # code fails
+            wide = next(
+                i for i, words in enumerate(chunk_codes)
+                if not all(-(1 << 63) <= c < 1 << 63 for c in words)
+            )
+            bad = _chunk_failure(chunk_masks[:wide], chunk_codes[:wide], errors)
+            if bad < 0:
+                bad = wide
+        if bad >= 0:
+            _check_words(n, chunk_codes[bad])
+            return lo + bad
     return -1
+
+
+def _chunk_failure(
+    masks: Sequence[int], codes: Sequence[Sequence[int]], errors: ErrorSet
+) -> int:
+    """Index of the first (mask, code) pair of one chunk whose code fails,
+    or -1: a word outside 0..2^n-1, no all-zeros word, two equal words, a
+    nonzero pattern that is the XOR of two words, or a zero pattern whose
+    error anticommutes with a word.  The codes are flattened into one int64
+    array (OverflowError for a word beyond int64).
+
+    The pair and zero-pattern tests run on a block of whole codes at a time,
+    of about VERIFY_BLOCK tests, so no temporary grows with K^2 times the
+    chunk size; blocks stop at the first code that fails."""
+    n = errors.n
+    count = len(masks)
+    lens = np.fromiter(map(len, codes), dtype=np.int64, count=count)
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    total = int(ends[-1]) if count else 0
+    flat = np.fromiter(itertools.chain.from_iterable(codes), dtype=np.int64, count=total)
+    row = np.repeat(np.arange(count), lens)  # the code of each word
+
+    # the words of each code: in range, with an all-zeros word
+    fail = np.ones(count, dtype=bool)
+    fail[row[flat == 0]] = False
+    fail[row[(flat >> n) != 0]] = True
+    stop = int(fail.argmax()) if fail.any() else count
+    if stop == 0:
+        return 0 if count else -1
+
+    patterns = kernels.cl_patterns(errors.xcols, errors.v, rows_table(n, masks))
+    zero = patterns == 0
+    # the nonzero patterns as keys code << (n + 1) | pattern << 1, in code
+    # order; the keys of codes a..b-1 are pattern_keys[offsets[a]:offsets[b]]
+    patterns <<= 1
+    patterns |= np.arange(count, dtype=np.int64)[:, None] << (n + 1)
+    pattern_keys = patterns[~zero]
+    del patterns
+    zeros = zero.sum(axis=1)
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(errors.v.size - zeros, out=offsets[1:])
+
+    # a code's entries in the block's temporaries: its pairs and pattern
+    # keys, and a word per zero pattern
+    cost = lens * (lens - 1) // 2 + errors.v.size - zeros + zeros * lens
+    cum = np.cumsum(cost[:stop])
+    a = 0
+    while a < stop:
+        b = int(np.searchsorted(cum, cum[a] - cost[a] + VERIFY_BLOCK, side="right"))
+        b = min(max(b, a + 1), stop)
+        block_keys = pattern_keys[offsets[a] : offsets[b]]
+        hit = _block_failure(n, flat, row, starts, ends, a, b, block_keys, zero, errors.u)
+        if hit >= 0:
+            return hit
+        a = b
+    return stop if stop < count else -1
+
+
+def _block_failure(
+    n: int,
+    flat: np.ndarray,
+    row: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    a: int,
+    b: int,
+    pattern_keys: np.ndarray,
+    zero: np.ndarray,
+    u: np.ndarray,
+) -> int:
+    """Index of the first of the codes a..b-1 (words flat[starts[i]:ends[i]]
+    of code i) with two equal words, two words whose XOR is a nonzero pattern
+    of its graph (its key in ``pattern_keys``), or a word that anticommutes
+    with an error whose pattern is zero (``zero[i]``); -1 when none has.
+    Its temporaries hold one entry per word pair and per (word, zero
+    pattern) of the block."""
+    failing = []
+    s, e = int(starts[a]), int(ends[b - 1])
+    # each word with each later word of its code
+    words = np.arange(s, e)
+    later = ends[row[s:e]] - words - 1
+    left = np.repeat(words, later)
+    if left.size:
+        right = np.arange(1, left.size + 1)
+        right -= np.repeat(np.cumsum(later) - later, later)
+        right += left
+        # a pair's key is its XOR's pattern key plus 1, written after the
+        # pattern keys: sorted together, a pair whose XOR is a pattern lands
+        # right after that pattern
+        merged = np.empty(pattern_keys.size + left.size, dtype=np.int64)
+        merged[: pattern_keys.size] = pattern_keys
+        key = merged[pattern_keys.size :]
+        np.take(flat, right, out=key)
+        del right
+        key ^= flat[left]
+        if not key.all():  # two equal words: the first XOR of 0
+            failing.append(row[left[(key == 0).argmax()]])
+        key <<= 1
+        key |= row[left] << (n + 1)
+        key |= 1
+        del left, key
+        merged.sort()
+        hit = (merged[1:] ^ merged[:-1]) == 1
+        if hit.any():
+            failing.append(merged[hit.argmax()] >> (n + 1))
+    # each zero pattern with each word of its code
+    code, err = np.nonzero(zero[a:b])
+    if code.size:
+        code += a
+        size = ends[code] - starts[code]
+        first = np.cumsum(size) - size
+        index = np.arange(int(first[-1] + size[-1])) + np.repeat(starts[code] - first, size)
+        anti = np.bitwise_count(flat[index] & np.repeat(u[err], size)) & 1
+        if anti.any():
+            failing.append(code[np.repeat(np.arange(code.size), size)[anti.argmax()]])
+    return int(min(failing)) if failing else -1
 
 
 # ---------------------------------------------------------------------------

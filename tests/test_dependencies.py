@@ -33,3 +33,26 @@ def _absolute_imports(path: Path) -> set[str]:
 def test_imports_are_stdlib_or_declared(path):
     allowed = set(sys.stdlib_module_names) | _declared()
     assert _absolute_imports(path) <= allowed
+
+
+def _test_extra() -> set[str]:
+    extras = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"][
+        "optional-dependencies"
+    ]
+    return {re.split(r"[\s<>=!~;\[]", d, maxsplit=1)[0] for d in extras["test"]}
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "tests").glob("*.py")), ids=lambda p: p.name
+)
+def test_test_imports_are_declared_for_tests(path):
+    # the package, the test modules themselves, and what the `test` extra
+    # declares on top of the package's dependencies
+    local = {"cwskit"} | {p.stem for p in (ROOT / "tests").glob("*.py")}
+    allowed = set(sys.stdlib_module_names) | _declared() | _test_extra() | local
+    assert _absolute_imports(path) <= allowed
+
+
+def test_scipy_is_for_tests_only():
+    assert "scipy" in _test_extra()
+    assert "scipy" not in _declared()

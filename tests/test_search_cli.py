@@ -814,6 +814,141 @@ class TestCheckpoint:
         assert len(lines) == res.total_graphs
 
 
+def json_loads_checkpoint_line(ln: bytes, lineno: int) -> dict:
+    """`search._checkpoint_line` as it was with `json.loads` on every line,
+    kept as the reference of the version with one reused decoder."""
+    try:
+        obj = json.loads(ln.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"checkpoint line {lineno} cannot be decoded") from exc
+    if not isinstance(obj, dict) or not (
+        "job" in obj if lineno == 1 else cwskit.search._is_record(obj)
+    ):
+        what = "job header" if lineno == 1 else "record"
+        raise ValueError(f"checkpoint line {lineno} is not a {what}")
+    return obj
+
+
+DECODE_JOB = SearchJob(n=4, d=2, graph_source="all")
+DECODE_HEADER = json.dumps({"job": DECODE_JOB.fingerprint()}).encode()
+DECODE_RECORD = (b'{"raw_mask": 5, "canon_mask": 3, "m": 7, "bestK": 2, '
+                 b'"status": "exact", "code": [0, 6]}')
+
+
+def crafted_checkpoint_lines() -> list[bytes]:
+    """Complete lines (each ends in a newline) around a header and a record:
+    JSON whitespace and other whitespace before and after the value, CRLF
+    endings, a UTF-8 BOM, two values or trailing garbage, NaN, floats and
+    bools where ints belong, ints of 70 bits and more, and invalid UTF-8."""
+    record = DECODE_RECORD
+    bodies = [DECODE_HEADER, record, record.replace(b"[0, 6]", b"null"),
+              b"{}", b"[]", b"1", b'"x"', b"null", b"NaN", b""]
+    for old, new in [(b'"m": 7', b'"m": NaN'), (b'"m": 7', b'"m": Infinity'),
+                     (b'"m": 7', b'"m": -Infinity'), (b'"m": 7', b'"m": 7.0'),
+                     (b'"m": 7', b'"m": 7e0'), (b'"m": 7', b'"m": true'),
+                     (b'"bestK": 2', b'"bestK": false'), (b'[0, 6]', b'[0, 6.0]'),
+                     (b'[0, 6]', b'[0, true]'), (b'[0, 6]', b'[0, NaN]'),
+                     (b'"raw_mask": 5', b'"raw_mask": %d' % (1 << 70)),
+                     (b'"raw_mask": 5', b'"raw_mask": %d' % -(1 << 75)),
+                     (b'[0, 6]', b'[0, %d]' % (1 << 80)),
+                     (b'"exact"', b'"ex\\u0061ct"'), (b'"exact"', b'"ex\xffact"'),
+                     (b'"exact"', b'"exact\xc3"'), (b", ", b",\t"), (b": ", b":")]:
+        bodies.append(record.replace(old, new))
+    lines = []
+    for body in bodies:
+        lines += [
+            body + b"\n",
+            b"  " + body + b"\n",
+            b"\t" + body + b"\n",
+            b"\r" + body + b"\n",
+            body + b"\r\n",
+            body + b" \n",
+            body + b" \t\r\n",
+            body + b"\x0c\n",
+            b"\x0c" + body + b"\n",
+            body + " ".encode() + b"\n",
+            " ".encode() + body + b"\n",
+            b"\xef\xbb\xbf" + body + b"\n",
+            body + b" " + body + b"\n",
+            body + body + b"\n",
+            body + b"x\n",
+            body + b"}\n",
+            body[:-1] + b"\n",
+            b"\xff" + body + b"\n",
+            body + b"\xff\n",
+        ]
+    return lines
+
+
+def decode_outcome(fn, ln: bytes, lineno: int):
+    try:
+        return ("accepted", repr(fn(ln, lineno)))
+    except ValueError as exc:
+        return ("refused", str(exc))
+
+
+class TestCheckpointDecode:
+    def test_each_line_gets_the_verdict_of_json_loads(self):
+        verdicts = set()
+        for ln in crafted_checkpoint_lines():
+            for lineno in (1, 2, 9):
+                expect = decode_outcome(json_loads_checkpoint_line, ln, lineno)
+                got = decode_outcome(cwskit.search._checkpoint_line, ln, lineno)
+                assert got == expect, (ln, lineno)
+                verdicts.add(expect[0] if expect[0] == "accepted" else
+                             expect[1].split(" ", 3)[3])
+        assert verdicts == {"accepted", "cannot be decoded", "is not a record",
+                            "is not a job header"}
+
+    def test_a_blank_first_line_does_not_decode(self):
+        with pytest.raises(ValueError, match="^checkpoint line 1 cannot be decoded$"):
+            cwskit.search._checkpoint_line(b"", 1)
+
+    def test_each_line_as_the_loader_meets_it(self, tmp_path: Path, monkeypatch):
+        # the crafted line as line 3 of a checkpoint, between a valid record
+        # and a valid null record: the same records or the same message
+        ck = tmp_path / "crafted.ckpt"
+        before = DECODE_RECORD.replace(b"[0, 6]", b"null")
+        after = before.replace(b'"raw_mask": 5', b'"raw_mask": 6')
+
+        def load():
+            try:
+                return ("loaded", sorted(cwskit.search._load_checkpoint(ck, DECODE_JOB).items()))
+            except ValueError as exc:
+                return ("refused", str(exc))
+
+        messages = set()
+        for ln in crafted_checkpoint_lines():
+            data = DECODE_HEADER + b"\n" + before + b"\n" + ln + after + b"\n"
+            ck.write_bytes(data)
+            got = load()
+            with monkeypatch.context() as m:
+                m.setattr(cwskit.search, "_checkpoint_line", json_loads_checkpoint_line)
+                ck.write_bytes(data)
+                expect = load()
+            assert got == expect, ln
+            messages.add(expect[1] if expect[0] == "refused" else "loaded")
+        assert messages == {
+            "loaded",
+            "checkpoint line 3 cannot be decoded",
+            "checkpoint line 3 is not a record",
+            "checkpoint contains a code that fails verification",
+            f"value {1 << 80} out of range for n=4",
+        }
+
+    def test_written_lines_take_the_reused_decoder(self, complete_n4_checkpoint, monkeypatch):
+        # every line a search writes is decoded without json.loads
+        job, data, _plain, ck = complete_n4_checkpoint
+        ck.write_bytes(data)
+        expect = cwskit.search._load_checkpoint(ck, job)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.loads called")
+
+        monkeypatch.setattr(json, "loads", refuse)
+        assert cwskit.search._load_checkpoint(ck, job) == expect
+
+
 class TestCli:
     def _graph_file(self, tmp_path: Path, g: Graph) -> str:
         path = tmp_path / "g.graph"

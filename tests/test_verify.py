@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,10 +8,18 @@ import pytest
 
 import cwskit.verify
 from conftest import dense_pauli, random_graph
-from cwskit.clique import cws_maxclique, make_cws_clique_graph
-from cwskit.errormap import ErrorSet, _weight_errors, cl_map, error_set, setup
+from cwskit import kernels
+from cwskit.clique import clique_graphs, cws_maxclique, make_cws_clique_graph, max_clique
+from cwskit.errormap import (
+    ErrorSet,
+    _weight_errors,
+    cl_map,
+    error_set,
+    setup,
+    setup_table,
+)
 from cwskit.gf2 import ClassicalCode, PauliOp, parity
-from cwskit.graphs import Graph, graph_state_amplitudes
+from cwskit.graphs import Graph, graph_state_amplitudes, rows_table
 from cwskit.verify import (
     CWSCode,
     code_distance,
@@ -407,3 +416,158 @@ class TestFilesAndReports:
         assert "oracle_distance" not in text
         assert "witness_error=ZII" in text
         assert "witness_pair=" in text
+
+
+def per_code_first_failing_code(masks, codes, errors: ErrorSet) -> int:
+    """`first_failing_code` as the loop over one code at a time that the
+    array version replaced, kept as its reference.  Each code's words are
+    checked as CWSCode checks them (a ValueError with its message), then the
+    code fails when a nonzero pattern of its graph is the XOR of two of its
+    words, or a zero pattern's error anticommutes with one of its words."""
+    n = errors.n
+    patterns = kernels.cl_patterns(errors.xcols, errors.v, rows_table(n, masks))
+    for i, (words, pats) in enumerate(zip(codes, patterns.tolist())):
+        if min(words) < 0 or max(words) >> n:
+            bad = min(c for c in words if c < 0 or c >> n)
+            raise ValueError(f"value {bad} out of range for n={n}")
+        if len(set(words)) < len(words):
+            raise ValueError("codewords must be pairwise distinct")
+        if 0 not in words:
+            raise ValueError("standard form requires the all-zeros codeword")
+        hits = {a ^ b for a in words for b in words}
+        for p, error in zip(pats, errors.paulis):
+            if p in hits if p else any(parity(c & error.u) for c in words):
+                return i
+    return -1
+
+
+CORRUPTIONS = ("negative", "high", "wide", "repeat", "no zero", "pair", "zero pattern")
+
+
+def corrupted(words: list[int], g: Graph, errors: ErrorSet, kind: str, rng) -> list[int]:
+    """`words` with one fault of the given kind, in shuffled order; the words
+    are returned unchanged when the graph has no zero pattern to break."""
+    n = g.n
+    words = list(words)
+    patterns = kernels.cl_patterns(errors.xcols, errors.v, g.rows_array()[None])[0]
+    if kind == "negative":
+        words.append(rng.choice([-1, -rng.randrange(1, 1 << n), -(1 << 63)]))
+    elif kind == "high":
+        words.append(rng.randrange(1 << n, 1 << (n + 3)))
+    elif kind == "wide":  # beyond int64 either way
+        words.append(rng.choice([1 << 63, (1 << 63) + rng.randrange(1 << 10),
+                                 1 << 70, -(1 << 63) - 1]))
+    elif kind == "repeat":
+        words.append(rng.choice(words))
+    elif kind == "no zero":
+        words.remove(0)
+    elif kind == "pair":
+        p = int(rng.choice(patterns[patterns != 0]))
+        extra = rng.choice(words) ^ p
+        if extra not in words:
+            words.append(extra)
+    else:
+        idx = np.flatnonzero(patterns == 0)
+        if idx.size:
+            u = errors.paulis[int(rng.choice(idx))].u
+            extra = rng.choice([c for c in range(1 << n) if parity(c & u)])
+            if extra not in words:
+                words.append(extra)
+    rng.shuffle(words)
+    return words
+
+
+def outcome(fn, *args):
+    try:
+        return ("index", fn(*args))
+    except ValueError as exc:
+        return ("refused", str(exc))
+
+
+class TestFirstFailingCodeArrays:
+    @pytest.mark.parametrize("chunk, block", [(3, 1), (4, 40), (4096, 1 << 13)])
+    def test_agrees_with_the_per_code_loop(self, monkeypatch, chunk, block):
+        # seeded codes at n = 3..7, d = 2..3, a quarter of them corrupted;
+        # small chunks and blocks put failures on both sides of their borders
+        monkeypatch.setattr(cwskit.verify, "VERIFY_CHUNK", chunk)
+        monkeypatch.setattr(cwskit.verify, "VERIFY_BLOCK", block)
+        rng = random.Random(31)
+        pools: dict[tuple[int, int], list] = {}
+        for g, words, errors in detection_instances(rng, 30, max_d=3):
+            if g.n >= 3 and len(errors) and errors.n == g.n:
+                pools.setdefault((g.n, len(errors)), []).append((g, words, errors))
+        assert len(pools) == 10
+        seen: dict[str, int] = {}
+        boundary = [0, 0]  # failures last in a chunk, first in a later one
+        for pool in pools.values():
+            errors = pool[0][2]
+            shift = errors.n * (errors.n - 1) // 2
+            for _ in range(120):
+                masks, codes = [], []
+                for _ in range(rng.randint(1, 10)):
+                    g, words, _e = rng.choice(pool)
+                    if rng.random() < 0.25:
+                        words = corrupted(words, g, errors, rng.choice(CORRUPTIONS), rng)
+                    masks.append(g.mask() + (rng.randint(-4, 4) << shift))
+                    codes.append(words)
+                expect = outcome(per_code_first_failing_code, masks, codes, errors)
+                assert outcome(first_failing_code, masks, codes, errors) == expect
+                kind = expect[1].split(" ")[0] if expect[0] == "refused" else expect[1] >= 0
+                seen[kind] = seen.get(kind, 0) + 1
+                if expect[0] == "index" and expect[1] > 0:
+                    at = expect[1] % chunk
+                    if at in (0, chunk - 1):
+                        boundary[at == 0] += 1
+        # every verdict occurs: out of range, repeated, no zero word, an
+        # empty code (min() of nothing), a failing index, and no failure
+        assert set(seen) == {"value", "codewords", "standard", "min()", True, False}
+        assert min(seen.values()) >= 5
+        if chunk < 10:
+            assert min(boundary) > 0
+
+    def test_the_first_wide_word_is_refused_after_earlier_failures(self):
+        errors = error_set(4, 2)
+        g = Graph.ring(4)
+        good = list(cws_maxclique(errors, g).values)
+        masks = [g.mask()] * 4
+        with pytest.raises(ValueError, match=f"value {1 << 64} out of range for n=4"):
+            first_failing_code(masks, [good, good, [0, 1 << 64], [0, 1]], errors)
+        # a code that fails before the wide word is reported first
+        assert first_failing_code(masks, [good, [0, 1], [0, 1 << 64], good], errors) == 1
+        # the smallest bad word is named, as CWSCode names it
+        with pytest.raises(ValueError, match=f"value {-(1 << 64)} out of range for n=4"):
+            first_failing_code(masks, [good, [0, -1, -(1 << 64)], good, good], errors)
+
+
+def first_n6_codes(count: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Raw masks 0..count-1 at n=6 and the exact maximum-clique code (d=2)
+    that an n=6 d=2 `all` search stores for each of them."""
+    errors = error_set(6, 2)
+    masks = list(range(count))
+    codes = []
+    for lo in range(0, count, 256):
+        table = rows_table(6, masks[lo : lo + 256])
+        for cg in clique_graphs(6, *setup_table(errors, table)):
+            codes.append(cg.codewords(max_clique(cg).clique))
+    return masks, codes
+
+
+class TestFirstFailingCodeMemory:
+    PER_CODE_LOOP_PEAK = 2_199_716  # bytes; see the test's docstring
+
+    def test_peak_within_twice_that_of_the_per_code_loop(self):
+        """The stored codes of 8,192 n=6 d=2 records (the first 8,192 raw
+        masks, mean K 12.8) verified under tracemalloc.  The per-code loop
+        the array version replaced peaks at 2,199,716 bytes on this input
+        (Python 3.11, numpy 2.4): the (4096, 18) pattern table and its
+        adjacency table.  The array version flattens each chunk's codes and
+        tests a block of about VERIFY_BLOCK word pairs at a time, so its peak
+        must stay within twice that."""
+        masks, codes = first_n6_codes(8192)
+        tracemalloc.start()
+        try:
+            assert first_failing_code(masks, codes, error_set(6, 2)) == -1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * self.PER_CODE_LOOP_PEAK
