@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 import cwskit.kernels as K
-from cwskit.clique import clique_graphs, make_cws_clique_graph
+from cwskit.clique import clique_graphs, make_cws_clique_graph, max_clique
 from cwskit.errormap import error_set, setup, setup_table
 from cwskit.graphs import Graph, class_table, edge_count, lc_orbit_masks, rows_table
 from cwskit.search import BUILD_CHUNK, SearchJob, _load_checkpoint, run_search
@@ -130,6 +130,22 @@ def bench_checkpoint_verify(repeat: int):
     return f"checkpoint verify (n=5 d=2 all, {len(masks)} records)", fn, fn
 
 
+def bench_checkpoint_verify_n7(repeat: int):
+    """The stored codes (K 1 to 2) of the first 4,096 raw masks at n=7 d=3,
+    verified as one chunk: nearly every graph has zero patterns, 22,784 in
+    all, and the word pairs are few."""
+    n = 7
+    errors = error_set(n, 3)
+    masks = list(range(4096))
+    codes = []
+    for lo in range(0, len(masks), BUILD_CHUNK):
+        table = rows_table(n, masks[lo : lo + BUILD_CHUNK])
+        codes += [cg.codewords(max_clique(cg).clique)
+                  for cg in clique_graphs(n, *setup_table(errors, table))]
+    fn = lambda: first_failing_code(masks, codes, errors)
+    return f"checkpoint verify (n=7 d=3, {len(masks)} degenerate records)", fn, fn
+
+
 def bench_checkpoint_load(repeat: int):
     """The complete checkpoint of the n=5 d=2 `all` sweep, loaded as a
     resume loads it: every line decoded, then every stored code verified."""
@@ -154,6 +170,7 @@ BENCHES = [
     bench_canon,
     bench_lc_orbits,
     bench_checkpoint_verify,
+    bench_checkpoint_verify_n7,
     bench_checkpoint_load,
 ]
 

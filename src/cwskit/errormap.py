@@ -168,7 +168,7 @@ def setup_table(errors: ErrorSet, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
             x = np.arange(lo, hi, dtype=np.int64)
             acc = np.zeros((degenerate.size, hi - lo), dtype=bool)
             for b in basis:
-                acc |= kernels.parity_of_and(x, b).astype(bool)
+                acc |= kernels.parity_of_and(x, b)
             d[degenerate, lo:hi] = acc
     return cl, d
 

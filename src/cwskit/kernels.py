@@ -28,9 +28,10 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
 
 
 def parity_of_and(values: np.ndarray, mask: int | np.ndarray) -> np.ndarray:
-    """Elementwise parity of popcount(values & mask), as uint8; an int64
+    """Elementwise parity of popcount(values & mask), as bool; an int64
     array ``mask`` broadcasts against ``values``."""
-    return (np.bitwise_count(values & np.int64(mask)) & 1).astype(np.uint8)
+    # bitwise_count gives uint8, so its low bit reads as bool in place
+    return (np.bitwise_count(values & np.int64(mask)) & 1).view(bool)
 
 
 # ---------------------------------------------------------------------------

@@ -419,14 +419,23 @@ def run_search(
         if ck_handle.tell() == 0:
             ck_handle.write(json.dumps({"job": job.fingerprint()}) + "\n")
 
-    solved_nodes: dict[int, int] = {}  # raw mask -> B&B nodes, this run only
+    # the witness candidate: of the records with a code, the one with the
+    # most words, then the lowest sort key; with its B&B nodes, or None for
+    # a record replayed from the checkpoint
+    def rank(rec: GraphRecord) -> tuple[int, int, int]:
+        return (-rec.best_k, rec.canon_mask, rec.raw_mask)
+
+    candidate = min((r for r in records if r.code is not None), key=rank, default=None)
+    candidate_nodes = None
 
     solve_start = time.monotonic()
 
     def consume(stream) -> None:
+        nonlocal candidate, candidate_nodes
         for idx, (nodes, rec) in enumerate(stream):
             records.append(rec)
-            solved_nodes[rec.raw_mask] = nodes
+            if rec.code is not None and (candidate is None or rank(rec) < rank(candidate)):
+                candidate, candidate_nodes = rec, nodes
             if ck_handle:
                 ck_handle.write(rec.checkpoint_line() + "\n")
             if progress and (idx + 1) % PROGRESS_EVERY == 0:
@@ -464,10 +473,8 @@ def run_search(
 
     best_k = max((r.best_k for r in records), default=0)
     witness = None
-    for rec in records:
-        if rec.best_k == best_k and rec.code is not None:
-            witness = _witness(job, rec, solved_nodes.get(rec.raw_mask))
-            break
+    if candidate is not None and candidate.best_k == best_k:
+        witness = _witness(job, candidate, candidate_nodes)
 
     return SearchResult(
         job=job,

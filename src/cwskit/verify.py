@@ -119,8 +119,8 @@ def detection_check(q: CWSCode, errors: ErrorSet) -> VerificationReport:
     return VerificationReport(False, degenerate, witness)
 
 
-VERIFY_CHUNK = 4096  # graphs per pattern table: (VERIFY_CHUNK, E) int64
-VERIFY_BLOCK = 1 << 13  # word pairs, pattern keys and zero-pattern tests per block
+VERIFY_CHUNK = 4096  # graphs per chunk: an (R, E) int64 pattern and (R, 2^n) bool table
+VERIFY_BLOCK = 1 << 12  # word pairs per block of codes
 
 
 def _check_words(n: int, words: Sequence[int]) -> None:
@@ -184,9 +184,21 @@ def _chunk_failure(
     error anticommutes with a word.  The codes are flattened into one int64
     array (OverflowError for a word beyond int64).
 
-    The pair and zero-pattern tests run on a block of whole codes at a time,
-    of about VERIFY_BLOCK tests, so no temporary grows with K^2 times the
-    chunk size; blocks stop at the first code that fails."""
+    Once its words are in range and hold 0, code r is tested against row r
+    of one (R, 2^n) bool table ``bad``, true at 0, at every pattern of graph
+    r, and at every word of code r that anticommutes with an error whose
+    pattern through graph r is zero.  The code fails ``detection_check`` iff
+    the XOR of two of its words hits its row:
+    - XOR 0 is a repeated word;
+    - a nonzero XOR that is a pattern is the pair ``detection_check``
+      refuses;
+    - a word c that anticommutes with a zero-pattern error is not 0, which
+      commutes with every error, so the pair (0, c) has XOR c; and a word
+      marked in the row is such a c.
+
+    The pairs are enumerated a block of whole codes at a time, of about
+    VERIFY_BLOCK pairs, so no temporary grows with K^2 times the chunk size;
+    blocks stop at the first code that fails."""
     n = errors.n
     count = len(masks)
     lens = np.fromiter(map(len, codes), dtype=np.int64, count=count)
@@ -204,92 +216,35 @@ def _chunk_failure(
     if stop == 0:
         return 0 if count else -1
 
-    patterns = kernels.cl_patterns(errors.xcols, errors.v, rows_table(n, masks))
+    # the table of the codes before stop, whose words are in range
+    words, row = flat[: ends[stop - 1]], row[: ends[stop - 1]]
+    patterns = kernels.cl_patterns(errors.xcols, errors.v, rows_table(n, masks[:stop]))
+    bad = np.zeros((stop, 1 << n), dtype=bool)
+    bad[:, 0] = True
+    bad[np.arange(stop)[:, None], patterns] = True
     zero = patterns == 0
-    # the nonzero patterns as keys code << (n + 1) | pattern << 1, in code
-    # order; the keys of codes a..b-1 are pattern_keys[offsets[a]:offsets[b]]
-    patterns <<= 1
-    patterns |= np.arange(count, dtype=np.int64)[:, None] << (n + 1)
-    pattern_keys = patterns[~zero]
     del patterns
-    zeros = zero.sum(axis=1)
-    offsets = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(errors.v.size - zeros, out=offsets[1:])
+    for e in np.flatnonzero(zero.any(axis=0)):
+        anti = zero[row, e] & kernels.parity_of_and(words, errors.u[e])
+        bad[row[anti], words[anti]] = True
 
-    # a code's entries in the block's temporaries: its pairs and pattern
-    # keys, and a word per zero pattern
-    cost = lens * (lens - 1) // 2 + errors.v.size - zeros + zeros * lens
-    cum = np.cumsum(cost[:stop])
+    pairs = lens[:stop] * (lens[:stop] - 1) // 2
+    cum = np.cumsum(pairs)
     a = 0
     while a < stop:
-        b = int(np.searchsorted(cum, cum[a] - cost[a] + VERIFY_BLOCK, side="right"))
+        b = int(np.searchsorted(cum, cum[a] - pairs[a] + VERIFY_BLOCK, side="right"))
         b = min(max(b, a + 1), stop)
-        block_keys = pattern_keys[offsets[a] : offsets[b]]
-        hit = _block_failure(n, flat, row, starts, ends, a, b, block_keys, zero, errors.u)
-        if hit >= 0:
-            return hit
+        # each word of codes a..b-1 with each later word of its code
+        first = np.arange(starts[a], ends[b - 1])
+        later = ends[row[first]] - first - 1
+        left = np.repeat(first, later)
+        right = np.arange(1, left.size + 1) - np.repeat(np.cumsum(later) - later, later)
+        right += left
+        hit = bad[row[left], words[left] ^ words[right]]
+        if hit.any():
+            return int(row[left[hit.argmax()]])
         a = b
     return stop if stop < count else -1
-
-
-def _block_failure(
-    n: int,
-    flat: np.ndarray,
-    row: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    a: int,
-    b: int,
-    pattern_keys: np.ndarray,
-    zero: np.ndarray,
-    u: np.ndarray,
-) -> int:
-    """Index of the first of the codes a..b-1 (words flat[starts[i]:ends[i]]
-    of code i) with two equal words, two words whose XOR is a nonzero pattern
-    of its graph (its key in ``pattern_keys``), or a word that anticommutes
-    with an error whose pattern is zero (``zero[i]``); -1 when none has.
-    Its temporaries hold one entry per word pair and per (word, zero
-    pattern) of the block."""
-    failing = []
-    s, e = int(starts[a]), int(ends[b - 1])
-    # each word with each later word of its code
-    words = np.arange(s, e)
-    later = ends[row[s:e]] - words - 1
-    left = np.repeat(words, later)
-    if left.size:
-        right = np.arange(1, left.size + 1)
-        right -= np.repeat(np.cumsum(later) - later, later)
-        right += left
-        # a pair's key is its XOR's pattern key plus 1, written after the
-        # pattern keys: sorted together, a pair whose XOR is a pattern lands
-        # right after that pattern
-        merged = np.empty(pattern_keys.size + left.size, dtype=np.int64)
-        merged[: pattern_keys.size] = pattern_keys
-        key = merged[pattern_keys.size :]
-        np.take(flat, right, out=key)
-        del right
-        key ^= flat[left]
-        if not key.all():  # two equal words: the first XOR of 0
-            failing.append(row[left[(key == 0).argmax()]])
-        key <<= 1
-        key |= row[left] << (n + 1)
-        key |= 1
-        del left, key
-        merged.sort()
-        hit = (merged[1:] ^ merged[:-1]) == 1
-        if hit.any():
-            failing.append(merged[hit.argmax()] >> (n + 1))
-    # each zero pattern with each word of its code
-    code, err = np.nonzero(zero[a:b])
-    if code.size:
-        code += a
-        size = ends[code] - starts[code]
-        first = np.cumsum(size) - size
-        index = np.arange(int(first[-1] + size[-1])) + np.repeat(starts[code] - first, size)
-        anti = np.bitwise_count(flat[index] & np.repeat(u[err], size)) & 1
-        if anti.any():
-            failing.append(code[np.repeat(np.arange(code.size), size)[anti.argmax()]])
-    return int(min(failing)) if failing else -1
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +253,7 @@ def _block_failure(
 def _z_signs(x: np.ndarray, z: int) -> np.ndarray:
     """(-1)^(popcount(x & z)) for each basis string of ``x``, as int64: the
     sign Z^z puts on |x>."""
-    return 1 - 2 * (np.bitwise_count(x & np.int64(z)) & 1).astype(np.int64)
+    return 1 - 2 * kernels.parity_of_and(x, z).astype(np.int64)
 
 
 def _basis_matrix(q: CWSCode) -> np.ndarray:

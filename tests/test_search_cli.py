@@ -518,6 +518,26 @@ class TestCheckpoint:
         words = lex_smallest_max_clique(make_cws_clique_graph(setup(errors, g)))
         assert [w.value for w in plain.witness.code.words] == words
 
+    @pytest.mark.parametrize("kept", [64, 7])
+    def test_replayed_null_code_above_every_code_leaves_no_witness(
+        self, tmp_path: Path, kept
+    ):
+        # a replayed record without a code whose bestK beats every coded
+        # record sets summary_bestK, and no record of that K has a code to
+        # show, whether the other graphs are replayed or solved again
+        job = SearchJob(n=4, d=2, graph_source="all")
+        ck = tmp_path / "run.ckpt"
+        plain = run_search(job, checkpoint=ck)
+        assert plain.witness is not None
+        head, *lines = ck.read_text().splitlines()
+        rec = json.loads(lines[3])
+        rec["bestK"], rec["code"] = plain.summary_best_k + 1, None
+        # the last line of a raw mask is the one replayed
+        ck.write_text("\n".join([head, *lines[:kept], json.dumps(rec)]) + "\n")
+        resumed = run_search(job, checkpoint=ck)
+        assert resumed.summary_best_k == plain.summary_best_k + 1
+        assert resumed.witness is None
+
     @pytest.mark.parametrize(
         "line, lineno",
         [('{"foo": 1}', 3), ("[1,2]", 3), ("[]", 1)],

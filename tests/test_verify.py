@@ -539,17 +539,22 @@ class TestFirstFailingCodeArrays:
             first_failing_code(masks, [good, [0, -1, -(1 << 64)], good, good], errors)
 
 
-def first_n6_codes(count: int) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Raw masks 0..count-1 at n=6 and the exact maximum-clique code (d=2)
-    that an n=6 d=2 `all` search stores for each of them."""
-    errors = error_set(6, 2)
+def first_codes(n: int, d: int, count: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Raw masks 0..count-1 at n and the exact maximum-clique code that an
+    n, d `all` search stores for each of them."""
+    errors = error_set(n, d)
     masks = list(range(count))
     codes = []
     for lo in range(0, count, 256):
-        table = rows_table(6, masks[lo : lo + 256])
-        for cg in clique_graphs(6, *setup_table(errors, table)):
+        table = rows_table(n, masks[lo : lo + 256])
+        for cg in clique_graphs(n, *setup_table(errors, table)):
             codes.append(cg.codewords(max_clique(cg).clique))
     return masks, codes
+
+
+def first_n6_codes(count: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """`first_codes` of the first `count` n=6 d=2 graphs."""
+    return first_codes(6, 2, count)
 
 
 class TestFirstFailingCodeMemory:
@@ -571,3 +576,50 @@ class TestFirstFailingCodeMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * self.PER_CODE_LOOP_PEAK
+
+
+class TestFirstFailingCodeDegenerate:
+    """The first 4,096 raw masks at n=7 d=3 with their stored codes (K 1 to
+    2): one chunk in which nearly every graph has zero patterns, 22,784 of
+    them, and the pairs are few."""
+
+    PARENT_PEAK = 15_549_015  # bytes, the sort-merged check (Python 3.11, numpy 2.4)
+
+    @pytest.fixture(scope="class")
+    def chunk(self):
+        masks, codes = first_codes(7, 3, 4096)
+        errors = error_set(7, 3)
+        zeros = kernels.cl_patterns(errors.xcols, errors.v, rows_table(7, masks)) == 0
+        assert int(zeros.sum()) == 22_784
+        return masks, [list(words) for words in codes], errors
+
+    def test_every_stored_code_passes(self, chunk):
+        masks, codes, errors = chunk
+        assert {len(words) for words in codes} == {1, 2}
+        assert first_failing_code(masks, codes, errors) == -1
+
+    def test_agrees_with_the_per_code_loop_on_corruptions(self, chunk):
+        masks, codes, errors = chunk
+        patterns = kernels.cl_patterns(errors.xcols, errors.v, rows_table(7, masks))
+        degenerate = np.flatnonzero((patterns == 0).any(axis=1)).tolist()
+        rng = random.Random(7)
+        for kind in CORRUPTIONS:
+            for _ in range(2):
+                at = rng.choice(degenerate)
+                g = Graph.from_mask(7, masks[at])
+                bad = corrupted(codes[at], g, errors, kind, rng)
+                broken = codes[:at] + [bad] + codes[at + 1 :]
+                expect = outcome(per_code_first_failing_code, masks, broken, errors)
+                assert outcome(first_failing_code, masks, broken, errors) == expect
+                if kind in ("pair", "zero pattern"):
+                    assert expect == ("index", at)
+
+    def test_peak_within_that_of_the_sort_merged_check(self, chunk):
+        masks, codes, errors = chunk
+        tracemalloc.start()
+        try:
+            assert first_failing_code(masks, codes, errors) == -1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PARENT_PEAK
