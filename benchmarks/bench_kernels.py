@@ -107,9 +107,10 @@ def bench_bnb_ring10(repeat: int):
 
 
 def bench_canon(repeat: int):
-    n = 6
+    """The n=7 class table, as `--graphs all`, `iso` and `lc` build it."""
+    n = 7
     fn = lambda: class_table(n)
-    return f"class table build (n={n}, 156 classes, {n}! perms)", fn, fn
+    return f"class table build (n={n}, 1044 classes, {n}! perms)", fn, fn
 
 
 def bench_lc_orbits(repeat: int):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -122,15 +122,13 @@ def make_cws_clique_graph(arrays: ClArrays) -> CliqueGraph:
     return next(clique_graphs(arrays.n, arrays.cl[None], arrays.d[None]))
 
 
-@dataclass(frozen=True)
-class CliqueSearchResult:
+class CliqueSearchResult(NamedTuple):
     clique: Clique
     exact: bool
     nodes: int
 
 
-@dataclass(frozen=True)
-class FixedSizeResult:
+class FixedSizeResult(NamedTuple):
     clique: Clique | None
     exhausted: bool
     nodes: int

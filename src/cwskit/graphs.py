@@ -202,12 +202,12 @@ class CanonicalForm:
     mask: int
 
 
-@lru_cache(maxsize=8)
 def _perm_weights(n: int) -> np.ndarray:
-    """Read-only (E, n!) int64 table of the action of every vertex
-    permutation on edge-mask bits: row edge_bit(i, j), column p holds
+    """(E, n!) int64 table of the action of every vertex permutation on
+    edge-mask bits: row edge_bit(i, j), column p holds
     ``1 << edge_bit(perm[i], perm[j])``, so a mask's image under
-    permutation p is the sum of column p over the mask's set bits."""
+    permutation p is the sum of column p over the mask's set bits.  Not
+    cached: `_group_weights` reads it once per n and keeps only its sums."""
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     weights = np.zeros((max(1, edge_count(n)), len(perms)), dtype=np.int64)
     for j in range(n):
@@ -215,8 +215,32 @@ def _perm_weights(n: int) -> np.ndarray:
             lo = np.minimum(perms[:, i], perms[:, j])
             hi = np.maximum(perms[:, i], perms[:, j])
             weights[edge_bit(i, j, n)] = 1 << (edge_count(n) - 1 - (hi * (hi - 1) // 2 + lo))
-    weights.flags.writeable = False
     return weights
+
+
+# Edge bits per `_group_weights` table.  Five bits were a little faster at
+# n = 6 and 7, but their n=8 tables take 54 MB against 36 MB for four, beside
+# the pass's 256 MB visited array.
+_GROUP_BITS = 4
+
+
+@lru_cache(maxsize=8)
+def _group_weights(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only (2^w, n!) int64 tables, one per group of `_GROUP_BITS`
+    edge-mask bits from the lowest up (w is `_GROUP_BITS`, or fewer for the
+    top group).  Row s of group g is the sum of the `_perm_weights` rows of
+    the bits g * _GROUP_BITS + k that s sets, so a mask's images under every
+    permutation are the sum, over the groups, of the row its bits select."""
+    weights = _perm_weights(n)
+    tables = []
+    for lo in range(0, len(weights), _GROUP_BITS):
+        rows = weights[lo : lo + _GROUP_BITS]
+        table = np.zeros((1 << len(rows), weights.shape[1]), dtype=np.int64)
+        for k, row in enumerate(rows):  # rows with bit k set: those without, plus row k
+            np.add(table[: 1 << k], row, out=table[1 << k : 2 << k])
+        table.flags.writeable = False
+        tables.append(table)
+    return tuple(tables)
 
 
 def _canonical_dfs(n: int, rows: Sequence[int]) -> int:
@@ -293,13 +317,14 @@ def _orbit_pass(n: int, canon: np.ndarray | None = None) -> Iterator[tuple[int, 
 
     Walks the masks upwards; the first mask not yet marked is always its
     orbit's minimum.  All n! images of it are computed at once, as the sum
-    of the rows of `_perm_weights` that its set bits select, and marked in
+    of one `_group_weights` row per nonzero group of its bits, and marked in
     a visited array of one byte per mask; when `canon` is given they are
     labelled with the minimum in ``canon[image]``.  The visited array has
     2^E entries (32 KB at n=6, 2 MB at n=7, 256 MB at n=8), and the pass
     commits its pages as it touches them.
     """
-    weights = _perm_weights(n)
+    tables = _group_weights(n)
+    low = (1 << _GROUP_BITS) - 1
     total = 1 << edge_count(n)
     visited = np.zeros(total, dtype=bool)
     mask = 0
@@ -310,10 +335,13 @@ def _orbit_pass(n: int, canon: np.ndarray | None = None) -> Iterator[tuple[int, 
             mask += _SCAN
             continue
         mask += step
-        images = np.zeros(weights.shape[1], dtype=np.int64)
-        for e in range(mask.bit_length()):
-            if (mask >> e) & 1:
-                images += weights[e]
+        images = tables[0][mask & low]
+        rest, group = mask >> _GROUP_BITS, 1
+        while rest:
+            if rest & low:
+                images = images + tables[group][rest & low]
+            rest >>= _GROUP_BITS
+            group += 1
         visited[images] = True
         if canon is not None:
             canon[images] = mask

@@ -24,8 +24,12 @@ from cwskit.graphs import (
     parse_graph_file,
     rows_table,
     write_graph_file,
+    _GROUP_BITS,
     _canonical_dfs,
     _clique_masks,
+    _group_weights,
+    _orbit_pass,
+    _perm_weights,
 )
 
 
@@ -180,6 +184,57 @@ class TestClassTable:
         assert [(g.mask(), s) for g, s in first] == [(0, 1), (1, 28), (3, 168)]
         with pytest.raises(ValueError):
             class_table(8)
+
+
+def per_bit_orbit_pass(n: int, canon: np.ndarray) -> list[tuple[int, int]]:
+    """The orbit pass with one `_perm_weights` row added per set bit of each
+    class minimum, as it was before the grouped tables: the reference the
+    grouped pass must match class for class and label for label."""
+    weights = _perm_weights(n)
+    visited = np.zeros(1 << edge_count(n), dtype=bool)
+    classes = []
+    for mask in range(1 << edge_count(n)):
+        if visited[mask]:
+            continue
+        images = np.zeros(weights.shape[1], dtype=np.int64)
+        for e in range(mask.bit_length()):
+            if (mask >> e) & 1:
+                images += weights[e]
+        visited[images] = True
+        canon[images] = mask
+        classes.append((mask, images.size // int(np.count_nonzero(images == mask))))
+    return classes
+
+
+class TestGroupWeights:
+    def test_every_row_sums_the_weights_of_its_bits(self):
+        for n in range(1, 7):
+            weights = _perm_weights(n)
+            tables = _group_weights(n)
+            assert len(tables) == -(-len(weights) // _GROUP_BITS)
+            for g, table in enumerate(tables):
+                rows = weights[g * _GROUP_BITS : (g + 1) * _GROUP_BITS]
+                assert table.shape == (1 << len(rows), weights.shape[1])
+                assert not table.flags.writeable
+                for s in range(len(table)):
+                    want = sum((rows[k] for k in range(len(rows)) if (s >> k) & 1),
+                               np.zeros(weights.shape[1], dtype=np.int64))
+                    assert np.array_equal(table[s], want), (n, g, s)
+
+    def test_orbit_pass_matches_the_per_bit_loop(self):
+        for n in range(1, 7):
+            canon = np.full(1 << edge_count(n), -1, dtype=np.int32)
+            want_canon = canon.copy()
+            assert list(_orbit_pass(n, canon)) == per_bit_orbit_pass(n, want_canon)
+            assert np.array_equal(canon, want_canon)
+
+    def test_n8_tables_stay_small_beside_the_visited_array(self):
+        # the n=8 pass also holds a 256 MB visited array, and listing every
+        # n=8 class must peak below 340 MB RSS: four-bit groups take 36 MB,
+        # five-bit groups would take 54 MB
+        tables = _group_weights.__wrapped__(8)  # kept out of the cache
+        assert sum(t.nbytes for t in tables) == 7 * 16 * math.factorial(8) * 8
+        assert sum(t.nbytes for t in tables) <= 40 << 20
 
 
 class TestCanonicalForm:
