@@ -65,19 +65,21 @@ def bench_clique_adjacency(repeat: int):
 
 
 def bench_clique_graphs(repeat: int):
-    """The 1,024 graphs of the n=5 d=2 `all` sweep through the batched
-    build, BUILD_CHUNK graphs at a time, as a search builds them: row
-    table, CL/D arrays, then the clique graphs."""
-    n = 5
-    errors = error_set(n, 2)
-    masks = list(range(1 << edge_count(n)))
+    """The batched build, BUILD_CHUNK graphs at a time, as a search builds
+    them: row table, CL/D arrays, then the clique graphs.  Two sweeps: the
+    1,024 graphs of the n=5 d=2 `all` sweep, and the first 1,024 graphs of
+    the n=7 d=3 `all` sweep, every one degenerate, so that each of them
+    also takes the D arrays' elimination and parity loop."""
+    sweeps = [(5, 2, 1 << edge_count(5)), (7, 3, 1024)]
 
     def body():
-        for lo in range(0, len(masks), BUILD_CHUNK):
-            chunk = masks[lo : lo + BUILD_CHUNK]
-            list(clique_graphs(n, *setup_table(errors, rows_table(n, chunk))))
+        for n, d, count in sweeps:
+            errors = error_set(n, d)
+            for lo in range(0, count, BUILD_CHUNK):
+                chunk = list(range(lo, min(count, lo + BUILD_CHUNK)))
+                list(clique_graphs(n, *setup_table(errors, rows_table(n, chunk))))
 
-    return f"batched clique-graph build (n=5 d=2, {len(masks)} graphs)", body, body
+    return "batched clique-graph build (n=5 d=2, n=7 d=3; 2x1024)", body, body
 
 
 def bench_bnb(repeat: int):
@@ -107,7 +109,8 @@ def bench_bnb_ring10(repeat: int):
 
 
 def bench_canon(repeat: int):
-    """The n=7 class table, as `--graphs all`, `iso` and `lc` build it."""
+    """The n=7 class table, as `--graphs all` and `lc` build it; `iso` runs
+    the same orbit pass without the table and without class sizes."""
     n = 7
     fn = lambda: class_table(n)
     return f"class table build (n={n}, 1044 classes, {n}! perms)", fn, fn

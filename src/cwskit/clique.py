@@ -147,6 +147,8 @@ def max_clique(cg: CliqueGraph, budget: int = -1) -> CliqueSearchResult:
     m = cg.size
     if m > MAX_EXACT_VERTICES:
         raise ValueError(f"exact solver capped at {MAX_EXACT_VERTICES} vertices")
+    if m == 1:  # no candidates: the search would stop before its tables
+        return CliqueSearchResult(Clique((0,)), True, 0)
     _size, members, nodes, exhausted = kernels.bnb_clique(
         cg.rows, cg.bnb_tables, m, (1 << (m - 1)) - 1, 0, budget
     )
@@ -209,6 +211,8 @@ def find_clique_of_size(cg: CliqueGraph, k: int, budget: int = -1) -> FixedSizeR
         return FixedSizeResult(Clique((0,)), True, 0, 1)
     if m > MAX_EXACT_VERTICES:
         raise ValueError(f"exact solver capped at {MAX_EXACT_VERTICES} vertices")
+    if m == 1:  # no candidates: the search would stop before its tables
+        return FixedSizeResult(None, True, 0, 1)
     size, members, nodes, exhausted = kernels.bnb_clique(
         cg.rows, cg.bnb_tables, m, (1 << (m - 1)) - 1, k - 1, budget
     )

@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from . import kernels
-from .gf2 import BitString, PauliOp, xor_basis
+from .gf2 import BitString, PauliOp
 from .graphs import Graph
 
 MAX_SETUP_N = 24
@@ -40,13 +40,18 @@ class ErrorSet:
     index arrays ``kernels.cl_patterns`` gathers adjacency rows by.  Row k
     of ``xcols`` holds, for each error, its k-th X-support qubit in
     ascending order, or ``n`` (a zero row) once the support runs out; there
-    are as many rows as the largest X support has qubits."""
+    are as many rows as the largest X support has qubits.  ``xorder`` lists
+    the error indices grouped by X support, groups in order of first
+    appearance, and ``xstarts`` where each group starts in it, so that
+    ``setup_table`` can OR flags per distinct X support without sorting."""
 
     n: int
     paulis: tuple[PauliOp, ...]
     u: np.ndarray = field(init=False, repr=False, compare=False)
     v: np.ndarray = field(init=False, repr=False, compare=False)
     xcols: np.ndarray = field(init=False, repr=False, compare=False)
+    xorder: np.ndarray = field(init=False, repr=False, compare=False)
+    xstarts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for p in self.paulis:
@@ -63,9 +68,16 @@ class ErrorSet:
             [[s[k] if k < len(s) else self.n for s in supports] for k in range(width)],
             dtype=np.int64,
         ).reshape(width, count)
+        groups: dict[int, list[int]] = {}
+        for k, p in enumerate(self.paulis):
+            groups.setdefault(p.u, []).append(k)
+        xorder = np.array([k for group in groups.values() for k in group], dtype=np.int64)
+        starts = [0, *itertools.accumulate(map(len, groups.values()))][:-1]
         object.__setattr__(self, "u", _frozen(u))
         object.__setattr__(self, "v", _frozen(v))
         object.__setattr__(self, "xcols", _frozen(xcols))
+        object.__setattr__(self, "xorder", _frozen(xorder))
+        object.__setattr__(self, "xstarts", _frozen(np.array(starts, dtype=np.int64)))
 
     def __len__(self) -> int:
         return len(self.paulis)
@@ -147,7 +159,16 @@ def setup_table(errors: ErrorSet, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
     has odd overlap with some trivially-mapping X support, equivalently with
     some vector of a basis of their span, which has at most n vectors.  A
     zero pattern has u != 0 (the identity is no error), so a degenerate
-    graph's basis is not empty."""
+    graph's basis is not empty.
+
+    The bases of all degenerate graphs come from one elimination over the
+    chunk.  A graph's zero-pattern flags are ORed per distinct X support,
+    which leaves it one vector per support that maps to 0.  Each round then
+    takes, for every graph at once, its largest vector p as pivot and XORs
+    p into each of its vectors x that has p's top bit (exactly those with
+    x ^ p < x), p itself included.  No vector keeps a bit at or above that
+    top bit, so there are at most n rounds, and a graph's nonzero pivots are
+    a basis of its span."""
     count, n = rows.shape
     size = 1 << n
     cl = np.zeros((count, size), dtype=bool)
@@ -158,11 +179,18 @@ def setup_table(errors: ErrorSet, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
     cl[np.arange(count)[:, None], patterns] = True
     degenerate = np.flatnonzero(cl[:, 0])
     if degenerate.size:
-        bases = [xor_basis(errors.u[zero].tolist()) for zero in patterns[degenerate] == 0]
-        # basis[k, r] is vector k of degenerate graph r's basis, or 0 past its end
-        basis = np.zeros((max(map(len, bases)), degenerate.size, 1), dtype=np.int64)
-        for r, b in enumerate(bases):
-            basis[: len(b), r, 0] = b
+        # vecs[s, r]: the s-th distinct X support if an error with it maps
+        # to 0 through degenerate graph r, else 0
+        zero = (patterns.T == 0)[errors.xorder][:, degenerate]
+        del patterns  # the largest array here, not held through the D fill
+        supports = errors.u[errors.xorder[errors.xstarts]]
+        vecs = np.logical_or.reduceat(zero, errors.xstarts, axis=0) * supports[:, None]
+        basis = []
+        pivot = vecs.max(axis=0)
+        while pivot.any():
+            basis.append(pivot[:, None])
+            np.minimum(vecs, vecs ^ pivot, out=vecs)
+            pivot = vecs.max(axis=0)
         for lo in range(0, size, _CHUNK):
             hi = min(size, lo + _CHUNK)
             x = np.arange(lo, hi, dtype=np.int64)

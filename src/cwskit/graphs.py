@@ -312,8 +312,10 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
 _SCAN = 4096  # visited entries inspected per step of the orbit pass
 
 
-def _orbit_pass(n: int, canon: np.ndarray | None = None) -> Iterator[tuple[int, int]]:
-    """(minimum mask, size) of every isomorphism class, in increasing order.
+def _orbit_pass(n: int, canon: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """(minimum mask, images) of every isomorphism class, in increasing
+    order: `images` holds the minimum's image under each of the n!
+    vertex permutations.
 
     Walks the masks upwards; the first mask not yet marked is always its
     orbit's minimum.  All n! images of it are computed at once, as the sum
@@ -321,9 +323,10 @@ def _orbit_pass(n: int, canon: np.ndarray | None = None) -> Iterator[tuple[int, 
     a visited array of one byte per mask; when `canon` is given they are
     labelled with the minimum in ``canon[image]``.  The visited array has
     2^E entries (32 KB at n=6, 2 MB at n=7, 256 MB at n=8), and the pass
-    commits its pages as it touches them.
+    commits its pages as it touches them.  The n=8 tables (36 MB) are built
+    for the pass and freed with it; smaller ones stay cached.
     """
-    tables = _group_weights(n)
+    tables = _group_weights(n) if n <= MAX_TABLE_N else _group_weights.__wrapped__(n)
     low = (1 << _GROUP_BITS) - 1
     total = 1 << edge_count(n)
     visited = np.zeros(total, dtype=bool)
@@ -345,6 +348,12 @@ def _orbit_pass(n: int, canon: np.ndarray | None = None) -> Iterator[tuple[int, 
         visited[images] = True
         if canon is not None:
             canon[images] = mask
+        yield mask, images
+
+
+def _with_sizes(classes: Iterator[tuple[int, np.ndarray]]) -> Iterator[tuple[int, int]]:
+    """(minimum mask, class size) of each `_orbit_pass` class."""
+    for mask, images in classes:
         # orbit-stabiliser: images repeat once per automorphism of the graph
         yield mask, images.size // int(np.count_nonzero(images == mask))
 
@@ -356,17 +365,27 @@ def class_table(n: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
     if not 1 <= n <= MAX_TABLE_N:
         raise ValueError(f"class table supported for 1 <= n <= {MAX_TABLE_N}")
     canon = np.empty(1 << edge_count(n), dtype=np.int32)
-    classes = list(_orbit_pass(n, canon))
+    classes = list(_with_sizes(_orbit_pass(n, canon)))
     return canon, classes
 
 
-def isomorphism_class_masks(n: int) -> Iterator[tuple[int, int]]:
-    """(minimum mask, size) of every isomorphism class, in increasing order."""
+def _class_pass(n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """`_orbit_pass(n)`, refused at once outside 1 <= n <= MAX_EXHAUSTIVE_N."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > MAX_EXHAUSTIVE_N:
         raise ValueError(f"isomorphism classes supported for n <= {MAX_EXHAUSTIVE_N}")
     return _orbit_pass(n)
+
+
+def isomorphism_class_minima(n: int) -> Iterator[int]:
+    """The minimum mask of every isomorphism class, in increasing order."""
+    return (mask for mask, _images in _class_pass(n))
+
+
+def isomorphism_class_masks(n: int) -> Iterator[tuple[int, int]]:
+    """(minimum mask, size) of every isomorphism class, in increasing order."""
+    return _with_sizes(_class_pass(n))
 
 
 def isomorphism_classes(n: int) -> Iterator[tuple[Graph, int]]:
@@ -446,14 +465,15 @@ def lc_orbit_masks(n: int) -> Iterator[tuple[int, ...]]:
         raise ValueError(f"LC orbit enumeration supported for n <= {MAX_EXHAUSTIVE_N}")
     if n <= MAX_TABLE_N:
         canon, classes = class_table(n)
+        reps: Iterator[int] = (mask for mask, _size in classes)
 
         def label(masks: np.ndarray) -> list[int]:
             return canon[masks].tolist()
 
     else:
-        classes, label = _orbit_pass(n), partial(_dfs_labels, n)
+        reps, label = isomorphism_class_minima(n), partial(_dfs_labels, n)
     seen: set[int] = set()
-    for rep, _size in classes:
+    for rep in reps:
         if rep in seen:
             continue
         masks = tuple(_lc_closure(n, rep, label))

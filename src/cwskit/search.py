@@ -38,7 +38,7 @@ from .graphs import (
     canonical_form,
     class_table,
     edge_count,
-    isomorphism_class_masks,
+    isomorphism_class_minima,
     lc_orbit_masks,
     mask_hex,
     parse_graph_file,
@@ -88,6 +88,8 @@ class SearchJob:
             raise ValueError("target K must be positive")
         if self.worker_count < 1:
             raise ValueError(f"worker count must be positive, got {self.worker_count}")
+        if self.budget < -1:
+            raise ValueError(f"budget must be -1 (unlimited) or at least 0, got {self.budget}")
 
     def fingerprint(self) -> dict:
         """Every field but worker_count, which cannot change the result."""
@@ -282,7 +284,7 @@ def _graph_masks(job: SearchJob) -> list[int]:
             raise ValueError(f"exhaustive graph source supports n <= {MAX_TABLE_N}")
         return list(range(1 << edge_count(job.n)))
     if job.graph_source == "iso":
-        return [mask for mask, _size in isomorphism_class_masks(job.n)]
+        return list(isomorphism_class_minima(job.n))
     return [masks[0] for masks in lc_orbit_masks(job.n)]
 
 

@@ -309,6 +309,29 @@ class TestMaxClique:
         res = lex_min_clique(cg, max_clique(cg))
         assert built == [269] and res.nodes == 5416
 
+    def test_one_vertex_graph_builds_no_tables(self, monkeypatch):
+        # vertex 0 alone leaves no candidate, so no search reads the tables;
+        # the results and node counts are those of the kernel's empty search
+        built = []
+        tables = kernels.bnb_tables
+
+        def counted(rows, m):
+            built.append(m)
+            return tables(rows, m)
+
+        monkeypatch.setattr(kernels, "bnb_tables", counted)
+        cg = make_cws_clique_graph(setup(error_set(6, 3), Graph.empty(6)))
+        assert cg.size == 1
+        for budget in (-1, 0):
+            res = max_clique(cg, budget)
+            assert (res.clique.members, res.exact, res.nodes) == ((0,), True, 0)
+            assert lex_min_clique(cg, res, budget) is res
+            one = find_clique_of_size(cg, 1, budget)
+            assert (one.clique.members, one.exhausted, one.nodes, one.best_size) == ((0,), True, 0, 1)
+            for k in (2, 3):
+                assert find_clique_of_size(cg, k, budget) == (None, True, 0, 1)
+        assert built == []
+
     def test_refinement_without_an_exact_answer_or_budget_is_a_no_op(self):
         cg = make_cws_clique_graph(setup(error_set(9, 3), Graph.ring(9)))
         bound = max_clique(cg, budget=1000)

@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
+from cwskit import kernels
 from cwskit.errormap import (
     ClArrays,
     ErrorSet,
     cl_map,
     error_set,
     setup,
+    setup_table,
 )
-from cwskit.gf2 import ClassicalCode, PauliOp, parity
-from cwskit.graphs import Graph
+from cwskit.gf2 import ClassicalCode, PauliOp, parity, xor_basis
+from cwskit.graphs import Graph, edge_count, rows_table
 from cwskit.verify import CWSCode, detection_check
 
 
@@ -55,7 +57,7 @@ class TestErrorSet:
     def test_arrays_are_read_only(self):
         errs = error_set(4, 2)
         u, v = errs.u, errs.v
-        for arr in (u, v, errs.xcols):
+        for arr in (u, v, errs.xcols, errs.xorder, errs.xstarts):
             with pytest.raises(ValueError):
                 arr[0] = 1
         with pytest.raises(ValueError):
@@ -71,6 +73,19 @@ class TestErrorSet:
             for col, p in zip(errs.xcols.T.tolist(), errs.paulis):
                 support = [q for q in range(n) if (p.u >> q) & 1]
                 assert col == support + [n] * (d - 1 - len(support))
+
+    def test_xorder_groups_the_errors_by_x_support(self):
+        # every error once; one group per distinct u, in order of first
+        # appearance, each group ascending
+        for n, d in [(4, 3), (5, 2), (3, 4), (3, 1)]:
+            errs = error_set(n, d)
+            order, starts = errs.xorder.tolist(), errs.xstarts.tolist()
+            assert sorted(order) == list(range(len(errs)))
+            groups = [order[a:b] for a, b in zip(starts, starts[1:] + [len(order)])]
+            heads = [errs.paulis[g[0]].u for g in groups]
+            assert heads == list(dict.fromkeys(p.u for p in errs.paulis))
+            for g, u in zip(groups, heads):
+                assert g == sorted(g) and {errs.paulis[k].u for k in g} == {u}
 
     def test_xcols_width_is_the_widest_x_support(self):
         z_only = ErrorSet(3, (PauliOp.single(3, 0, "Z"), PauliOp(3, 0, 0b110)))
@@ -224,3 +239,50 @@ class TestSetup:
     def test_mismatched_sizes(self):
         with pytest.raises(ValueError):
             setup(error_set(3, 2), Graph.empty(4))
+
+
+def per_graph_setup(errors: ErrorSet, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CL and D of one graph, given its adjacency rows, with D from a
+    `xor_basis` of the graph's own zero-pattern X supports: the reference
+    the chunk-wide elimination of `setup_table` must match."""
+    n = len(rows)
+    patterns = kernels.cl_patterns(errors.xcols, errors.v, rows[None])[0]
+    cl = np.zeros(1 << n, dtype=bool)
+    cl[patterns] = True
+    d = np.zeros(1 << n, dtype=bool)
+    x = np.arange(1 << n, dtype=np.int64)
+    for b in xor_basis(errors.u[patterns == 0].tolist()):
+        d |= kernels.parity_of_and(x, b)
+    return cl, d
+
+
+def assert_chunk_matches_per_graph(n: int, d: int, masks: list[int]) -> None:
+    errors = error_set(n, d)
+    rows = rows_table(n, masks)
+    cl, dd = setup_table(errors, rows)
+    for r, mask in enumerate(masks):
+        want_cl, want_d = per_graph_setup(errors, rows[r])
+        assert np.array_equal(cl[r], want_cl), (n, d, mask)
+        assert np.array_equal(dd[r], want_d), (n, d, mask)
+
+
+class TestChunkElimination:
+    def test_every_graph_up_to_n5_at_every_distance(self):
+        for n in range(1, 6):
+            for d in range(1, n + 2):
+                assert_chunk_matches_per_graph(n, d, list(range(1 << edge_count(n))))
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_seeded_graphs(self, n):
+        rng = random.Random(n)
+        masks = [rng.randrange(1 << edge_count(n)) for _ in range(24)] + [0]
+        for d in range(1, n + 2):
+            assert_chunk_matches_per_graph(n, d, masks)
+
+    def test_empty_n20_graph(self):
+        # every X support maps to 0, so the span is the whole space: 20
+        # pivots, and D marks every nonzero word
+        cl, d = setup_table(error_set(20, 3), np.zeros((1, 20), dtype=np.int64))
+        want_cl, want_d = per_graph_setup(error_set(20, 3), np.zeros(20, dtype=np.int64))
+        assert np.array_equal(cl[0], want_cl) and np.array_equal(d[0], want_d)
+        assert not d[0, 0] and d[0, 1:].all()

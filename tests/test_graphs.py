@@ -16,6 +16,8 @@ from cwskit.graphs import (
     edge_count,
     enumerate_graphs,
     graph_state_amplitudes,
+    isomorphism_class_masks,
+    isomorphism_class_minima,
     isomorphism_classes,
     lc_orbit,
     lc_orbit_masks,
@@ -177,6 +179,20 @@ class TestClassTable:
         for mask in rng.sample(range(1 << edge_count(7)), 300):
             assert int(canon[mask]) == _canonical_dfs(7, Graph.from_mask(7, mask).rows)
 
+    def test_minima_are_the_class_masks_without_sizes(self):
+        for n in range(1, 8):
+            assert list(isomorphism_class_minima(n)) == [
+                mask for mask, _size in isomorphism_class_masks(n)
+            ]
+        prefix = list(itertools.islice(isomorphism_class_masks(8), 20))
+        minima = list(itertools.islice(isomorphism_class_minima(8), 20))
+        assert minima == [mask for mask, _size in prefix]
+
+    @pytest.mark.parametrize("n", [0, 9])
+    def test_minima_refuse_n_out_of_range_at_the_call(self, n):
+        with pytest.raises(ValueError):
+            isomorphism_class_minima(n)
+
     def test_n8_classes_start_without_table(self):
         # no 2^28-entry table at n=8: the orbit pass still yields classes;
         # the empty graph, 28 single edges, then 8 * C(7,2) two-edge paths
@@ -225,8 +241,22 @@ class TestGroupWeights:
         for n in range(1, 7):
             canon = np.full(1 << edge_count(n), -1, dtype=np.int32)
             want_canon = canon.copy()
-            assert list(_orbit_pass(n, canon)) == per_bit_orbit_pass(n, want_canon)
+            classes = [
+                (mask, images.size // int(np.count_nonzero(images == mask)))
+                for mask, images in _orbit_pass(n, canon)
+            ]
+            assert classes == per_bit_orbit_pass(n, want_canon)
             assert np.array_equal(canon, want_canon)
+
+    def test_n8_tables_leave_the_cache_with_the_pass(self):
+        # the n=8 tables (36 MB) are built per pass; the n <= 7 ones stay
+        _group_weights(6)
+        before = _group_weights.cache_info()
+        first = list(itertools.islice(isomorphism_class_minima(8), 3))
+        assert first == [0, 1, 3]
+        assert _group_weights.cache_info().currsize == before.currsize
+        _group_weights(6)
+        assert _group_weights.cache_info().hits == before.hits + 1
 
     def test_n8_tables_stay_small_beside_the_visited_array(self):
         # the n=8 pass also holds a 256 MB visited array, and listing every

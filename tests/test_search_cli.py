@@ -317,6 +317,18 @@ class TestGraphMasks:
             Graph.from_mask(n, masks[0]).mask() for masks in lc_orbit_masks(n)
         ]
 
+    @pytest.mark.parametrize("n, d", [(5, 2), (5, 3), (6, 2), (6, 3), (7, 3)])
+    def test_lc_source_is_sound_graph_by_graph(self, n, d):
+        # the lc source solves one class per LC orbit, which holds only if
+        # every class of an orbit has the same exact bestK
+        records = run_search(SearchJob(n=n, d=d, graph_source="iso")).records
+        assert all(r.status == "exact" for r in records)
+        best = {r.canon_mask: r.best_k for r in records}
+        orbits = list(lc_orbit_masks(n))
+        assert sorted(mask for masks in orbits for mask in masks) == sorted(best)
+        for masks in orbits:
+            assert len({best[mask] for mask in masks}) == 1, masks
+
     @pytest.mark.parametrize(
         "source, message",
         [
@@ -1041,6 +1053,24 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: worker count must be positive, got {jobs}\n"
+
+    @pytest.mark.parametrize("budget", ["-7", "-2"])
+    def test_search_cli_rejects_budget_below_minus_1(self, budget, capsys):
+        # -1 is the one unlimited budget, so a checkpoint fingerprint names
+        # an unlimited search one way only
+        assert main(["search", "--n", "3", "--d", "2", "--budget", budget]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: budget must be -1 (unlimited) or at least 0, got {budget}\n"
+
+    @pytest.mark.parametrize(
+        "budget, code, best_k", [("-1", 0, 4), ("0", 4, 1)], ids=["unlimited", "zero"]
+    )
+    def test_search_cli_accepts_budget_minus_1_and_0(self, budget, code, best_k, capsys):
+        # 0 expands no node, so every graph with a candidate is budget-bound
+        assert main(["search", "--n", "4", "--d", "2", "--budget", budget]) == code
+        out, _err = capsys.readouterr()
+        assert f"summary_bestK={best_k}\n" in out
 
     @pytest.mark.parametrize(
         "argv",
