@@ -139,19 +139,25 @@ class FixedSizeResult(NamedTuple):
         return self.clique is not None
 
 
+def _bnb_clique(
+    cg: CliqueGraph, cand: int, stop_at: int, budget: int
+) -> tuple[int, list, int, bool]:
+    """`kernels.bnb_clique` on `cg` from the candidate set `cand`: every
+    exact solve goes through here, behind the one vertex cap.  An empty
+    set gets the kernel's own answer, and no colouring tables are built."""
+    if not cand:
+        return 0, [], 0, True
+    if cg.size > MAX_EXACT_VERTICES:
+        raise ValueError(f"exact solver capped at {MAX_EXACT_VERTICES} vertices")
+    return kernels.bnb_clique(cg.rows, cg.bnb_tables, cg.size, cand, stop_at, budget)
+
+
 def max_clique(cg: CliqueGraph, budget: int = -1) -> CliqueSearchResult:
     """A maximum clique containing vertex 0; exact unless the budget runs out.
 
     One branch and bound: the members are whichever maximum clique through 0
     it meets first, not a canonical choice (see `lex_min_clique`)."""
-    m = cg.size
-    if m > MAX_EXACT_VERTICES:
-        raise ValueError(f"exact solver capped at {MAX_EXACT_VERTICES} vertices")
-    if m == 1:  # no candidates: the search would stop before its tables
-        return CliqueSearchResult(Clique((0,)), True, 0)
-    _size, members, nodes, exhausted = kernels.bnb_clique(
-        cg.rows, cg.bnb_tables, m, (1 << (m - 1)) - 1, 0, budget
-    )
+    _size, members, nodes, exhausted = _bnb_clique(cg, (1 << (cg.size - 1)) - 1, 0, budget)
     return CliqueSearchResult(Clique(tuple(sorted([0] + members))), exhausted, nodes)
 
 
@@ -182,9 +188,7 @@ def lex_min_clique(
             pv = p & cg.rows[v]
             if remaining > 1:
                 sub_budget = -1 if budget < 0 else max(0, budget - nodes)
-                size, _mem, used, exhausted = kernels.bnb_clique(
-                    cg.rows, cg.bnb_tables, cg.size, pv, remaining - 1, sub_budget
-                )
+                size, _mem, used, exhausted = _bnb_clique(cg, pv, remaining - 1, sub_budget)
                 nodes += used
                 if size < remaining - 1:
                     if not exhausted:
@@ -206,16 +210,9 @@ def find_clique_of_size(cg: CliqueGraph, k: int, budget: int = -1) -> FixedSizeR
     target above the vertex count simply exhausts without reaching it)."""
     if k < 1:
         raise ValueError("clique size must be at least 1")
-    m = cg.size
     if k == 1:
         return FixedSizeResult(Clique((0,)), True, 0, 1)
-    if m > MAX_EXACT_VERTICES:
-        raise ValueError(f"exact solver capped at {MAX_EXACT_VERTICES} vertices")
-    if m == 1:  # no candidates: the search would stop before its tables
-        return FixedSizeResult(None, True, 0, 1)
-    size, members, nodes, exhausted = kernels.bnb_clique(
-        cg.rows, cg.bnb_tables, m, (1 << (m - 1)) - 1, k - 1, budget
-    )
+    size, members, nodes, exhausted = _bnb_clique(cg, (1 << (cg.size - 1)) - 1, k - 1, budget)
     if size >= k - 1:
         picked = tuple(sorted([0] + sorted(members)[: k - 1]))
         return FixedSizeResult(Clique(picked), exhausted, nodes, k)

@@ -351,22 +351,13 @@ def _orbit_pass(n: int, canon: np.ndarray | None = None) -> Iterator[tuple[int, 
         yield mask, images
 
 
-def _with_sizes(classes: Iterator[tuple[int, np.ndarray]]) -> Iterator[tuple[int, int]]:
-    """(minimum mask, class size) of each `_orbit_pass` class."""
-    for mask, images in classes:
-        # orbit-stabiliser: images repeat once per automorphism of the graph
-        yield mask, images.size // int(np.count_nonzero(images == mask))
-
-
-def class_table(n: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+def class_table(n: int) -> tuple[np.ndarray, list[int]]:
     """``canon[mask]``, the minimum mask of mask's isomorphism class for
-    every n-vertex graph, plus the classes' (minimum mask, size) in
-    increasing order."""
+    every n-vertex graph, plus the class minima in increasing order."""
     if not 1 <= n <= MAX_TABLE_N:
         raise ValueError(f"class table supported for 1 <= n <= {MAX_TABLE_N}")
     canon = np.empty(1 << edge_count(n), dtype=np.int32)
-    classes = list(_with_sizes(_orbit_pass(n, canon)))
-    return canon, classes
+    return canon, [mask for mask, _images in _orbit_pass(n, canon)]
 
 
 def _class_pass(n: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -385,7 +376,11 @@ def isomorphism_class_minima(n: int) -> Iterator[int]:
 
 def isomorphism_class_masks(n: int) -> Iterator[tuple[int, int]]:
     """(minimum mask, size) of every isomorphism class, in increasing order."""
-    return _with_sizes(_class_pass(n))
+    # orbit-stabiliser: the images repeat once per automorphism of the graph
+    return (
+        (mask, images.size // int(np.count_nonzero(images == mask)))
+        for mask, images in _class_pass(n)
+    )
 
 
 def isomorphism_classes(n: int) -> Iterator[tuple[Graph, int]]:
@@ -464,8 +459,7 @@ def lc_orbit_masks(n: int) -> Iterator[tuple[int, ...]]:
     if n > MAX_EXHAUSTIVE_N:
         raise ValueError(f"LC orbit enumeration supported for n <= {MAX_EXHAUSTIVE_N}")
     if n <= MAX_TABLE_N:
-        canon, classes = class_table(n)
-        reps: Iterator[int] = (mask for mask, _size in classes)
+        canon, reps = class_table(n)
 
         def label(masks: np.ndarray) -> list[int]:
             return canon[masks].tolist()

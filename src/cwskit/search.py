@@ -379,6 +379,10 @@ def _load_checkpoint(path: Path, job: SearchJob) -> dict[int, GraphRecord]:
                 continue
             obj = _checkpoint_line(ln, lineno)
             code = obj.get("code")
+            # a search stores no code only where it fell short of a target K,
+            # so a null or empty code anywhere else would replay an unshown bestK
+            if not code and (job.target_k is None or obj["bestK"] >= job.target_k):
+                raise ValueError(f"checkpoint line {lineno} is not a record")
             rec = GraphRecord(
                 job.n, obj["canon_mask"], obj["raw_mask"], obj["m"], obj["bestK"],
                 obj["status"], tuple(code) if code else None,

@@ -332,6 +332,22 @@ class TestMaxClique:
                 assert find_clique_of_size(cg, k, budget) == (None, True, 0, 1)
         assert built == []
 
+    def test_every_exact_solver_meets_the_vertex_cap(self, monkeypatch):
+        # one guard holds the cap for the solve, the target-K search and the
+        # refinement; a one-word target is answered before it
+        cg = make_cws_clique_graph(setup(error_set(5, 2), Graph.ring(5)))
+        exact = max_clique(cg)
+        assert exact.exact and exact.clique.size >= 3
+        monkeypatch.setattr("cwskit.clique.MAX_EXACT_VERTICES", cg.size - 1)
+        message = f"exact solver capped at {cg.size - 1} vertices"
+        with pytest.raises(ValueError, match=message):
+            max_clique(cg)
+        with pytest.raises(ValueError, match=message):
+            find_clique_of_size(cg, 2)
+        with pytest.raises(ValueError, match=message):
+            lex_min_clique(cg, exact)
+        assert find_clique_of_size(cg, 1).clique.members == (0,)
+
     def test_refinement_without_an_exact_answer_or_budget_is_a_no_op(self):
         cg = make_cws_clique_graph(setup(error_set(9, 3), Graph.ring(9)))
         bound = max_clique(cg, budget=1000)

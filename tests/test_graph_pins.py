@@ -70,7 +70,10 @@ RANDOM8_ORBITS = {
 
 @pytest.mark.parametrize("n", sorted(CLASS_TABLE))
 def test_class_table_pinned(n):
-    canon, classes = class_table(n)
+    # the table's minima are the sized classes' minima, which the digest pins
+    canon, minima = class_table(n)
+    classes = list(isomorphism_class_masks(n))
+    assert minima == [mask for mask, _size in classes]
     assert (digest(canon.tobytes()), digest(classes)) == CLASS_TABLE[n]
 
 

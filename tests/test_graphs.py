@@ -163,9 +163,11 @@ class TestClassTable:
 
     def test_classes_match_brute_force(self):
         for n in range(1, 6):
-            _canon, classes = class_table(n)
+            classes = list(isomorphism_class_masks(n))
             assert classes == brute_force_classes(n)[0]
             assert classes == [(g.mask(), s) for g, s in isomorphism_classes(n)]
+            _canon, minima = class_table(n)
+            assert minima == [mask for mask, _size in classes]
 
     def test_table_matches_dfs_n6(self):
         canon, _classes = class_table(6)
@@ -174,8 +176,8 @@ class TestClassTable:
 
     def test_table_matches_dfs_n7_sample(self):
         rng = random.Random(7)
-        canon, classes = class_table(7)
-        assert len(classes) == 1044
+        canon, minima = class_table(7)
+        assert len(minima) == 1044
         for mask in rng.sample(range(1 << edge_count(7)), 300):
             assert int(canon[mask]) == _canonical_dfs(7, Graph.from_mask(7, mask).rows)
 

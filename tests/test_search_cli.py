@@ -530,25 +530,50 @@ class TestCheckpoint:
         words = lex_smallest_max_clique(make_cws_clique_graph(setup(errors, g)))
         assert [w.value for w in plain.witness.code.words] == words
 
-    @pytest.mark.parametrize("kept", [64, 7])
-    def test_replayed_null_code_above_every_code_leaves_no_witness(
-        self, tmp_path: Path, kept
+    @pytest.mark.parametrize(
+        "target, best_k, code",
+        [(["--k", "5"], 9, None), (["--k", "5"], 5, None), ([], 7, None), ([], 4, [])],
+        ids=["k5-null-above-k", "k5-null-at-k", "max-null", "max-empty"],
+    )
+    def test_record_without_a_code_is_refused_unless_short_of_k(
+        self, target, best_k, code, tmp_path: Path, capsys
     ):
-        # a replayed record without a code whose bestK beats every coded
-        # record sets summary_bestK, and no record of that K has a code to
-        # show, whether the other graphs are replayed or solved again
-        job = SearchJob(n=4, d=2, graph_source="all")
-        ck = tmp_path / "run.ckpt"
-        plain = run_search(job, checkpoint=ck)
-        assert plain.witness is not None
+        # a search leaves the code out only where it fell short of the target
+        # K; any other codeless record would set summary_bestK with no witness
+        ck = tmp_path / "null.ckpt"
+        argv = ["search", "--n", "4", "--d", "2", "--graphs", "iso", *target,
+                "--checkpoint", str(ck)]
+        assert main(argv) == (3 if target else 0)
         head, *lines = ck.read_text().splitlines()
-        rec = json.loads(lines[3])
-        rec["bestK"], rec["code"] = plain.summary_best_k + 1, None
-        # the last line of a raw mask is the one replayed
-        ck.write_text("\n".join([head, *lines[:kept], json.dumps(rec)]) + "\n")
-        resumed = run_search(job, checkpoint=ck)
-        assert resumed.summary_best_k == plain.summary_best_k + 1
-        assert resumed.witness is None
+        rec = json.loads(lines[0])
+        rec["bestK"], rec["code"] = best_k, code
+        ck.write_text("\n".join([head, json.dumps(rec), *lines[1:]]) + "\n")
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: checkpoint line 2 is not a record\n"
+
+    def test_coded_record_below_a_codeless_one_leaves_no_witness(
+        self, tmp_path: Path, capsys
+    ):
+        # a replayed code (it verifies) under a target K, of fewer words than
+        # the bestK of a codeless record: the witness would not show that K
+        words = tmp_path / "max.ckpt"
+        assert main(["search", "--n", "4", "--d", "2", "--graphs", "iso",
+                     "--checkpoint", str(words)]) == 0
+        coded = next(json.loads(ln) for ln in words.read_text().splitlines()[1:]
+                     if json.loads(ln)["bestK"] == 4)
+        ck = tmp_path / "k5.ckpt"
+        argv = ["search", "--n", "4", "--d", "2", "--graphs", "iso", "--k", "5",
+                "--checkpoint", str(ck)]
+        assert main(argv) == 3
+        head, *lines = ck.read_text().splitlines()
+        coded["bestK"], coded["code"] = 2, coded["code"][:2]
+        lines.append(json.dumps(coded))  # the last line of a raw mask is replayed
+        ck.write_text("\n".join([head, *lines]) + "\n")
+        capsys.readouterr()
+        assert main(argv) == 3
+        out = capsys.readouterr().out
+        assert "summary_bestK=4\n" in out and "witness_" not in out
 
     @pytest.mark.parametrize(
         "line, lineno",
@@ -663,7 +688,7 @@ class TestCheckpoint:
         # null codes verify nothing, so the file, not the pattern table,
         # would set the peak; a loader that holds the file (or its text or
         # lines) beside the records peaks near twice what it returns
-        job = SearchJob(n=6, d=3, graph_source="all")
+        job = SearchJob(n=6, d=3, target_k=4, graph_source="all")
         ck = tmp_path / "null.ckpt"
         lines = [json.dumps({"job": job.fingerprint()})] + [
             GraphRecord(n=6, canon_mask=mask, raw_mask=mask, m=40, best_k=3,
@@ -861,7 +886,7 @@ def json_loads_checkpoint_line(ln: bytes, lineno: int) -> dict:
     return obj
 
 
-DECODE_JOB = SearchJob(n=4, d=2, graph_source="all")
+DECODE_JOB = SearchJob(n=4, d=2, target_k=3, graph_source="all")  # null records below K
 DECODE_HEADER = json.dumps({"job": DECODE_JOB.fingerprint()}).encode()
 DECODE_RECORD = (b'{"raw_mask": 5, "canon_mask": 3, "m": 7, "bestK": 2, '
                  b'"status": "exact", "code": [0, 6]}')
