@@ -21,7 +21,14 @@ import numpy as np
 import cwskit.kernels as K
 from cwskit.clique import clique_graphs, make_cws_clique_graph, max_clique
 from cwskit.errormap import error_set, setup, setup_table
-from cwskit.graphs import Graph, class_table, edge_count, lc_orbit_masks, rows_table
+from cwskit.graphs import (
+    Graph,
+    class_table,
+    edge_count,
+    lc_orbit_masks,
+    rows_table,
+    write_graph_file,
+)
 from cwskit.search import BUILD_CHUNK, SearchJob, _load_checkpoint, run_search
 from cwskit.verify import first_failing_code
 
@@ -163,6 +170,21 @@ def bench_checkpoint_load(repeat: int):
     return f"checkpoint load (n=5 d=2 all, {len(fn())} records)", fn, fn
 
 
+def bench_resume_witness(repeat: int):
+    """The resume of the complete ring9 d=3 `file` checkpoint: one record
+    replayed, its code verified, and the witness refined from it."""
+    tmp = tempfile.TemporaryDirectory()  # removed once `fn` is collected
+    gf = Path(tmp.name) / "ring9.txt"
+    gf.write_text(write_graph_file(Graph.ring(9)))
+    job = SearchJob(n=9, d=3, graph_source="file", graph_file=str(gf))
+    run_search(job, checkpoint=Path(tmp.name) / "ring9.ckpt")
+
+    def fn():
+        return run_search(job, checkpoint=Path(tmp.name) / "ring9.ckpt")
+
+    return "resume witness (ring9 d=3 file, complete checkpoint)", fn, fn
+
+
 # The cases `main` times, in order.
 BENCHES = [
     bench_cl_patterns,
@@ -176,6 +198,7 @@ BENCHES = [
     bench_checkpoint_verify,
     bench_checkpoint_verify_n7,
     bench_checkpoint_load,
+    bench_resume_witness,
 ]
 
 

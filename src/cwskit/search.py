@@ -252,18 +252,21 @@ def _witness(job: SearchJob, rec: GraphRecord, nodes: int | None) -> CWSCode:
 
     Records carry the solver's first maximum clique.  For an exactly solved
     max-clique record the witness is the lexicographically smallest one,
-    refined here once per search instead of once per graph.  A record
-    replayed from a checkpoint (`nodes` None) is solved again first; the
-    solve is deterministic, so the budget left for refining is the same."""
+    refined here once per search instead of once per graph, from the
+    record's code.  Under a finite budget the solve's nodes bound the
+    refining, so a record replayed from a checkpoint (`nodes` None) is
+    solved again first; the solve is deterministic, so the budget left is
+    the same.  Under an unlimited budget the nodes are never read, and the
+    refining starts from the stored code."""
     g = Graph.from_mask(job.n, rec.raw_mask)
     words = sorted(rec.code)
     if job.exactness == "exact" and job.target_k is None and rec.status == "exact":
         cg = make_cws_clique_graph(setup(error_set(job.n, job.d), g))
-        if nodes is None:
+        if nodes is None and job.budget >= 0:
             res = max_clique(cg, job.budget)
         else:
             members = tuple(int(i) for i in cg.vertices.searchsorted(words))
-            res = CliqueSearchResult(Clique(members), True, nodes)
+            res = CliqueSearchResult(Clique(members), True, nodes or 0)
         res = lex_min_clique(cg, res, job.budget)
         words = cg.codewords(res.clique)
     return CWSCode(g, ClassicalCode.from_ints(job.n, words))
@@ -399,6 +402,22 @@ def _load_checkpoint(path: Path, job: SearchJob) -> dict[int, GraphRecord]:
     return done
 
 
+def _check_replayed(job: SearchJob, records: list[GraphRecord]) -> None:
+    """Refuse a replayed record of one of the job's graphs whose fields no
+    search of the job writes.  It needs 1 <= bestK <= m <= 2^n, and a
+    canonical id that is its raw mask (`iso` and `lc` list class minima) or,
+    for `all` and `file`, a mask no larger with as many edges.  The exact
+    `all`/`file` label stays trusted: checking it costs the class table or
+    the DFS that a resume saves."""
+    minima, top = job.graph_source in {"iso", "lc"}, 1 << job.n
+    for _n, canon, raw, m, best_k, _status, _code in records:
+        same = canon == raw if minima else canon.bit_count() == raw.bit_count()
+        if not (same and 0 <= canon <= raw and 1 <= best_k <= m <= top):
+            raise ValueError(
+                f"checkpoint record of graph {mask_hex(job.n, raw)} does not fit the job"
+            )
+
+
 def run_search(
     job: SearchJob,
     checkpoint: Path | None = None,
@@ -411,6 +430,7 @@ def run_search(
     # a checkpoint may hold graphs outside this job's list; replay only ours.
     # Solved records join them, and the list is sorted once the run ends.
     records = [done[m] for m in masks if m in done]
+    _check_replayed(job, records)
     total_graphs = len(masks)
     del done, masks  # freed now, not held to the end of the run
     _W["job"] = job

@@ -123,20 +123,6 @@ VERIFY_CHUNK = 4096  # graphs per chunk: an (R, E) int64 pattern and (R, 2^n) bo
 VERIFY_BLOCK = 1 << 12  # word pairs per block of codes
 
 
-def _check_words(n: int, words: Sequence[int]) -> None:
-    """Refuse the codewords that ``CWSCode(g, ClassicalCode.from_ints(n,
-    sorted(words)))`` refuses, with its message: a word outside 0..2^n-1
-    (the smallest such word), else a repeated word, else no all-zeros word."""
-    if min(words) < 0 or max(words) >> n:
-        bad = min(c for c in words if c < 0 or c >> n)
-        raise ValueError(f"value {bad} out of range for n={n}")
-    distinct = set(words)
-    if len(distinct) < len(words):
-        raise ValueError("codewords must be pairwise distinct")
-    if 0 not in distinct:
-        raise ValueError("standard form requires the all-zeros codeword")
-
-
 def first_failing_code(
     masks: Sequence[int], codes: Sequence[Sequence[int]], errors: ErrorSet
 ) -> int:
@@ -148,29 +134,15 @@ def first_failing_code(
     (``graphs.rows_table``, which reads a mask's low n(n-1)/2 bits as
     ``Graph.from_mask`` does), one ``cl_patterns`` call maps every error
     through all of its graphs, and the chunk's codes are tested together
-    (``_chunk_failure``).  The words of a code are checked as ``CWSCode``
-    would check them, and the first failing pair is checked again by
-    ``_check_words``: bad words raise its ValueError, with its message, and
-    a failing code is otherwise reported by index."""
+    (``_chunk_failure``).  The first failing code is then built as a
+    ``CWSCode`` of its sorted words: bad words raise its ValueError, with
+    its message, and a failing code is otherwise reported by index."""
     n = errors.n
     for lo in range(0, len(masks), VERIFY_CHUNK):
         hi = lo + VERIFY_CHUNK
-        chunk_masks, chunk_codes = masks[lo:hi], codes[lo:hi]
-        try:
-            bad = _chunk_failure(chunk_masks, chunk_codes, errors)
-        except OverflowError:
-            # a word beyond int64 is out of range for every n: the codes
-            # before the first such code are tested as arrays, and that
-            # code fails
-            wide = next(
-                i for i, words in enumerate(chunk_codes)
-                if not all(-(1 << 63) <= c < 1 << 63 for c in words)
-            )
-            bad = _chunk_failure(chunk_masks[:wide], chunk_codes[:wide], errors)
-            if bad < 0:
-                bad = wide
+        bad = _chunk_failure(masks[lo:hi], codes[lo:hi], errors)
         if bad >= 0:
-            _check_words(n, chunk_codes[bad])
+            CWSCode(Graph.empty(n), ClassicalCode.from_ints(n, sorted(codes[lo + bad])))
             return lo + bad
     return -1
 
@@ -182,7 +154,7 @@ def _chunk_failure(
     or -1: a word outside 0..2^n-1, no all-zeros word, two equal words, a
     nonzero pattern that is the XOR of two words, or a zero pattern whose
     error anticommutes with a word.  The codes are flattened into one int64
-    array (OverflowError for a word beyond int64).
+    array, in which a word beyond int64 reads as -1, out of range as it is.
 
     Once its words are in range and hold 0, code r is tested against row r
     of one (R, 2^n) bool table ``bad``, true at 0, at every pattern of graph
@@ -205,7 +177,12 @@ def _chunk_failure(
     ends = np.cumsum(lens)
     starts = ends - lens
     total = int(ends[-1]) if count else 0
-    flat = np.fromiter(itertools.chain.from_iterable(codes), dtype=np.int64, count=total)
+    chain = itertools.chain.from_iterable
+    try:
+        flat = np.fromiter(chain(codes), dtype=np.int64, count=total)
+    except OverflowError:  # c >> 63 is 0 or -1 exactly for the int64 words
+        wide = (c if -1 <= c >> 63 <= 0 else -1 for c in chain(codes))
+        flat = np.fromiter(wide, dtype=np.int64, count=total)
     row = np.repeat(np.arange(count), lens)  # the code of each word
 
     # the words of each code: in range, with an all-zeros word

@@ -530,6 +530,96 @@ class TestCheckpoint:
         words = lex_smallest_max_clique(make_cws_clique_graph(setup(errors, g)))
         assert [w.value for w in plain.witness.code.words] == words
 
+    @pytest.mark.parametrize("budget, run_nodes, resume_nodes",
+                             [(-1, 5416, 850), (10_000, 5416, 5416)])
+    def test_resume_solves_the_witness_again_only_under_a_budget(
+        self, budget, run_nodes, resume_nodes, tmp_path: Path, monkeypatch
+    ):
+        # ring9 d=3: the run solves (4,566 nodes) and refines (850); a resume
+        # refines from the stored code, and solves again only where the
+        # solve's nodes count against the refining's budget
+        gf = tmp_path / "ring9.txt"
+        gf.write_text(write_graph_file(Graph.ring(9)))
+        job = SearchJob(n=9, d=3, graph_source="file", graph_file=str(gf), budget=budget)
+        ck = tmp_path / "ring9.ckpt"
+        nodes = []
+        bnb = kernels.bnb_clique
+
+        def counted(*args):
+            out = bnb(*args)
+            nodes.append(out[2])
+            return out
+
+        monkeypatch.setattr(kernels, "bnb_clique", counted)
+        run = run_search(job, checkpoint=ck)
+        assert sum(nodes) == run_nodes
+        nodes.clear()
+        resumed = run_search(job, checkpoint=ck)
+        assert sum(nodes) == resume_nodes
+        assert render_result(resumed) == render_result(run)
+        assert resumed.witness == run.witness
+        assert resumed.witness.dimension == 12
+
+    def test_replayed_record_with_a_forged_label_or_size_is_refused(
+        self, tmp_path: Path, capsys
+    ):
+        # raw mask 1 is the one-edge graph: a record of canon_mask 63 (the
+        # complete graph) and m 99 (above 2^4) would print graph=3f
+        ck, out = tmp_path / "iso.ckpt", tmp_path / "res.txt"
+        argv = ["search", "--n", "4", "--d", "2", "--graphs", "iso",
+                "--checkpoint", str(ck), "--out", str(out)]
+        assert main(argv) == 0
+        head, *lines = ck.read_text().splitlines()
+        records = [json.loads(ln) for ln in lines]
+        (rec,) = [r for r in records if r["raw_mask"] == 1]
+        rec["canon_mask"], rec["m"] = 63, 99
+        ck.write_text("\n".join([head, *map(json.dumps, records)]) + "\n")
+        out.unlink()
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: checkpoint record of graph 01 does not fit the job\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "source, raw, canon, m, best_k, refused",
+        [
+            ("iso", 7, 7, 7, 4, False),  # the record as written
+            ("iso", 7, 3, 7, 4, True),  # iso ids are the raw masks
+            ("iso", 7, 7, 7, 0, True),
+            ("iso", 7, 7, 3, 4, True),  # bestK above m
+            ("iso", 7, 7, 17, 4, True),  # m above 2^n
+            ("all", 14, 13, 6, 4, False),  # the record as written
+            ("all", 14, 7, 6, 4, False),  # a smaller id of as many edges
+            ("all", 14, 3, 6, 4, True),  # fewer edges
+            ("all", 14, 19, 6, 4, True),  # as many edges, above the raw mask
+            ("all", 14, -14, 6, 4, True),
+        ],
+    )
+    def test_replayed_record_fields_are_checked(
+        self, source, raw, canon, m, best_k, refused, tmp_path: Path
+    ):
+        # a code that verifies stays; only the label, m and bestK move (a
+        # bestK other than the code's drops the code, under a target above it)
+        job = SearchJob(n=4, d=2, graph_source=source)
+        ck = tmp_path / "fields.ckpt"
+        run_search(job, checkpoint=ck)
+        _head, *lines = ck.read_text().splitlines()
+        records = [json.loads(ln) for ln in lines]
+        (rec,) = [r for r in records if r["raw_mask"] == raw]
+        rec["canon_mask"], rec["m"] = canon, m
+        if best_k != rec["bestK"]:
+            rec["bestK"], rec["code"] = best_k, None
+            job = SearchJob(n=4, d=2, target_k=5, graph_source=source)
+        ck.write_text(json.dumps({"job": job.fingerprint()}) + "\n"
+                      + "".join(json.dumps(r) + "\n" for r in records))
+        if refused:
+            with pytest.raises(ValueError, match=f"^checkpoint record of graph {raw:02x} "):
+                run_search(job, checkpoint=ck)
+        else:
+            assert run_search(job, checkpoint=ck).summary_best_k == 4
+
     @pytest.mark.parametrize(
         "target, best_k, code",
         [(["--k", "5"], 9, None), (["--k", "5"], 5, None), ([], 7, None), ([], 4, [])],

@@ -427,13 +427,7 @@ def per_code_first_failing_code(masks, codes, errors: ErrorSet) -> int:
     n = errors.n
     patterns = kernels.cl_patterns(errors.xcols, errors.v, rows_table(n, masks))
     for i, (words, pats) in enumerate(zip(codes, patterns.tolist())):
-        if min(words) < 0 or max(words) >> n:
-            bad = min(c for c in words if c < 0 or c >> n)
-            raise ValueError(f"value {bad} out of range for n={n}")
-        if len(set(words)) < len(words):
-            raise ValueError("codewords must be pairwise distinct")
-        if 0 not in words:
-            raise ValueError("standard form requires the all-zeros codeword")
+        CWSCode(Graph.empty(n), ClassicalCode.from_ints(n, sorted(words)))
         hits = {a ^ b for a in words for b in words}
         for p, error in zip(pats, errors.paulis):
             if p in hits if p else any(parity(c & error.u) for c in words):
@@ -519,8 +513,9 @@ class TestFirstFailingCodeArrays:
                     if at in (0, chunk - 1):
                         boundary[at == 0] += 1
         # every verdict occurs: out of range, repeated, no zero word, an
-        # empty code (min() of nothing), a failing index, and no failure
-        assert set(seen) == {"value", "codewords", "standard", "min()", True, False}
+        # empty code ("a classical code needs ..."), a failing index, and
+        # no failure
+        assert set(seen) == {"value", "codewords", "standard", "a", True, False}
         assert min(seen.values()) >= 5
         if chunk < 10:
             assert min(boundary) > 0
@@ -537,6 +532,25 @@ class TestFirstFailingCodeArrays:
         # the smallest bad word is named, as CWSCode names it
         with pytest.raises(ValueError, match=f"value {-(1 << 64)} out of range for n=4"):
             first_failing_code(masks, [good, [0, -1, -(1 << 64)], good, good], errors)
+
+    @pytest.mark.parametrize("at", [0, cwskit.verify.VERIFY_CHUNK - 1], ids=["first", "last"])
+    @pytest.mark.parametrize(
+        "words, message",
+        [([], "a classical code needs at least one codeword"),
+         ([0, 1 << 70], f"value {1 << 70} out of range for n=4")],
+        ids=["empty", "2^70"],
+    )
+    def test_refused_with_the_cws_code_message_at_either_end_of_a_chunk(
+        self, at, words, message
+    ):
+        errors = error_set(4, 2)
+        g = Graph.ring(4)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CWSCode(g, ClassicalCode.from_ints(4, words))
+        codes = [list(cws_maxclique(errors, g).values)] * (cwskit.verify.VERIFY_CHUNK + 1)
+        codes[at] = words
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            first_failing_code([g.mask()] * len(codes), codes, errors)
 
 
 def first_codes(n: int, d: int, count: int) -> tuple[list[int], list[tuple[int, ...]]]:
