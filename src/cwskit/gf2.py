@@ -104,8 +104,7 @@ class GF2Matrix:
         return GF2Matrix(self.ncols, tuple(work))
 
     def rank(self) -> int:
-        reduced = self.row_reduce()
-        return sum(1 for r in reduced.rows if r)
+        return len(xor_basis(self.rows))
 
     def invert(self) -> "GF2Matrix | None":
         """Inverse of a square matrix, or None when singular.

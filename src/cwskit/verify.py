@@ -120,7 +120,6 @@ def detection_check(q: CWSCode, errors: ErrorSet) -> VerificationReport:
 
 
 VERIFY_CHUNK = 4096  # graphs per chunk: an (R, E) int64 pattern and (R, 2^n) bool table
-VERIFY_BLOCK = 1 << 12  # word pairs per block of codes
 
 
 def first_failing_code(
@@ -150,17 +149,20 @@ def first_failing_code(
 def _chunk_failure(
     masks: Sequence[int], codes: Sequence[Sequence[int]], errors: ErrorSet
 ) -> int:
-    """Index of the first (mask, code) pair of one chunk whose code fails,
-    or -1: a word outside 0..2^n-1, no all-zeros word, two equal words, a
-    nonzero pattern that is the XOR of two words, or a zero pattern whose
-    error anticommutes with a word.  The codes are flattened into one int64
-    array, in which a word beyond int64 reads as -1, out of range as it is.
+    """Index of the first (mask, code) pair of one nonempty chunk whose code
+    fails, or -1: a word outside 0..2^n-1, no all-zeros word, two equal
+    words, a nonzero pattern that is the XOR of two words, or a zero pattern
+    whose error anticommutes with a word.  The codes are flattened into one
+    int64 array, in which a word beyond int64 reads as -1, out of range as
+    it is.
 
-    Once its words are in range and hold 0, code r is tested against row r
-    of one (R, 2^n) bool table ``bad``, true at 0, at every pattern of graph
-    r, and at every word of code r that anticommutes with an error whose
-    pattern through graph r is zero.  The code fails ``detection_check`` iff
-    the XOR of two of its words hits its row:
+    A code with a word out of range, or without 0, fails up front; its
+    out-of-range words then read as 0, which only keeps them inside the
+    table below, since pairs never cross codes.  Code r is tested against
+    row r of one (R, 2^n) bool table ``bad``, true at 0, at every pattern of
+    graph r, and at every word of code r that anticommutes with an error
+    whose pattern through graph r is zero.  A code that holds 0 fails
+    ``detection_check`` iff the XOR of two of its words hits its row:
     - XOR 0 is a repeated word;
     - a nonzero XOR that is a pattern is the pair ``detection_check``
       refuses;
@@ -168,60 +170,46 @@ def _chunk_failure(
       commutes with every error, so the pair (0, c) has XOR c; and a word
       marked in the row is such a c.
 
-    The pairs are enumerated a block of whole codes at a time, of about
-    VERIFY_BLOCK pairs, so no temporary grows with K^2 times the chunk size;
-    blocks stop at the first code that fails."""
+    The pairs are taken by offset: step t pairs each word of the flat array
+    with the word t places after it, where both belong to the same code, and
+    looks their XOR up in ``bad`` by one flat index, so each step touches
+    each word once and no temporary grows with K^2."""
     n = errors.n
     count = len(masks)
     lens = np.fromiter(map(len, codes), dtype=np.int64, count=count)
-    ends = np.cumsum(lens)
-    starts = ends - lens
-    total = int(ends[-1]) if count else 0
+    total = int(lens.sum())
     chain = itertools.chain.from_iterable
     try:
-        flat = np.fromiter(chain(codes), dtype=np.int64, count=total)
+        words = np.fromiter(chain(codes), dtype=np.int64, count=total)
     except OverflowError:  # c >> 63 is 0 or -1 exactly for the int64 words
         wide = (c if -1 <= c >> 63 <= 0 else -1 for c in chain(codes))
-        flat = np.fromiter(wide, dtype=np.int64, count=total)
+        words = np.fromiter(wide, dtype=np.int64, count=total)
     row = np.repeat(np.arange(count), lens)  # the code of each word
 
     # the words of each code: in range, with an all-zeros word
     fail = np.ones(count, dtype=bool)
-    fail[row[flat == 0]] = False
-    fail[row[(flat >> n) != 0]] = True
-    stop = int(fail.argmax()) if fail.any() else count
-    if stop == 0:
-        return 0 if count else -1
+    fail[row[words == 0]] = False
+    out = (words >> n) != 0
+    fail[row[out]] = True
+    words[out] = 0
 
-    # the table of the codes before stop, whose words are in range
-    words, row = flat[: ends[stop - 1]], row[: ends[stop - 1]]
-    patterns = kernels.cl_patterns(errors.xcols, errors.v, rows_table(n, masks[:stop]))
-    bad = np.zeros((stop, 1 << n), dtype=bool)
+    patterns = kernels.cl_patterns(errors.xcols, errors.v, rows_table(n, masks))
+    bad = np.zeros((count, 1 << n), dtype=bool)
     bad[:, 0] = True
-    bad[np.arange(stop)[:, None], patterns] = True
+    bad[np.arange(count)[:, None], patterns] = True
     zero = patterns == 0
     del patterns
+    key = row << n | words  # the entry of each word in its row of bad
+    flat = bad.ravel()
     for e in np.flatnonzero(zero.any(axis=0)):
         anti = zero[row, e] & kernels.parity_of_and(words, errors.u[e])
-        bad[row[anti], words[anti]] = True
+        flat[key[anti]] = True
 
-    pairs = lens[:stop] * (lens[:stop] - 1) // 2
-    cum = np.cumsum(pairs)
-    a = 0
-    while a < stop:
-        b = int(np.searchsorted(cum, cum[a] - pairs[a] + VERIFY_BLOCK, side="right"))
-        b = min(max(b, a + 1), stop)
-        # each word of codes a..b-1 with each later word of its code
-        first = np.arange(starts[a], ends[b - 1])
-        later = ends[row[first]] - first - 1
-        left = np.repeat(first, later)
-        right = np.arange(1, left.size + 1) - np.repeat(np.cumsum(later) - later, later)
-        right += left
-        hit = bad[row[left], words[left] ^ words[right]]
-        if hit.any():
-            return int(row[left[hit.argmax()]])
-        a = b
-    return stop if stop < count else -1
+    # key ^ w is the entry, in the row of key's code, of the XOR with w
+    for t in range(1, int(lens.max())):
+        hit = (row[:-t] == row[t:]) & flat[key[:-t] ^ words[t:]]
+        fail[row[:-t][hit]] = True
+    return int(fail.argmax()) if fail.any() else -1
 
 
 # ---------------------------------------------------------------------------

@@ -479,12 +479,11 @@ def outcome(fn, *args):
 
 
 class TestFirstFailingCodeArrays:
-    @pytest.mark.parametrize("chunk, block", [(3, 1), (4, 40), (4096, 1 << 13)])
-    def test_agrees_with_the_per_code_loop(self, monkeypatch, chunk, block):
+    @pytest.mark.parametrize("chunk", [3, 4, 4096])
+    def test_agrees_with_the_per_code_loop(self, monkeypatch, chunk):
         # seeded codes at n = 3..7, d = 2..3, a quarter of them corrupted;
-        # small chunks and blocks put failures on both sides of their borders
+        # small chunks put failures on both sides of their borders
         monkeypatch.setattr(cwskit.verify, "VERIFY_CHUNK", chunk)
-        monkeypatch.setattr(cwskit.verify, "VERIFY_BLOCK", block)
         rng = random.Random(31)
         pools: dict[tuple[int, int], list] = {}
         for g, words, errors in detection_instances(rng, 30, max_d=3):
@@ -519,6 +518,21 @@ class TestFirstFailingCodeArrays:
         assert min(seen.values()) >= 5
         if chunk < 10:
             assert min(boundary) > 0
+
+    @pytest.mark.parametrize(
+        "n, codes, expect",
+        [(4, [[0, 3], [6, 0]], -1), (5, [[0, 3], [3, 12, 0, 22, 26], [0, 27, 12]], 1)],
+        ids=["adjacent codes", "largest offset"],
+    )
+    def test_pairs_stay_in_their_code_and_reach_its_last_offset(self, n, codes, expect):
+        """Adjacent codes on ring 4: 3 ^ 6 = 5 is a pattern, yet 3 and 6 are
+        words of two codes that each detect, next to each other in the flat
+        word array.  Largest offset on ring 5: the only pair of the longest
+        code whose XOR is a pattern is its first and last word, 3 ^ 26 = 25."""
+        errors = error_set(n, 2)
+        masks = [Graph.ring(n).mask()] * len(codes)
+        assert per_code_first_failing_code(masks, codes, errors) == expect
+        assert first_failing_code(masks, codes, errors) == expect
 
     def test_the_first_wide_word_is_refused_after_earlier_failures(self):
         errors = error_set(4, 2)
@@ -580,8 +594,8 @@ class TestFirstFailingCodeMemory:
         the array version replaced peaks at 2,199,716 bytes on this input
         (Python 3.11, numpy 2.4): the (4096, 18) pattern table and its
         adjacency table.  The array version flattens each chunk's codes and
-        tests a block of about VERIFY_BLOCK word pairs at a time, so its peak
-        must stay within twice that."""
+        pairs its words one offset at a time, each step a few arrays of one
+        entry per word, so its peak must stay within twice that."""
         masks, codes = first_n6_codes(8192)
         tracemalloc.start()
         try:
