@@ -85,9 +85,7 @@ def _cmd_search(args) -> int:
         target_k=args.k,
         graph_source=args.graphs,
         graph_file=args.graph,
-        exactness="heuristic" if args.heuristic else "exact",
         worker_count=args.jobs,
-        seed=args.seed,
         budget=args.budget,
     )
     if args.out:
@@ -261,11 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", choices=["all", "iso", "lc", "file"], default="all")
     p.add_argument("--graph", help="graph file for --graphs file")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=-1)
     p.add_argument("--out")
     p.add_argument("--checkpoint")
-    p.add_argument("--heuristic", action="store_true")
     p.add_argument("--progress", action="store_true")
     p.set_defaults(func=_cmd_search)
 

@@ -1,4 +1,4 @@
-"""The CWS clique graph and exact/heuristic clique search.
+"""The CWS clique graph and exact clique search.
 
 Vertices are the admissible codewords (all-zeros always included); two
 vertices are joined when no induced error pattern maps one to the other.
@@ -9,7 +9,6 @@ cliques through vertex 0, which is adjacent to everything.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -23,7 +22,6 @@ from .graphs import Graph
 MAX_INDEX_SPACE_N = 20  # clique-graph vertex ids live in {0,1}^n
 MAX_MATERIALIZED_VERTICES = 1 << 16
 MAX_EXACT_VERTICES = 4096
-HEURISTIC_RESTARTS = 200
 
 
 @dataclass(frozen=True)
@@ -217,26 +215,6 @@ def find_clique_of_size(cg: CliqueGraph, k: int, budget: int = -1) -> FixedSizeR
         picked = tuple(sorted([0] + sorted(members)[: k - 1]))
         return FixedSizeResult(Clique(picked), exhausted, nodes, k)
     return FixedSizeResult(None, exhausted, nodes, size + 1)
-
-
-def heuristic_clique(cg: CliqueGraph, seed: int) -> Clique:
-    """Randomised greedy restarts; a lower bound only, never a proof."""
-    rng = random.Random(seed)
-    top = cg.size - 1
-    rows = cg.rows
-    best: tuple[int, ...] = (0,)
-    order = list(range(1, top + 1))
-    for _ in range(HEURISTIC_RESTARTS):
-        rng.shuffle(order)
-        members = [0]
-        p = (1 << top) - 1  # all vertices except 0
-        for v in order:
-            if (p >> (top - v)) & 1:
-                members.append(v)
-                p &= rows[v]
-        if len(members) > len(best):
-            best = tuple(sorted(members))
-    return Clique(best)
 
 
 def cws_maxclique(errors: ErrorSet, g: Graph) -> ClassicalCode:

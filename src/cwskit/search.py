@@ -14,7 +14,7 @@ import json
 import multiprocessing as mp
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -24,7 +24,6 @@ from .clique import (
     CliqueSearchResult,
     clique_graphs,
     find_clique_of_size,
-    heuristic_clique,
     lex_min_clique,
     make_cws_clique_graph,
     max_clique,
@@ -66,10 +65,11 @@ class SearchJob:
     target_k: int | None = None
     graph_source: str = "all"  # all | iso | lc | file
     graph_file: str | None = None
-    exactness: str = "exact"  # exact | heuristic
     worker_count: int = 1
-    seed: int = 0
     budget: int = -1
+    # not a field, so nothing sets it; only perfbench/pipeline.py reads it,
+    # and ROADMAP item 1b, which deletes that file, deletes this too
+    exactness = "exact"
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -82,8 +82,6 @@ class SearchJob:
             raise ValueError("file source needs a graph file")
         if self.graph_file is not None and self.graph_source != "file":
             raise ValueError("a graph file needs the file graph source")
-        if self.exactness not in {"exact", "heuristic"}:
-            raise ValueError(f"unknown exactness {self.exactness!r}")
         if self.target_k is not None and self.target_k < 1:
             raise ValueError("target K must be positive")
         if self.worker_count < 1:
@@ -92,10 +90,16 @@ class SearchJob:
             raise ValueError(f"budget must be -1 (unlimited) or at least 0, got {self.budget}")
 
     def fingerprint(self) -> dict:
-        """Every field but worker_count, which cannot change the result."""
-        fields = asdict(self)
-        del fields["worker_count"]
-        return fields
+        """The checkpoint header: every field but worker_count, which cannot
+        change the result, and in their old places the keys "exactness" and
+        "seed", fixed at "exact" and 0.  Exact checkpoints from before the
+        heuristic solver was removed still resume, and a heuristic run's
+        checkpoint is refused."""
+        return {
+            "n": self.n, "d": self.d, "target_k": self.target_k,
+            "graph_source": self.graph_source, "graph_file": self.graph_file,
+            "exactness": "exact", "seed": 0, "budget": self.budget,
+        }
 
 
 class GraphRecord(NamedTuple):
@@ -150,20 +154,15 @@ class SearchResult:
     def inconclusive_reason(self) -> str | None:
         """Why the run is inconclusive (exit 4), or None when it is not.
 
-        A heuristic run without a target, and a run that found its target,
-        are never inconclusive.  Absence of a target is proven only by the
-        exact solver over a covering source, and any run needs every record
-        exact."""
+        A run that found its target is never inconclusive.  Absence of a
+        target is proven only over a covering source, and any run needs
+        every record exact."""
         job = self.job
-        if job.target_k is None:
-            if job.exactness == "heuristic":
+        if job.target_k is not None:
+            if self.summary_best_k >= job.target_k:
                 return None
-        elif self.summary_best_k >= job.target_k:
-            return None
-        elif job.exactness == "heuristic":
-            return "--heuristic finds lower bounds only"
-        elif job.graph_source not in COVERING_SOURCES:
-            return f"--graphs {job.graph_source} does not cover every graph class"
+            if job.graph_source not in COVERING_SOURCES:
+                return f"--graphs {job.graph_source} does not cover every graph class"
         bound = sum(r.status == "bound" for r in self.records)
         if bound:
             return (
@@ -219,14 +218,8 @@ def _process_mask(mask: int, canon: int, cg: CliqueGraph) -> tuple[int, GraphRec
     job: SearchJob = _W["job"]
     target_k = job.target_k
     code: tuple[int, ...] | None = None
-    nodes = 0
 
-    if job.exactness == "heuristic":
-        seed = (job.seed * 1000003 + mask) & 0x7FFFFFFF
-        clique = heuristic_clique(cg, seed)
-        best_k, status = clique.size, "bound"
-        code = cg.codewords(clique)
-    elif target_k is None:
+    if target_k is None:
         res = max_clique(cg, job.budget)
         best_k, nodes = res.clique.size, res.nodes
         status = "exact" if res.exact else "bound"
@@ -260,7 +253,7 @@ def _witness(job: SearchJob, rec: GraphRecord, nodes: int | None) -> CWSCode:
     refining starts from the stored code."""
     g = Graph.from_mask(job.n, rec.raw_mask)
     words = sorted(rec.code)
-    if job.exactness == "exact" and job.target_k is None and rec.status == "exact":
+    if job.target_k is None and rec.status == "exact":
         cg = make_cws_clique_graph(setup(error_set(job.n, job.d), g))
         if nodes is None and job.budget >= 0:
             res = max_clique(cg, job.budget)

@@ -12,7 +12,6 @@ from cwskit.clique import (
     clique_graphs,
     cws_maxclique,
     find_clique_of_size,
-    heuristic_clique,
     lex_min_clique,
     make_cws_clique_graph,
     max_clique,
@@ -460,33 +459,3 @@ class TestCwsMaxclique:
             assert code.contains_zero()
             q = CWSCode(g, code.sorted())
             assert detection_check(q, errs).detects
-
-
-def test_heuristic_is_a_clique_lower_bound():
-    rng = random.Random(9)
-    for seed in range(10):
-        cg = make_cws_clique_graph(random_cl_arrays(4, rng))
-        clique = heuristic_clique(cg, seed=seed)
-        best, _ = brute_force_max_clique(cg)
-        assert 1 <= clique.size <= best
-        for a, b in itertools.combinations(clique.members, 2):
-            assert cg.has_edge(a, b)
-    # determinism for a fixed seed
-    cg = make_cws_clique_graph(random_cl_arrays(4, random.Random(77)))
-    assert heuristic_clique(cg, 5).members == heuristic_clique(cg, 5).members
-
-
-@pytest.mark.parametrize(
-    "n, seed, members",
-    [
-        (9, 0, (0, 13, 60, 80, 109, 118, 162, 195, 255)),
-        (9, 1, (0, 11, 51, 68, 106, 128, 145, 168, 189, 240)),
-        (9, 2, (0, 11, 47, 78, 111, 118, 149, 166, 222, 261)),
-        (10, 0, (0, 1, 49, 89, 185, 260, 291, 393, 396, 529, 532, 564, 671, 704)),
-        (10, 1, (0, 26, 97, 190, 242, 297, 342, 392, 400, 425, 500, 534, 571, 618, 651)),
-        (10, 2, (0, 14, 32, 97, 233, 261, 301, 315, 391, 397, 421, 519, 547, 610, 638)),
-    ],
-)
-def test_heuristic_ring_d3_pinned(n, seed, members):
-    cg = make_cws_clique_graph(setup(error_set(n, 3), Graph.ring(n)))
-    assert heuristic_clique(cg, seed).members == members

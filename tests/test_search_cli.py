@@ -186,41 +186,10 @@ class TestRunSearch:
         )
         assert res2.exit_code == EXIT_INCONCLUSIVE
 
-    def test_heuristic_mode_bounds(self):
-        exact = run_search(SearchJob(n=4, d=2, graph_source="iso"))
-        heur = run_search(
-            SearchJob(n=4, d=2, graph_source="iso", exactness="heuristic", seed=7)
-        )
-        assert heur.summary_best_k <= exact.summary_best_k
-        assert all(r.status == "bound" for r in heur.records)
-        assert heur.exit_code == EXIT_FOUND
-        again = run_search(
-            SearchJob(n=4, d=2, graph_source="iso", exactness="heuristic", seed=7)
-        )
-        assert render_result(heur) == render_result(again)
-
-    def test_heuristic_sweep_pinned(self):
-        # every graph's heuristic clique and its witness, byte for byte
-        out = render_result(
-            run_search(
-                SearchJob(n=5, d=2, graph_source="all", exactness="heuristic", seed=7)
-            )
-        )
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "6daac1c1ad13dd6e7f4e03232d16c311be96346c78aa3552d5d69d0c130e9471"
-        )
-
     def test_witness_reverifies(self):
         res = run_search(SearchJob(n=4, d=2, graph_source="iso"))
         assert res.witness is not None
         assert detection_check(res.witness, error_set(4, 2)).detects
-
-    def test_heuristic_reaching_target_counts_as_found(self):
-        res = run_search(
-            SearchJob(n=2, d=1, target_k=3, graph_source="all", exactness="heuristic")
-        )
-        assert res.summary_best_k >= 3
-        assert res.exit_code == EXIT_FOUND
 
     def test_worker_failure_aborts(self, monkeypatch):
         def boom(*_args):
@@ -411,6 +380,26 @@ class TestCheckpoint:
         resumed = run_search(job, checkpoint=ck)
         assert render_result(resumed) == plain == render_result(full)
 
+    @pytest.mark.parametrize(
+        "field, other",
+        [(b'"exactness": "exact", "seed": 0', b'"exactness": "heuristic", "seed": 7'),
+         (b'"d": 2', b'"d": 3')],
+        ids=["heuristic-run", "other-d"],
+    )
+    def test_checkpoint_of_another_job_is_refused(
+        self, field, other, complete_n4_checkpoint, capsys
+    ):
+        # the header names the job; a resume never appends to another job's file
+        _job, data, _plain, ck = complete_n4_checkpoint
+        head, rest = data.split(b"\n", 1)
+        assert head.count(field) == 1
+        forged = head.replace(field, other) + b"\n" + rest
+        ck.write_bytes(forged)
+        capsys.readouterr()
+        assert main(["search", "--n", "4", "--d", "2", "--checkpoint", str(ck)]) == 2
+        assert capsys.readouterr().err == "error: checkpoint belongs to a different job\n"
+        assert ck.read_bytes() == forged
+
     def test_complete_checkpoint_builds_no_class_table(self, tmp_path: Path, monkeypatch):
         job = SearchJob(n=4, d=2, graph_source="all")
         ck = tmp_path / "all.ckpt"
@@ -444,16 +433,18 @@ class TestCheckpoint:
             SearchJob(n=4, d=2, graph_source="all"),
             SearchJob(n=4, d=2, graph_source="iso"),
             SearchJob(n=4, d=2, graph_source="lc"),
-            SearchJob(n=4, d=2, graph_source="all", exactness="heuristic"),
+            SearchJob(n=4, d=2, graph_source="all", budget=1),  # bound records
             SearchJob(n=4, d=2, target_k=4, graph_source="all"),  # absent records
         ],
-        ids=["n4-d2-all", "n4-d2-iso", "n4-d2-lc", "n4-d2-all-heuristic",
+        ids=["n4-d2-all", "n4-d2-iso", "n4-d2-lc", "n4-d2-all-budget1",
              "n4-d2-k4-all"],
     )
     def test_checkpoint_line_is_json_dumps_of_the_record(self, job):
         records = run_search(job).records
         if job.target_k:
             assert {r.code is None for r in records} == {True, False}
+        if job.budget >= 0:
+            assert any(r.status == "bound" and r.code for r in records)
         # a 45-bit mask of an n=10 graph
         records.append(GraphRecord(n=10, canon_mask=(1 << 45) - 1, raw_mask=(1 << 44) | 5,
                                    m=709, best_k=3, status="bound", code=(0, 17, 1023)))
@@ -1178,6 +1169,17 @@ class TestCli:
         assert out == ""
         assert err == f"error: budget must be -1 (unlimited) or at least 0, got {budget}\n"
 
+    @pytest.mark.parametrize("option", [["--heuristic"], ["--seed", "3"]],
+                             ids=["heuristic", "seed"])
+    def test_removed_solver_options_are_unknown(self, option, capsys):
+        # the exact solver under --budget is the only one; argparse exits 2
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--n", "4", "--d", "2", *option])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(option)}\n")
+
     @pytest.mark.parametrize(
         "budget, code, best_k", [("-1", 0, 4), ("0", 4, 1)], ids=["unlimited", "zero"]
     )
@@ -1267,12 +1269,10 @@ class TestCli:
         [
             (["--n", "5", "--d", "2", "--budget", "3"],
              "766 of 1024 graphs budget-bound at --budget 3"),
-            (["--n", "4", "--d", "2", "--k", "5", "--graphs", "iso", "--heuristic"],
-             "--heuristic finds lower bounds only"),
             (["--n", "3", "--d", "2", "--k", "5", "--graphs", "file"],
              "--graphs file does not cover every graph class"),
         ],
-        ids=["budget", "heuristic", "file"],
+        ids=["budget", "file"],
     )
     def test_inconclusive_exit_gives_its_reason(self, argv, reason, tmp_path: Path,
                                                 capsys):
@@ -1285,8 +1285,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "argv, rc",
-        [(["--n", "4", "--d", "2"], 0), (["--n", "5", "--d", "3", "--k", "3"], 3),
-         (["--n", "4", "--d", "2", "--heuristic", "--budget", "3"], 0)],
+        [(["--n", "4", "--d", "2"], 0), (["--n", "5", "--d", "3", "--k", "3"], 3)],
     )
     def test_conclusive_exit_gives_no_reason(self, argv, rc, capsys):
         assert main(["search", *argv]) == rc
