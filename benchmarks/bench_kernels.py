@@ -115,6 +115,16 @@ def bench_bnb_ring10(repeat: int):
     return f"branch and bound, ring10 d=3 (m={m}, {RING10_BUDGET} nodes)", fn, fn
 
 
+def bench_bnb_ring9(repeat: int):
+    """The d=3 clique graph of the ring on 9 qubits, solved exactly: the
+    search exhausts after 4,566 nodes."""
+    cg = make_cws_clique_graph(setup(error_set(9, 3), Graph.ring(9)))
+    m = cg.size
+    tables = cg.bnb_tables
+    fn = lambda: K.bnb_clique(cg.rows, tables, m, (1 << (m - 1)) - 1, 0, -1)
+    return f"branch and bound, ring9 d=3 (m={m}, exact)", fn, fn
+
+
 def bench_canon(repeat: int):
     """The n=7 class table, as `--graphs all` and `lc` build it; `iso` runs
     the same orbit pass without the table and without class sizes."""
@@ -193,6 +203,7 @@ BENCHES = [
     bench_clique_graphs,
     bench_bnb,
     bench_bnb_ring10,
+    bench_bnb_ring9,
     bench_canon,
     bench_lc_orbits,
     bench_checkpoint_verify,
@@ -212,7 +223,7 @@ def main() -> None:
         name, fn, _same = bench(args.repeat)
         t = timeit(fn, args.repeat)
         line = f"{name:<55} {t * 1e3:>8.2f}ms"
-        if bench in (bench_bnb, bench_bnb_ring10):
+        if bench in (bench_bnb, bench_bnb_ring10, bench_bnb_ring9):
             nodes = fn()[2]
             line += f" {nodes / t / 1e3:>7.0f}k nodes/s"
         print(line)

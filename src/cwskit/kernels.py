@@ -117,34 +117,54 @@ def clique_adjacency(verts: np.ndarray, cl_bool: np.ndarray) -> list[list[int]]:
 #
 # Returns (best_size, best_members, nodes_expanded, exhausted).  `cand_int`
 # is the initial candidate set; `stop_at` > 0 makes the search stop as soon
-# as a clique of that size is found (exhausted is False in that case unless
-# the space was fully explored first); `budget` < 0 means unlimited.  The
-# members are vertex ids, in the order the search added them.
+# as a clique of that size is found, and such a hit always returns exhausted
+# False; `budget` < 0 means unlimited.  The members are vertex ids, in the
+# order the search added them.
 #
 # Each node colours its candidates greedily into classes kept as bitsets (as
-# in MCS, Tomita et al. 2010, and BBMC, San Segundo et al.): class c takes the
-# lowest remaining vertex, then the lowest one adjacent to none already in
-# the class, and so on.  The node then branches on the vertices from the
-# highest class down, highest vertex first within a class, and prunes when
-# the level plus the class number cannot beat the best clique so far.
+# in MCQ, Tomita & Seki 2003, and BBMC, San Segundo et al. 2011): class c
+# takes the lowest remaining vertex, then the lowest one adjacent to none
+# already in the class, and so on.  The node then branches on the vertices
+# from the highest class down, highest vertex first within a class, and
+# prunes when the level plus the class number cannot beat the best clique so
+# far.
 #
 # Sets are high bit first (vertex j is bit m-1-j), so "lowest vertex" is the
-# top bit.  A colouring step, about 30 per node on the solve10 graphs, is
-# then `b = qc.bit_length()`, two list lookups indexed by b itself
-# (`bits[b]` is the top bit, `1 << (b - 1)`) and an AND with the positive
-# mask `skip[b]` (everything but that vertex and its neighbours).  In CPython
-# each is cheap on a big int: `bit_length` reads the top digit only, and an
-# AND of two non-negative ints takes no two's-complement detour and shrinks
-# as the top bits are cleared.  Branching takes the lowest bit
-# (`cls & -cls`), one or two times a node.  The classes hold the same
-# vertices as with the opposite bit order, so the search tree is the same
-# node for node.
+# top bit.  A colouring step is then `b = qc.bit_length()`, two list lookups
+# indexed by b itself (`bits[b]` is the top bit, `1 << (b - 1)`) and an AND
+# with the positive mask `skip[b]` (everything but that vertex and its
+# neighbours).  In CPython each is cheap on a big int: `bit_length` reads the
+# top digit only, and an AND of two non-negative ints takes no two's-complement
+# detour and shrinks as the top bits are cleared.  A pick is always in the set
+# it leaves and never in the class it joins, so it is moved by `-` and `+`,
+# which give the values of `^` and `|` and which CPython 3.11 specializes for
+# ints (it does not specialize `^` or `|`).  A class's first pick is the top
+# bit of the uncoloured set itself, taken before the inner loop.  Branching
+# takes the lowest bit (`cls & -cls`), one or two times a node.  The classes
+# hold the same vertices as with the opposite bit order, so the search tree is
+# the same node for node.
+#
+# The colouring steps are nearly all of the time: on the solve10 graphs
+# (perfbench, seed 7, 10,000 nodes a graph) there are 31.4 a node, 74% of
+# the nodes are pruned at entry, by their own colouring, and 63% of the
+# steps are in those nodes.  Two facts let a node do less around each step
+# without changing the tree:
+#   - `best_size` never falls, so a node entered at level L with best B never
+#     branches on a class c <= B - L.  Those low classes are coloured only by
+#     taking each pick out of the uncoloured set, and are not stored; the
+#     node keeps the classes above them, and `base` = L plus their count, so
+#     that the bound for the i-th kept class is `base + i > best_size`.
+#   - If the low classes take every candidate, the node is pruned.  It is
+#     still counted, and checked against the budget, where it is entered, so
+#     a budget counts the same nodes; then the parent's walk goes on at once,
+#     with no frame pushed.
 #
 # The search is one loop over an explicit stack, depth first.  The node being
-# worked on lives in locals: its candidates left `p`, its colour classes, the
-# current class number `c` and the rest of that class `cls`; entering a child
-# pushes them as the parent's frame, and finishing a node pops it.  A node is
-# counted, and checked against the budget, when it is entered.
+# walked lives in locals: its candidates left `p`, its kept classes, `base`,
+# the position `c` of the current kept class and the rest of that class
+# `cls`.  A child that survives its low classes pushes these locals as one
+# tuple, the parent's frame, and finishing a node pops it.  The root enters
+# as the child of a done node with no classes, whose walk returns.
 
 # bits[k] is 1 << (k - 1), a set's top bit when its bit_length is k (bits[0]
 # is 0).  One table serves every graph: it only grows, to the largest m
@@ -174,41 +194,60 @@ def bnb_clique(
     `bnb_tables(adj_rows, m)`."""
     if not cand_int:
         return 0, [], 0, True
+    bits, skip = tables
+    # each node stands for a different clique, the vertices on its path, so
+    # an unlimited search enters at most 2^m of them
+    limit = budget if budget >= 0 else 1 << m
     best_size = 0
     best: list = []
     nodes = 0
     rstack = [0] * (m + 1)
-    bits, skip = tables
     stack: list = []
-    p, level = cand_int, 0
+    p, classes, base, c, cls = 0, None, 0, 1, 0
+    child, level = cand_int, -1
     while True:
-        nodes += 1
-        if 0 <= budget < nodes:
+        nodes += 1  # enter `child` at level + 1
+        if nodes > limit:
             return best_size, best, nodes, False
-        classes = []
-        q = p
-        while q:
-            cls = 0
-            qc = q
+        q = child
+        t = best_size - level - 1  # the low classes: c <= t
+        while t > 0:
+            b = q.bit_length()
+            q -= bits[b]
+            qc = q & skip[b]
             while qc:
                 b = qc.bit_length()
-                cls |= bits[b]
+                q -= bits[b]
                 qc &= skip[b]
-            classes.append(cls)
-            q ^= cls
-        c = len(classes)
-        cls = classes[-1]
+            if not q:
+                break  # pruned: back to the parent's walk
+            t -= 1
+        else:
+            stack.append((p, classes, base, c, cls))
+            level += 1
+            p = child
+            base = best_size if best_size > level else level
+            classes = []
+            while q:
+                b = q.bit_length()
+                cls = bits[b]
+                qc = q & skip[b]
+                while qc:
+                    b = qc.bit_length()
+                    cls += bits[b]
+                    qc &= skip[b]
+                classes.append(cls)
+                q -= cls
+            c = len(classes)
         while True:
-            if cls and level + c > best_size:
+            if cls and base + c > best_size:
                 bit = cls & -cls
-                cls ^= bit
-                p ^= bit
+                cls -= bit
+                p -= bit
                 v = m - bit.bit_length()
                 rstack[level] = v
                 child = p & adj_rows[v]
                 if child:
-                    stack.append([p, classes, c, cls])
-                    p, level = child, level + 1
                     break
                 if level >= best_size:  # a maximal clique, larger than the best
                     best_size = level + 1
@@ -218,7 +257,7 @@ def bnb_clique(
             elif cls or c == 1:  # pruned, or out of classes: the node is done
                 if not stack:
                     return best_size, best, nodes, True
-                p, classes, c, cls = stack.pop()
+                p, classes, base, c, cls = stack.pop()
                 level -= 1
             else:
                 c -= 1

@@ -198,6 +198,37 @@ def test_bnb_ring10_d3_budget_pinned():
     ]
 
 
+def _cws_instances(seed=9):
+    """Seeded `bnb_clique` arguments on CWS clique graphs at d=3 with m well
+    above 64, so that every set spans several int digits: ring9, ring10 and
+    two fixed n=10 graphs, each on its full candidate set and on one seeded
+    partial set, with stop_at 0, K-1 and K (K the best size at 2,500 nodes)
+    and budgets 0, 1, 57 and 2,500."""
+    rng = random.Random(seed)
+    graphs = [Graph.ring(9), Graph.ring(10),
+              Graph.from_mask(10, 0x0DBD81E74EF5), Graph.from_mask(10, 0x03F5F29D0DA9)]
+    for g in graphs:
+        cg = make_cws_clique_graph(setup(error_set(g.n, 3), g))
+        m = cg.size
+        for cand in ((1 << (m - 1)) - 1, rng.getrandbits(m - 1)):
+            k = K.bnb_clique(cg.rows, cg.bnb_tables, m, cand, 0, 2500)[0]
+            for stop_at in (0, k - 1, k):
+                for budget in (0, 1, 57, 2500):
+                    yield cg.rows, cg.bnb_tables, m, cand, stop_at, budget
+
+
+def test_bnb_cws_search_tree_pinned():
+    # the multi-digit counterpart of test_bnb_search_tree_pinned: m is 269
+    # to 709 here, against at most 69 there
+    h = hashlib.sha256()
+    sizes = set()
+    for args in _cws_instances():
+        sizes.add(args[2])
+        h.update(repr((args[2:], K.bnb_clique(*args))).encode())
+    assert sizes == {269, 709, 670, 662}
+    assert h.hexdigest() == "f78c8a2d11d815c2a63ac7239852f62db209a7f30e35a0cecc2bb6ab6a078634"
+
+
 def test_bnb_leaves_the_recursion_limit_alone():
     limit = sys.getrecursionlimit()
     rows_int = _random_adjacency_rows(random.Random(6), 40)
