@@ -62,13 +62,15 @@ def bench_graph_signs(repeat: int):
 
 
 def bench_clique_adjacency(repeat: int):
+    """`clique_conflicts` on one n=10 graph; the case keeps its old name,
+    which perfbench/kernels.py loads it by."""
     rng = np.random.default_rng(2)
     n = 10
     cl = rng.random((1, 1 << n)) < 0.6
     cl[:, 0] = False
     verts = np.flatnonzero(~cl[0])[None]
-    fn = lambda: K.clique_adjacency(verts, cl)
-    return f"clique_adjacency ({verts.shape[1]} vertices)", fn, fn
+    fn = lambda: K.clique_conflicts(verts, cl)
+    return f"clique_conflicts ({verts.shape[1]} vertices)", fn, fn
 
 
 def bench_clique_graphs(repeat: int):
@@ -92,14 +94,15 @@ def bench_clique_graphs(repeat: int):
 def bench_bnb(repeat: int):
     rng = random.Random(3)
     m = 70
-    rows_int = [0] * m  # high bit first: vertex j is bit m-1-j
+    # conflicts[m - i]: vertex i's non-neighbours, high bit first (vertex j
+    # is bit m-1-j); conflicts[0] is 0
+    conflicts = [0] * (m + 1)
     for i in range(m):
         for j in range(i + 1, m):
-            if rng.random() < 0.55:
-                rows_int[i] |= 1 << (m - 1 - j)
-                rows_int[j] |= 1 << (m - 1 - i)
-    tables = K.bnb_tables(rows_int, m)  # once per graph, as CliqueGraph does
-    fn = lambda: K.bnb_clique(rows_int, tables, m, (1 << m) - 1, 0, -1)
+            if rng.random() >= 0.55:
+                conflicts[m - i] |= 1 << (m - 1 - j)
+                conflicts[m - j] |= 1 << (m - 1 - i)
+    fn = lambda: K.bnb_clique(conflicts, m, (1 << m) - 1, 0, -1)
     return f"max clique branch and bound (m={m}, p=0.55)", fn, fn
 
 
@@ -110,8 +113,7 @@ def bench_bnb_ring10(repeat: int):
     """The d=3 clique graph of the ring on 10 qubits, as a search builds it."""
     cg = make_cws_clique_graph(setup(error_set(10, 3), Graph.ring(10)))
     m = cg.size
-    tables = cg.bnb_tables
-    fn = lambda: K.bnb_clique(cg.rows, tables, m, (1 << (m - 1)) - 1, 0, RING10_BUDGET)
+    fn = lambda: K.bnb_clique(cg.conflicts, m, (1 << (m - 1)) - 1, 0, RING10_BUDGET)
     return f"branch and bound, ring10 d=3 (m={m}, {RING10_BUDGET} nodes)", fn, fn
 
 
@@ -120,8 +122,7 @@ def bench_bnb_ring9(repeat: int):
     search exhausts after 4,566 nodes."""
     cg = make_cws_clique_graph(setup(error_set(9, 3), Graph.ring(9)))
     m = cg.size
-    tables = cg.bnb_tables
-    fn = lambda: K.bnb_clique(cg.rows, tables, m, (1 << (m - 1)) - 1, 0, -1)
+    fn = lambda: K.bnb_clique(cg.conflicts, m, (1 << (m - 1)) - 1, 0, -1)
     return f"branch and bound, ring9 d=3 (m={m}, exact)", fn, fn
 
 

@@ -36,9 +36,11 @@ class Clique:
 
 
 class CliqueGraph:
-    """rows[i] is the neighbour mask of vertex i, as a Python int, high bit
-    first: vertex j of the m vertices is bit m-1-j (see `kernels`).  `size`
-    is m, a plain attribute.
+    """The graph is its conflict masks, the one table the branch and bound
+    colours and branches on (`kernels.clique_conflicts`): conflicts[m - i]
+    holds every vertex but i and its neighbours, as a Python int, high bit
+    first: vertex j of the m vertices is bit m-1-j (see `kernels`), and
+    conflicts[0] is 0.  `size` is m, a plain attribute.
 
     The branch and bound colours with `bit_length`, which in this order finds
     the lowest vertex left by reading the top digit of an int; the search
@@ -47,23 +49,22 @@ class CliqueGraph:
     Built by `make_cws_clique_graph`, whose vertices ascend from 0^n and
     whose vertex 0 is adjacent to every other vertex."""
 
-    def __init__(self, n: int, vertices: np.ndarray, rows: list[int]) -> None:
+    def __init__(self, n: int, vertices: np.ndarray, conflicts: list[int]) -> None:
         self.n = n
         self.vertices = vertices
-        self.rows = rows
-        self.size = len(rows)
-        self._tables: tuple[list, list] | None = None
+        self.conflicts = conflicts
+        self.size = len(conflicts) - 1
 
     @property
-    def bnb_tables(self) -> tuple[list, list]:
-        """`kernels.bnb_tables` of this graph, built on first use and kept in
-        a plain attribute, shared by every branch and bound run on it."""
-        if self._tables is None:
-            self._tables = kernels.bnb_tables(self.rows, self.size)
-        return self._tables
+    def rows(self) -> list[int]:
+        """rows[i] is the neighbour mask of vertex i, high bit first, derived
+        from the conflict masks on each read."""
+        m = self.size
+        full = (1 << m) - 1
+        return [full ^ self.conflicts[m - i] ^ (1 << (m - 1 - i)) for i in range(m)]
 
     def has_edge(self, i: int, j: int) -> bool:
-        return bool((self.rows[i] >> (self.size - 1 - j)) & 1)
+        return i != j and not (self.conflicts[self.size - i] >> (self.size - 1 - j)) & 1
 
     def codewords(self, clique: Clique) -> tuple[int, ...]:
         """The member words of a clique, as ints."""
@@ -86,10 +87,9 @@ def clique_graphs(n: int, cl: np.ndarray, d: np.ndarray) -> Iterator[CliqueGraph
     and D arrays (``errormap.setup_table``): admissible codewords plus
     compatibility edges.
 
-    The vertices of every graph come from one stable argsort; the adjacency
-    takes one ``kernels.clique_adjacency`` call per vertex count m.  Each
-    CliqueGraph is made only when the iterator reaches it, so a caller that
-    drops one before taking the next holds one graph's B&B tables at a time."""
+    The vertices of every graph come from one stable argsort; the conflict
+    masks take one ``kernels.clique_conflicts`` call per vertex count m.
+    Each CliqueGraph is made only when the iterator reaches it."""
     if n > MAX_INDEX_SPACE_N:
         raise ValueError(
             f"clique graphs are materialised only up to n={MAX_INDEX_SPACE_N}"
@@ -105,14 +105,14 @@ def clique_graphs(n: int, cl: np.ndarray, d: np.ndarray) -> Iterator[CliqueGraph
     # each row: its vertices ascending, then the other words
     order = np.argsort(~ok, axis=1, kind="stable")
     vertices: list = [None] * len(sizes)
-    rows: list = [None] * len(sizes)
+    conflicts: list = [None] * len(sizes)
     for m in np.unique(sizes).tolist():
         group = np.flatnonzero(sizes == m)
         verts = order[group, :m]
-        adjacency = kernels.clique_adjacency(verts, cl[group])
-        for r, v, adj in zip(group.tolist(), verts, adjacency):
-            vertices[r], rows[r] = v, adj
-    return (CliqueGraph(n, v, adj) for v, adj in zip(vertices, rows))
+        masks = kernels.clique_conflicts(verts, cl[group])
+        for r, v, mask in zip(group.tolist(), verts, masks):
+            vertices[r], conflicts[r] = v, mask
+    return (CliqueGraph(n, v, mask) for v, mask in zip(vertices, conflicts))
 
 
 def make_cws_clique_graph(arrays: ClArrays) -> CliqueGraph:
@@ -142,12 +142,10 @@ def _bnb_clique(
 ) -> tuple[int, list, int, bool]:
     """`kernels.bnb_clique` on `cg` from the candidate set `cand`: every
     exact solve goes through here, behind the one vertex cap.  An empty
-    set gets the kernel's own answer, and no colouring tables are built."""
-    if not cand:
-        return 0, [], 0, True
+    set gets the kernel's own answer."""
     if cg.size > MAX_EXACT_VERTICES:
         raise ValueError(f"exact solver capped at {MAX_EXACT_VERTICES} vertices")
-    return kernels.bnb_clique(cg.rows, cg.bnb_tables, cg.size, cand, stop_at, budget)
+    return kernels.bnb_clique(cg.conflicts, cg.size, cand, stop_at, budget)
 
 
 def max_clique(cg: CliqueGraph, budget: int = -1) -> CliqueSearchResult:
@@ -183,7 +181,7 @@ def lex_min_clique(
             b = q.bit_length() - 1
             q ^= 1 << b
             v = top - b
-            pv = p & cg.rows[v]
+            pv = p - (1 << b) - (p & cg.conflicts[b + 1])  # v's neighbours in p
             if remaining > 1:
                 sub_budget = -1 if budget < 0 else max(0, budget - nodes)
                 size, _mem, used, exhausted = _bnb_clique(cg, pv, remaining - 1, sub_budget)

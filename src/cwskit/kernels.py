@@ -67,38 +67,40 @@ def graph_signs(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# CWS clique-graph adjacency over vertex indices
+# CWS clique-graph conflict masks over vertex indices
 
-_GATHER_CELLS = 1 << 15  # adjacency cells gathered per step
+_GATHER_CELLS = 1 << 15  # mask cells gathered per step
 
 
-def clique_adjacency(verts: np.ndarray, cl_bool: np.ndarray) -> list[list[int]]:
-    """Neighbour masks of R clique graphs with m vertices each, high bit
-    first.  Row r of the (R, m) ``verts`` lists graph r's vertices, row r of
-    the (R, 2^n) ``cl_bool`` its CL array; j is a neighbour of i when
-    i != j and the pattern verts[r, i] ^ verts[r, j] is not in CL.  The
-    vertices of a graph are distinct, so the zero pattern occurs only for
-    i == j.
+def clique_conflicts(verts: np.ndarray, cl_bool: np.ndarray) -> list[list[int]]:
+    """Conflict masks of R clique graphs with m vertices each, high bit
+    first, in the order `bnb_clique` reads them.  Row r of the (R, m)
+    ``verts`` lists graph r's vertices, row r of the (R, 2^n) ``cl_bool``
+    its CL array; j is in i's mask when i != j and the pattern
+    verts[r, i] ^ verts[r, j] is in CL, so the mask holds every vertex but
+    i and its neighbours.  The vertices of a graph are distinct, so the zero
+    pattern occurs only for i == j.
 
-    The R * m masks are gathered a block of whole masks at a time, so the
-    index arrays stay small however large one graph is."""
+    Graph r's list has m + 1 ints: entry k is the mask of vertex m - k,
+    whose bit is k - 1, and entry 0 is 0.  The R * m masks are gathered a
+    block of whole masks at a time, so the index arrays stay small however
+    large one graph is."""
     count, m = verts.shape
     size = cl_bool.shape[1]
-    free = ~cl_bool
-    free[:, 0] = False  # the i ^ i pattern: no vertex is its own neighbour
-    free = free.ravel()
-    # graph r's vertices as indices into its row of the flat free array; the
-    # words are below size = 2^n, so XOR keeps a graph's offset r * size
+    conflict = cl_bool.flatten()
+    conflict[::size] = False  # the i ^ i pattern: no vertex conflicts with itself
+    # graph r's vertices as indices into its row of the flat conflict array;
+    # the words are below size = 2^n, so XOR keeps a graph's offset r * size
     based = verts | (np.arange(count) * size)[:, None]
     graph = np.repeat(np.arange(count), m)  # graph r of mask k = (r, i)
-    centre = verts.ravel()  # vertex verts[r, i] of mask k
+    centre = verts[:, ::-1].ravel()  # vertex verts[r, m - 1 - i] of mask k
     nbytes = (m + 7) >> 3
     masks: list[int] = []
     step = max(1, _GATHER_CELLS // m)
     for lo in range(0, count * m, step):
         index = based[graph[lo : lo + step]]
         index ^= centre[lo : lo + step, None]
-        packed = np.packbits(free.take(index), axis=1, bitorder="big")
+        packed = np.packbits(conflict.take(index), axis=1, bitorder="big")
         if m <= 64:  # one big-endian word per mask, zero bits after vertex m-1
             words = np.zeros((packed.shape[0], 8), dtype=np.uint8)
             words[:, :nbytes] = packed
@@ -109,7 +111,7 @@ def clique_adjacency(verts: np.ndarray, cl_bool: np.ndarray) -> list[list[int]]:
                 int.from_bytes(data[k : k + nbytes], "big") >> (8 * nbytes - m)
                 for k in range(0, len(data), nbytes)
             )
-    return [masks[r * m : (r + 1) * m] for r in range(count)]
+    return [[0, *masks[r * m : (r + 1) * m]] for r in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -129,20 +131,26 @@ def clique_adjacency(verts: np.ndarray, cl_bool: np.ndarray) -> list[list[int]]:
 # prunes when the level plus the class number cannot beat the best clique so
 # far.
 #
-# Sets are high bit first (vertex j is bit m-1-j), so "lowest vertex" is the
-# top bit.  A colouring step is then `b = qc.bit_length()`, two list lookups
-# indexed by b itself (`bits[b]` is the top bit, `1 << (b - 1)`) and an AND
-# with the positive mask `skip[b]` (everything but that vertex and its
-# neighbours).  In CPython each is cheap on a big int: `bit_length` reads the
-# top digit only, and an AND of two non-negative ints takes no two's-complement
-# detour and shrinks as the top bits are cleared.  A pick is always in the set
-# it leaves and never in the class it joins, so it is moved by `-` and `+`,
-# which give the values of `^` and `|` and which CPython 3.11 specializes for
-# ints (it does not specialize `^` or `|`).  A class's first pick is the top
-# bit of the uncoloured set itself, taken before the inner loop.  Branching
-# takes the lowest bit (`cls & -cls`), one or two times a node.  The classes
-# hold the same vertices as with the opposite bit order, so the search tree is
-# the same node for node.
+# A graph is one list, its conflict masks (`clique_conflicts`): entry k
+# holds the vertices, other than the one at bit k - 1, that are not its
+# neighbours.  Sets are high bit first (vertex j is bit m-1-j), so "lowest
+# vertex" is the top bit.  A colouring step is then `b = qc.bit_length()`,
+# two list lookups indexed by b itself (`bits[b]` is the top bit,
+# `1 << (b - 1)`) and an AND with the positive mask `conflicts[b]`.  In
+# CPython each is cheap on a big int: `bit_length` reads the top digit only,
+# and an AND of two non-negative ints takes no two's-complement detour and
+# shrinks as the top bits are cleared.  A pick is always in the set it leaves
+# and never in the class it joins, so it is moved by `-` and `+`, which give
+# the values of `^` and `|` and which CPython 3.11 specializes for ints (it
+# does not specialize `^` or `|`).  A class's first pick is the top bit of
+# the uncoloured set itself, taken before the inner loop.  Branching takes
+# the lowest bit (`bit = cls & -cls`), one or two times a node, and reads the
+# same list: with k = bit.bit_length(), the child is
+# `p - (p & conflicts[k])`.  That is p AND the neighbours of the vertex at
+# bit k - 1, exactly: p has already lost `bit`, a conflict mask never holds
+# its own vertex, and every other vertex of p is either a neighbour or a
+# conflict.  The classes hold the same vertices as with the opposite bit
+# order, so the search tree is the same node for node.
 #
 # The colouring steps are nearly all of the time: on the solve10 graphs
 # (perfbench, seed 7, 10,000 nodes a graph) there are 31.4 a node, 74% of
@@ -166,35 +174,24 @@ def clique_adjacency(verts: np.ndarray, cl_bool: np.ndarray) -> list[list[int]]:
 # tuple, the parent's frame, and finishing a node pops it.  The root enters
 # as the child of a done node with no classes, whose walk returns.
 
-# bits[k] is 1 << (k - 1), a set's top bit when its bit_length is k (bits[0]
-# is 0).  One table serves every graph: it only grows, to the largest m
-# solved, and no entry ever changes, so no caller can see another's use.
+# _BITS[k] is 1 << (k - 1), a set's top bit when its bit_length is k
+# (_BITS[0] is 0).  One table serves every graph: it only grows, at kernel
+# entry, to the largest m solved, and no entry ever changes, so no caller can
+# see another's use.
 _BITS = [0]
 
 
-def bnb_tables(adj_rows: list, m: int) -> tuple[list, list]:
-    """The tables `bnb_clique` colours with, both indexed by the
-    `bit_length` k of a set whose top bit is the vertex at bit k - 1:
-    ``bits[k]`` is that bit, from one table shared by every graph, and
-    ``skip[k]`` every vertex but that one and its neighbours, built once per
-    clique graph (``skip[0]`` is unused)."""
-    if len(_BITS) <= m:
-        _BITS.extend(1 << (k - 1) for k in range(len(_BITS), m + 1))
-    full = (1 << m) - 1
-    skip = [0] + [full ^ row ^ _BITS[k] for k, row in enumerate(reversed(adj_rows), 1)]
-    return _BITS, skip
-
-
 def bnb_clique(
-    adj_rows: list, tables: tuple[list, list], m: int, cand_int: int,
-    stop_at: int, budget: int,
+    conflicts: list, m: int, cand_int: int, stop_at: int, budget: int
 ) -> tuple[int, list, int, bool]:
-    """adj_rows[j] is the neighbour mask of vertex j, high bit first, as a
-    Python int; `cand_int` is high bit first too.  `tables` is
-    `bnb_tables(adj_rows, m)`."""
+    """`conflicts` is one graph's list from `clique_conflicts`: entry k is
+    the conflict mask of vertex m - k, high bit first, as a Python int, and
+    entry 0 is 0.  `cand_int` is high bit first too."""
     if not cand_int:
         return 0, [], 0, True
-    bits, skip = tables
+    if len(_BITS) <= m:
+        _BITS.extend(1 << (k - 1) for k in range(len(_BITS), m + 1))
+    bits = _BITS
     # each node stands for a different clique, the vertices on its path, so
     # an unlimited search enters at most 2^m of them
     limit = budget if budget >= 0 else 1 << m
@@ -214,11 +211,11 @@ def bnb_clique(
         while t > 0:
             b = q.bit_length()
             q -= bits[b]
-            qc = q & skip[b]
+            qc = q & conflicts[b]
             while qc:
                 b = qc.bit_length()
                 q -= bits[b]
-                qc &= skip[b]
+                qc &= conflicts[b]
             if not q:
                 break  # pruned: back to the parent's walk
             t -= 1
@@ -231,11 +228,11 @@ def bnb_clique(
             while q:
                 b = q.bit_length()
                 cls = bits[b]
-                qc = q & skip[b]
+                qc = q & conflicts[b]
                 while qc:
                     b = qc.bit_length()
                     cls += bits[b]
-                    qc &= skip[b]
+                    qc &= conflicts[b]
                 classes.append(cls)
                 q -= cls
             c = len(classes)
@@ -244,9 +241,9 @@ def bnb_clique(
                 bit = cls & -cls
                 cls -= bit
                 p -= bit
-                v = m - bit.bit_length()
-                rstack[level] = v
-                child = p & adj_rows[v]
+                k = bit.bit_length()
+                rstack[level] = m - k
+                child = p - (p & conflicts[k])
                 if child:
                     break
                 if level >= best_size:  # a maximal clique, larger than the best

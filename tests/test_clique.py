@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conftest import random_graph, reversed_bits
-from cwskit import kernels
 from cwskit.clique import (
     CliqueGraph,
     clique_graphs,
@@ -18,6 +17,7 @@ from cwskit.clique import (
 )
 from cwskit.errormap import ClArrays, cl_map, error_set, setup, setup_table
 from cwskit.graphs import Graph, edge_count, rows_table
+from cwskit.search import BUILD_CHUNK
 from cwskit.verify import CWSCode, detection_check, kl_oracle
 
 
@@ -257,6 +257,23 @@ class TestBatchedBuild:
         degenerate, single, sizes = self.check(n, masks, range(1, n + 2))
         assert degenerate > 0 and single > 0 and len(sizes) > 1
 
+    def test_vertex_zero_has_no_conflicts(self):
+        # a branch reads conflicts[m] as vertex 0's mask: vertex 0 is adjacent
+        # to every other vertex, so the mask is 0 in every graph of the n=5
+        # d=2 and n=7 d=3 chunks, m = 1 and degenerate graphs among them
+        sizes, degenerate = set(), 0
+        for n, d, count in ((5, 2, 1 << edge_count(5)), (7, 3, 1024)):
+            errors = error_set(n, d)
+            for lo in range(0, count, BUILD_CHUNK):
+                chunk = list(range(lo, min(count, lo + BUILD_CHUNK)))
+                cl, dd = setup_table(errors, rows_table(n, chunk))
+                degenerate += int(np.count_nonzero(cl[:, 0]))
+                for cg in clique_graphs(n, cl, dd):
+                    assert len(cg.conflicts) == cg.size + 1
+                    assert cg.conflicts[0] == cg.conflicts[cg.size] == 0
+                    sizes.add(cg.size)
+        assert 1 in sizes and len(sizes) > 1 and degenerate > 0
+
     def test_no_graphs(self):
         cl, d = setup_table(error_set(4, 2), rows_table(4, []))
         assert cl.shape == d.shape == (0, 16)
@@ -294,31 +311,9 @@ class TestMaxClique:
         words = sorted(int(cg.vertices[i]) for i in res.clique.members)
         assert words == [0, 35, 70, 146, 177, 212, 313, 350, 367, 427, 460, 509]
 
-    def test_one_table_build_per_clique_graph(self, monkeypatch):
-        # the solve and the refinement's 17 searches share the graph's tables
-        built = []
-        tables = kernels.bnb_tables
-
-        def counted(rows, m):
-            built.append(m)
-            return tables(rows, m)
-
-        monkeypatch.setattr(kernels, "bnb_tables", counted)
-        cg = make_cws_clique_graph(setup(error_set(9, 3), Graph.ring(9)))
-        res = lex_min_clique(cg, max_clique(cg))
-        assert built == [269] and res.nodes == 5416
-
-    def test_one_vertex_graph_builds_no_tables(self, monkeypatch):
-        # vertex 0 alone leaves no candidate, so no search reads the tables;
-        # the results and node counts are those of the kernel's empty search
-        built = []
-        tables = kernels.bnb_tables
-
-        def counted(rows, m):
-            built.append(m)
-            return tables(rows, m)
-
-        monkeypatch.setattr(kernels, "bnb_tables", counted)
+    def test_one_vertex_graph_builds_no_tables(self):
+        # vertex 0 alone leaves no candidate: the results and node counts are
+        # those of the kernel's empty search
         cg = make_cws_clique_graph(setup(error_set(6, 3), Graph.empty(6)))
         assert cg.size == 1
         for budget in (-1, 0):
@@ -329,7 +324,6 @@ class TestMaxClique:
             assert (one.clique.members, one.exhausted, one.nodes, one.best_size) == ((0,), True, 0, 1)
             for k in (2, 3):
                 assert find_clique_of_size(cg, k, budget) == (None, True, 0, 1)
-        assert built == []
 
     def test_every_exact_solver_meets_the_vertex_cap(self, monkeypatch):
         # one guard holds the cap for the solve, the target-K search and the

@@ -25,10 +25,13 @@ def _random_adjacency_rows(rng, m):
 
 def _bnb(rows_int, m, cand, stop_at, budget):
     """bnb_clique on low-bit-first rows and candidates (vertex j at bit j),
-    reversed into the kernel's high-bit-first order."""
-    rows = [reversed_bits(r, m) for r in rows_int]
-    tables = K.bnb_tables(rows, m)
-    return K.bnb_clique(rows, tables, m, reversed_bits(cand, m), stop_at, budget)
+    turned into the kernel's conflict list (entry k: the non-neighbours of
+    vertex m - k) and candidates, high bit first."""
+    full = (1 << m) - 1
+    conflicts = [0] + [
+        reversed_bits(full ^ rows_int[v] ^ (1 << v), m) for v in reversed(range(m))
+    ]
+    return K.bnb_clique(conflicts, m, reversed_bits(cand, m), stop_at, budget)
 
 
 def _brute_force_max_clique(rows_int, m):
@@ -104,8 +107,8 @@ def test_graph_signs_match_edge_list():
         assert K.graph_signs(g.rows_array(), n).tolist() == expected
 
 
-def test_clique_adjacency_matches_pairwise_loop():
-    # R graphs of m vertices each, one to three words per row
+def test_clique_conflicts_matches_pairwise_loop():
+    # R graphs of m vertices each, one to three words per mask
     rng = np.random.default_rng(3)
     for n, m in ((2, 1), (2, 3), (4, 9), (6, 40), (7, 64), (7, 65), (7, 128)):
         count = 3
@@ -113,16 +116,17 @@ def test_clique_adjacency_matches_pairwise_loop():
         verts = np.array(
             [np.sort(rng.choice(1 << n, m, replace=False)) for _ in range(count)]
         )
-        adjacency = K.clique_adjacency(verts, cl)
-        assert len(adjacency) == count
+        conflicts = K.clique_conflicts(verts, cl)
+        assert len(conflicts) == count
         for r in range(count):
-            rows = [reversed_bits(x, m) for x in adjacency[r]]
-            assert len(rows) == m
+            assert len(conflicts[r]) == m + 1 and conflicts[r][0] == 0
             for i in range(m):
-                assert rows[i] >> m == 0
+                mask = conflicts[r][m - i]  # vertex i's entry, colouring order
+                assert mask >> m == 0
+                mask = reversed_bits(mask, m)  # vertex j at bit j
                 for j in range(m):
-                    edge = i != j and not cl[r, verts[r, i] ^ verts[r, j]]
-                    assert bool((rows[i] >> j) & 1) == edge
+                    conflict = i != j and cl[r, verts[r, i] ^ verts[r, j]]
+                    assert bool((mask >> j) & 1) == conflict
 
 
 def test_bnb_matches_brute_force():
@@ -190,7 +194,7 @@ def test_bnb_ring10_d3_budget_pinned():
     cg = make_cws_clique_graph(setup(error_set(10, 3), Graph.ring(10)))
     assert cg.size == 709
     size, members, nodes, exhausted = K.bnb_clique(
-        cg.rows, cg.bnb_tables, 709, (1 << 708) - 1, 0, 10_000
+        cg.conflicts, 709, (1 << 708) - 1, 0, 10_000
     )
     assert (size, nodes, exhausted) == (16, 10_001, False)  # K = 17 with vertex 0
     assert members == [
@@ -211,10 +215,10 @@ def _cws_instances(seed=9):
         cg = make_cws_clique_graph(setup(error_set(g.n, 3), g))
         m = cg.size
         for cand in ((1 << (m - 1)) - 1, rng.getrandbits(m - 1)):
-            k = K.bnb_clique(cg.rows, cg.bnb_tables, m, cand, 0, 2500)[0]
+            k = K.bnb_clique(cg.conflicts, m, cand, 0, 2500)[0]
             for stop_at in (0, k - 1, k):
                 for budget in (0, 1, 57, 2500):
-                    yield cg.rows, cg.bnb_tables, m, cand, stop_at, budget
+                    yield cg.conflicts, m, cand, stop_at, budget
 
 
 def test_bnb_cws_search_tree_pinned():
@@ -223,8 +227,8 @@ def test_bnb_cws_search_tree_pinned():
     h = hashlib.sha256()
     sizes = set()
     for args in _cws_instances():
-        sizes.add(args[2])
-        h.update(repr((args[2:], K.bnb_clique(*args))).encode())
+        sizes.add(args[1])
+        h.update(repr((args[1:], K.bnb_clique(*args))).encode())
     assert sizes == {269, 709, 670, 662}
     assert h.hexdigest() == "f78c8a2d11d815c2a63ac7239852f62db209a7f30e35a0cecc2bb6ab6a078634"
 
