@@ -117,6 +117,18 @@ def bench_bnb_ring10(repeat: int):
     return f"branch and bound, ring10 d=3 (m={m}, {RING10_BUDGET} nodes)", fn, fn
 
 
+RING11_BUDGET = 20_000
+
+
+def bench_bnb_ring11(repeat: int):
+    """The d=3 clique graph of the ring on 11 qubits (m = 1,652), where the
+    search solves its wide, sparse subtrees on their own vertices."""
+    cg = make_cws_clique_graph(setup(error_set(11, 3), Graph.ring(11)))
+    m = cg.size
+    fn = lambda: K.bnb_clique(cg.conflicts, m, (1 << (m - 1)) - 1, 0, RING11_BUDGET)
+    return f"branch and bound, ring11 d=3 (m={m}, {RING11_BUDGET} nodes)", fn, fn
+
+
 def bench_bnb_ring9(repeat: int):
     """The d=3 clique graph of the ring on 9 qubits, solved exactly: the
     search exhausts after 4,566 nodes."""
@@ -204,6 +216,7 @@ BENCHES = [
     bench_clique_graphs,
     bench_bnb,
     bench_bnb_ring10,
+    bench_bnb_ring11,
     bench_bnb_ring9,
     bench_canon,
     bench_lc_orbits,
@@ -224,7 +237,7 @@ def main() -> None:
         name, fn, _same = bench(args.repeat)
         t = timeit(fn, args.repeat)
         line = f"{name:<55} {t * 1e3:>8.2f}ms"
-        if bench in (bench_bnb, bench_bnb_ring10, bench_bnb_ring9):
+        if bench in (bench_bnb, bench_bnb_ring10, bench_bnb_ring11, bench_bnb_ring9):
             nodes = fn()[2]
             line += f" {nodes / t / 1e3:>7.0f}k nodes/s"
         print(line)

@@ -173,6 +173,43 @@ def clique_conflicts(verts: np.ndarray, cl_bool: np.ndarray) -> list[list[int]]:
 # `cls`.  A child that survives its low classes pushes these locals as one
 # tuple, the parent's frame, and finishing a node pops it.  The root enters
 # as the child of a done node with no classes, whose walk returns.
+#
+# Wide, sparse subtrees are solved on their own vertices.  A step costs more
+# on a wider int, and a set keeps the width of its top vertex however few
+# vertices it holds: on the solve10 graphs the whole budget goes into one
+# depth-2 subtree of 225-330 candidates whose sets are 640-707 bits wide, and
+# colouring that subtree's root set takes 167-180 ns a vertex there against
+# 145-160 ns on the same vertices re-indexed (2-vCPU host, Python 3.11).  So
+# a child that survives its low classes, is wider than `_COMPACT_BITS` bits
+# and holds at most half as many candidates as its width is not walked here.
+# Its vertices are listed in ascending order, the conflict list of the
+# subgraph they induce is built (`_induced_conflicts`, 0.3-0.5 ms for such a
+# child), and the kernel solves that from all of its vertices: incumbent
+# best_size - level - 1, the budget left before this node, and
+# stop_at - level - 1 (at least 1) when stop_at is set.  The call enters this
+# node again and counts it, so it is taken off the count here; the members
+# follow rstack[:level + 1]; and if the call did not exhaust, neither does
+# this search.  The root is such a child too.  A child pruned by its low
+# classes is never compacted: that would cost more than its own colouring.
+#   - The tree is unchanged: re-indexing keeps the vertex order, so every
+#     colouring takes the same vertices into the same classes and every
+#     branch is on the same vertex.  A node at level l of the subtree stands
+#     at level + 1 + l here, and its prunes, its leaves, its stop and its
+#     budget check are the same comparisons shifted by that constant.  An
+#     incumbent below 0 (a path longer than the best) is passed as 0, which
+#     prunes nothing and accepts every leaf, as the negative value would.
+#   - The threshold: below it the saving per step is small and a compaction
+#     can cost more than the subtree it serves.  Measured at 256, 300 and 400
+#     bits on the solve10 kernel calls of seeds 7 and 3 (18 graphs, 10,000
+#     nodes each) and on ring10 and ring11 at 200,000 nodes, interleaved
+#     (CHANGES.md has the tables): 256 bits compacts 1,504 times on solve10,
+#     against 189 at 300 and 19 at 400, and gives back part of solve10's
+#     gain; 300 and 400 are within noise of each other, and 300 was ahead on
+#     ring10 in the calmer of two runs.
+#   - The recursion: a nested call has at most half its caller's width and
+#     nests again only above `_COMPACT_BITS`, so a graph of 4,096 vertices
+#     (`clique.MAX_EXACT_VERTICES`) nests at most four calls deep
+#     (4,096 -> 2,048 -> 1,024 -> 512 -> 256).
 
 # _BITS[k] is 1 << (k - 1), a set's top bit when its bit_length is k
 # (_BITS[0] is 0).  One table serves every graph: it only grows, at kernel
@@ -180,22 +217,33 @@ def clique_conflicts(verts: np.ndarray, cl_bool: np.ndarray) -> list[list[int]]:
 # see another's use.
 _BITS = [0]
 
+# sets wider than this, and at most half full, are solved re-indexed (above)
+_COMPACT_BITS = 300
+
 
 def bnb_clique(
-    conflicts: list, m: int, cand_int: int, stop_at: int, budget: int
+    conflicts: list,
+    m: int,
+    cand_int: int,
+    stop_at: int,
+    budget: int,
+    best_size: int = 0,
 ) -> tuple[int, list, int, bool]:
     """`conflicts` is one graph's list from `clique_conflicts`: entry k is
     the conflict mask of vertex m - k, high bit first, as a Python int, and
-    entry 0 is 0.  `cand_int` is high bit first too."""
+    entry 0 is 0.  `cand_int` is high bit first too.  `best_size` is the
+    incumbent: only larger cliques are reported, and with none the call
+    returns `best_size` and no members."""
     if not cand_int:
-        return 0, [], 0, True
+        return best_size, [], 0, True
+    # a set >= wide is wider than _COMPACT_BITS bits; a narrower graph has none
+    wide = 1 << (m if m < _COMPACT_BITS else _COMPACT_BITS)
     if len(_BITS) <= m:
         _BITS.extend(1 << (k - 1) for k in range(len(_BITS), m + 1))
     bits = _BITS
     # each node stands for a different clique, the vertices on its path, so
     # an unlimited search enters at most 2^m of them
     limit = budget if budget >= 0 else 1 << m
-    best_size = 0
     best: list = []
     nodes = 0
     rstack = [0] * (m + 1)
@@ -220,22 +268,37 @@ def bnb_clique(
                 break  # pruned: back to the parent's walk
             t -= 1
         else:
-            stack.append((p, classes, base, c, cls))
-            level += 1
-            p = child
-            base = best_size if best_size > level else level
-            classes = []
-            while q:
-                b = q.bit_length()
-                cls = bits[b]
-                qc = q & conflicts[b]
-                while qc:
-                    b = qc.bit_length()
-                    cls += bits[b]
-                    qc &= conflicts[b]
-                classes.append(cls)
-                q -= cls
-            c = len(classes)
+            if child < wide or 2 * child.bit_count() > child.bit_length():
+                stack.append((p, classes, base, c, cls))
+                level += 1
+                p = child
+                base = best_size if best_size > level else level
+                classes = []
+                while q:
+                    b = q.bit_length()
+                    cls = bits[b]
+                    qc = q & conflicts[b]
+                    while qc:
+                        b = qc.bit_length()
+                        cls += bits[b]
+                        qc &= conflicts[b]
+                    classes.append(cls)
+                    q -= cls
+                c = len(classes)
+            else:
+                # a wide, sparse child: its subtree on its own vertices, from
+                # this node, which the call counts again
+                size, found, used, exhausted = _solve_induced(
+                    conflicts, m, child,
+                    max(1, stop_at - level - 1) if stop_at > 0 else 0,
+                    limit - nodes + 1, max(0, best_size - level - 1),
+                )
+                nodes += used - 1
+                if found:
+                    best_size = level + 1 + size
+                    best = rstack[: level + 1] + found
+                if not exhausted:
+                    return best_size, best, nodes, False
         while True:
             if cls and base + c > best_size:
                 bit = cls & -cls
@@ -259,6 +322,43 @@ def bnb_clique(
             else:
                 c -= 1
                 cls = classes[c - 1]
+
+
+def _induced_conflicts(conflicts: list, m: int, cand: int) -> tuple[list, list]:
+    """The vertex ids of `cand`, ascending, and the conflict list of the
+    subgraph they induce, in `clique_conflicts`'s format: vertex i of the
+    subgraph is ids[i], in the same order."""
+    nbytes = (m + 7) >> 3
+    pad = 8 * nbytes - m  # unpacked column of vertex j: j + pad
+    cols = np.flatnonzero(
+        np.unpackbits(np.frombuffer(cand.to_bytes(nbytes, "big"), dtype=np.uint8))
+    )
+    ids = (cols - pad).tolist()
+    s = len(ids)
+    # subgraph entry k is vertex ids[s - k]: its mask, on the ids' columns
+    rows = b"".join([conflicts[m - v].to_bytes(nbytes, "big") for v in reversed(ids)])
+    table = np.unpackbits(np.frombuffer(rows, dtype=np.uint8).reshape(s, nbytes), axis=1)
+    sbytes = (s + 7) >> 3
+    # whole bytes per row, zero bits first: one flat packbits, no shifts
+    packed = np.zeros((s, 8 * sbytes), dtype=np.uint8)
+    packed[:, 8 * sbytes - s :] = table[:, cols]
+    data = np.packbits(packed).tobytes()
+    return ids, [0, *(
+        int.from_bytes(data[k : k + sbytes], "big") for k in range(0, len(data), sbytes)
+    )]
+
+
+def _solve_induced(
+    conflicts: list, m: int, cand: int, stop_at: int, budget: int, best_size: int
+) -> tuple[int, list, int, bool]:
+    """`bnb_clique` from `cand` with every candidate, on the subgraph `cand`
+    induces; the members come back as vertex ids of the whole graph."""
+    ids, sub = _induced_conflicts(conflicts, m, cand)
+    s = len(ids)
+    size, found, nodes, exhausted = bnb_clique(
+        sub, s, (1 << s) - 1, stop_at, budget, best_size
+    )
+    return size, [ids[v] for v in found], nodes, exhausted
 
 
 # Called by perfbench/kernels.py before timing; nothing needs compiling.

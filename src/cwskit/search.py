@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import multiprocessing as mp
 import sys
 import time
 from dataclasses import dataclass
@@ -472,7 +471,9 @@ def run_search(
             # no more workers than graphs; --jobs is otherwise taken as asked,
             # also above the CPU count
             workers = min(job.worker_count, len(pending))
-            ctx = mp.get_context("fork")
+            import multiprocessing  # only a pool needs it: kept off every start-up
+
+            ctx = multiprocessing.get_context("fork")
             size = max(1, min(BUILD_CHUNK, len(pending) // (workers * 16)))
             tasks = [pending[i : i + size] for i in range(0, len(pending), size)]
             with ctx.Pool(workers) as pool:

@@ -5,9 +5,9 @@ import sys
 
 import numpy as np
 
-from conftest import reversed_bits
+from conftest import random_graph, reversed_bits
 import cwskit.kernels as K
-from cwskit.clique import make_cws_clique_graph
+from cwskit.clique import MAX_EXACT_VERTICES, make_cws_clique_graph
 from cwskit.errormap import ErrorSet, cl_map, error_set, setup
 from cwskit.gf2 import PauliOp
 from cwskit.graphs import Graph, edge_count, rows_table
@@ -23,7 +23,7 @@ def _random_adjacency_rows(rng, m):
     return rows_int
 
 
-def _bnb(rows_int, m, cand, stop_at, budget):
+def _bnb(rows_int, m, cand, stop_at, budget, best_size=0):
     """bnb_clique on low-bit-first rows and candidates (vertex j at bit j),
     turned into the kernel's conflict list (entry k: the non-neighbours of
     vertex m - k) and candidates, high bit first."""
@@ -31,7 +31,7 @@ def _bnb(rows_int, m, cand, stop_at, budget):
     conflicts = [0] + [
         reversed_bits(full ^ rows_int[v] ^ (1 << v), m) for v in reversed(range(m))
     ]
-    return K.bnb_clique(conflicts, m, reversed_bits(cand, m), stop_at, budget)
+    return K.bnb_clique(conflicts, m, reversed_bits(cand, m), stop_at, budget, best_size)
 
 
 def _brute_force_max_clique(rows_int, m):
@@ -142,6 +142,30 @@ def test_bnb_matches_brute_force():
             for b in members:
                 if a != b:
                     assert (rows_int[a] >> b) & 1
+
+
+def test_bnb_best_size_is_the_incumbent():
+    # only a clique larger than best_size is reported; with none, the call
+    # hands best_size back with no members, exhausted
+    rng = random.Random(12)
+    for _ in range(25):
+        m = rng.randint(1, 13)
+        rows_int = _random_adjacency_rows(rng, m)
+        omega = _brute_force_max_clique(rows_int, m)
+        full = (1 << m) - 1
+        for best_size in range(omega + 2):
+            size, members, nodes, exhausted = _bnb(rows_int, m, full, 0, -1, best_size)
+            if best_size >= omega:
+                assert (size, members, exhausted) == (best_size, [], True)
+            else:
+                assert (size, len(members), exhausted) == (omega, omega, True)
+        assert _bnb(rows_int, m, 0, 0, -1, 3) == (3, [], 0, True)
+    cg = make_cws_clique_graph(setup(error_set(9, 3), Graph.ring(9)))
+    full = (1 << (cg.size - 1)) - 1
+    size, _members, nodes, exhausted = K.bnb_clique(cg.conflicts, cg.size, full, 0, -1)
+    assert (size, nodes, exhausted) == (11, 4566, True)  # K = 12 with vertex 0
+    size, members, fewer, exhausted = K.bnb_clique(cg.conflicts, cg.size, full, 0, -1, 11)
+    assert (size, members, exhausted) == (11, [], True) and fewer < nodes
 
 
 def test_bnb_budget_flagging():
@@ -272,3 +296,115 @@ def test_bnb_frees_its_state_on_return():
     finally:
         if enabled:
             gc.enable()
+
+
+def _compaction_instances(seed=10):
+    """`bnb_clique` arguments whose search compacts wide subtrees: ring10,
+    ring11 and the first two seeded n=10 graphs with m above 300 at d=3,
+    each on its full candidate set and on a seeded partial set of about a
+    quarter of it (wide and sparse from the root), with stop_at 0, K-1 and
+    K (K the best size at 10,000 nodes) and budgets 0, 1, 57 and 10,000."""
+    rng = random.Random(seed)
+    graphs = [make_cws_clique_graph(setup(error_set(n, 3), Graph.ring(n))) for n in (10, 11)]
+    while len(graphs) < 4:
+        cg = make_cws_clique_graph(setup(error_set(10, 3), random_graph(10, rng)))
+        if cg.size > 300:
+            graphs.append(cg)
+    for cg in graphs:
+        m = cg.size
+        for cand in ((1 << (m - 1)) - 1, rng.getrandbits(m - 1) & rng.getrandbits(m - 1)):
+            k = K.bnb_clique(cg.conflicts, m, cand, 0, 10_000)[0]
+            for stop_at in (0, k - 1, k):
+                for budget in (0, 1, 57, 10_000):
+                    yield cg.conflicts, m, cand, stop_at, budget
+
+
+def test_compaction_keeps_the_search_tree(monkeypatch):
+    # the same (best_size, members, nodes, exhausted) with wide subtrees
+    # solved on their own vertices and with no subtree compacted
+    instances = list(_compaction_instances())
+    compacted = []
+    induced = K._induced_conflicts
+
+    def counted(conflicts, m, cand):
+        compacted.append(m)
+        return induced(conflicts, m, cand)
+
+    monkeypatch.setattr(K, "_induced_conflicts", counted)
+    on = [K.bnb_clique(*args) for args in instances]
+    sizes = {args[1] for args in instances}
+    assert len(sizes) == 4 and sizes <= set(compacted)  # every graph compacts
+    monkeypatch.setattr(K, "_COMPACT_BITS", MAX_EXACT_VERTICES + 1)
+    compacted.clear()
+    off = [K.bnb_clique(*args) for args in instances]
+    assert compacted == []
+    assert on == off
+
+
+def test_induced_conflicts_match_clique_conflicts():
+    # the compacted list of a vertex subset is the list clique_conflicts
+    # gathers from CL on the subset's words; m and the subset size cover
+    # whole and part bytes
+    rng = random.Random(11)
+    graphs = []
+    for n, m in ((8, 128), (8, 203)):
+        cl = np.random.default_rng(m).random((1, 1 << n)) < 0.5
+        graphs.append((np.sort(rng.sample(range(1 << n), m))[None], cl))
+    arrays = setup(error_set(10, 3), Graph.ring(10))
+    cg = make_cws_clique_graph(arrays)
+    graphs.append((cg.vertices[None], arrays.cl[None]))
+    for verts, cl in graphs:
+        m = verts.shape[1]
+        conflicts = K.clique_conflicts(verts, cl)[0]
+        for s in (1, 8, 9, 64, 65, m // 2, m):
+            chosen = sorted(rng.sample(range(m), s))
+            cand = sum(1 << (m - 1 - v) for v in chosen)
+            ids, sub = K._induced_conflicts(conflicts, m, cand)
+            assert ids == chosen
+            assert sub == K.clique_conflicts(verts[:, ids], cl)[0]
+
+
+def _nested_calls(m):
+    """The most compacted calls nested below a search of m vertices: each
+    call at least halves the width, and compacts only above the constant."""
+    count = 0
+    while m > K._COMPACT_BITS:
+        m //= 2
+        count += 1
+    return count
+
+
+def test_compaction_depth_is_bounded(monkeypatch):
+    assert _nested_calls(MAX_EXACT_VERTICES) == 4
+    depth = deepest = 0
+    kernel = K.bnb_clique
+
+    def tracked(*args):
+        nonlocal depth, deepest
+        depth += 1
+        deepest = max(deepest, depth)
+        try:
+            return kernel(*args)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(K, "bnb_clique", tracked)
+    # a random graph of adjacency density 0.4 on 2,048 vertices: each
+    # branch keeps about 0.4 of its parent's vertices, so the walk down the
+    # first branches compacts 2,048 -> ~820 -> ~330 -> ~130 vertices, the
+    # bound for 2,048
+    rng = np.random.default_rng(12)
+    m = 2048
+    adj = np.triu(rng.integers(0, 5, (m, m), dtype=np.uint8) < 2, 1)
+    adj |= adj.T
+    conflict = ~adj
+    np.fill_diagonal(conflict, False)
+    rows = np.packbits(conflict[::-1], axis=1)  # entry k: vertex m - k
+    conflicts = [0] + [int.from_bytes(row.tobytes(), "big") for row in rows]
+    K.bnb_clique(conflicts, m, (1 << m) - 1, 0, 100)
+    assert deepest == 1 + _nested_calls(m) == 4
+    for n in (10, 11):
+        cg = make_cws_clique_graph(setup(error_set(n, 3), Graph.ring(n)))
+        deepest = 0
+        K.bnb_clique(cg.conflicts, cg.size, (1 << (cg.size - 1)) - 1, 0, 10_000)
+        assert 2 <= deepest <= 1 + _nested_calls(cg.size)

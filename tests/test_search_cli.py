@@ -2,7 +2,10 @@ import hashlib
 import itertools
 import json
 import multiprocessing as mp
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -103,6 +106,18 @@ class TestRunSearch:
         # a count below the number of graphs is taken as asked
         run_search(SearchJob(n=4, d=2, graph_source="iso", worker_count=3))
         assert asked[1:] == [3]
+
+    def test_cli_import_leaves_multiprocessing_out(self):
+        # only a --jobs pool needs multiprocessing; a fresh interpreter
+        # shows what importing the command line alone loads
+        src = str(Path(cwskit.cli.__file__).resolve().parents[1])
+        code = "import sys, cwskit.cli; print('multiprocessing' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.split() == ["False"]
 
     def test_result_file_format(self):
         res = run_search(SearchJob(n=3, d=2, graph_source="all"))
