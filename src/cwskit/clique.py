@@ -73,12 +73,9 @@ class CliqueGraph:
     def dump(self) -> str:
         """Each row as hex little-endian uint64 words, ceil(m/64) of them,
         vertex j at bit j."""
-        m = self.size
-        nbytes = 8 * ((m + 63) >> 6)
-        lines = [f"vertices={m}"]
-        for row in self.rows:
-            low_first = int(format(row, f"0{m}b")[::-1], 2)
-            lines.append(low_first.to_bytes(nbytes, "little").hex())
+        lines = [f"vertices={self.size}"]
+        for row in kernels.bit_rows(self.rows, self.size):
+            lines.append(kernels.pack_bits(row).tobytes().hex())
         return "\n".join(lines) + "\n"
 
 

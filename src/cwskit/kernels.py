@@ -2,8 +2,10 @@
 
 Sets in the clique layer are Python ints, high bit first: vertex ``j`` of an
 m-vertex clique graph is bit ``m - 1 - j``, so vertex ``j`` is in set ``s``
-when ``(s >> (m - 1 - j)) & 1``.  Little-endian uint64 words (``pack_bits``)
-appear only in the CL/D and clique-graph dump formats.
+when ``(s >> (m - 1 - j)) & 1``.  ``int_rows`` and ``bit_rows`` are the one
+codec between such ints and 0/1 tables, column ``j`` for vertex ``j``.
+Little-endian uint64 words (``pack_bits``) appear only in the CL/D and
+clique-graph dump formats.
 """
 
 from __future__ import annotations
@@ -25,6 +27,32 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     padded[: bits.size] = bits
     bytes_ = np.packbits(padded, bitorder="little")
     return bytes_.view(np.uint64)
+
+
+def int_rows(table: np.ndarray) -> list[int]:
+    """Each row of a 2-D 0/1 table (bool or uint8) as an int, column 0 the
+    top bit.  The rows are padded in front to whole 64-bit words, so one
+    flat packbits gives the ints with no shift."""
+    count, width = table.shape
+    nbytes = 8 * ((width + 63) >> 6)
+    padded = np.zeros((count, 8 * nbytes), dtype=np.uint8)
+    padded[:, 8 * nbytes - width :] = table
+    data = np.packbits(padded)
+    if nbytes == 8:
+        return data.view(">u8").tolist()
+    data = data.tobytes()
+    return [
+        int.from_bytes(data[k : k + nbytes], "big") for k in range(0, len(data), nbytes)
+    ]
+
+
+def bit_rows(values: list[int], width: int) -> np.ndarray:
+    """The inverse of `int_rows`: the (len(values), width) uint8 0/1 table
+    of non-negative ints below 2^width, column 0 the top bit."""
+    nbytes = (width + 7) >> 3
+    data = b"".join([v.to_bytes(nbytes, "big") for v in values])
+    table = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    return table.reshape(len(values), 8 * nbytes)[:, 8 * nbytes - width :]
 
 
 def parity_of_and(values: np.ndarray, mask: int | np.ndarray) -> np.ndarray:
@@ -94,23 +122,12 @@ def clique_conflicts(verts: np.ndarray, cl_bool: np.ndarray) -> list[list[int]]:
     based = verts | (np.arange(count) * size)[:, None]
     graph = np.repeat(np.arange(count), m)  # graph r of mask k = (r, i)
     centre = verts[:, ::-1].ravel()  # vertex verts[r, m - 1 - i] of mask k
-    nbytes = (m + 7) >> 3
     masks: list[int] = []
     step = max(1, _GATHER_CELLS // m)
     for lo in range(0, count * m, step):
         index = based[graph[lo : lo + step]]
         index ^= centre[lo : lo + step, None]
-        packed = np.packbits(conflict.take(index), axis=1, bitorder="big")
-        if m <= 64:  # one big-endian word per mask, zero bits after vertex m-1
-            words = np.zeros((packed.shape[0], 8), dtype=np.uint8)
-            words[:, :nbytes] = packed
-            masks.extend((words.view(">u8")[:, 0] >> (64 - m)).tolist())
-        else:
-            data = packed.tobytes()
-            masks.extend(
-                int.from_bytes(data[k : k + nbytes], "big") >> (8 * nbytes - m)
-                for k in range(0, len(data), nbytes)
-            )
+        masks.extend(int_rows(conflict.take(index)))
     return [[0, *masks[r * m : (r + 1) * m]] for r in range(count)]
 
 
@@ -183,14 +200,16 @@ def clique_conflicts(verts: np.ndarray, cl_bool: np.ndarray) -> list[list[int]]:
 # a child that survives its low classes, is wider than `_COMPACT_BITS` bits
 # and holds at most half as many candidates as its width is not walked here.
 # Its vertices are listed in ascending order, the conflict list of the
-# subgraph they induce is built (`_induced_conflicts`, 0.3-0.5 ms for such a
-# child), and the kernel solves that from all of its vertices: incumbent
-# best_size - level - 1, the budget left before this node, and
-# stop_at - level - 1 (at least 1) when stop_at is set.  The call enters this
-# node again and counts it, so it is taken off the count here; the members
-# follow rstack[:level + 1]; and if the call did not exhaust, neither does
-# this search.  The root is such a child too.  A child pruned by its low
-# classes is never compacted: that would cost more than its own colouring.
+# subgraph they induce is built (`_induced_conflicts`: the vertices' masks
+# unpacked by `bit_rows`, their columns kept and packed back by `int_rows`,
+# 0.2-0.3 ms for such a child), and the kernel solves that from all of its
+# vertices: incumbent best_size - level - 1, the budget left before this
+# node, and stop_at - level - 1 (at least 1) when stop_at is set.  The call
+# enters this node again and counts it, so it is taken off the count here;
+# the members follow rstack[:level + 1]; and if the call did not exhaust,
+# neither does this search.  The root is such a child too.  A child pruned
+# by its low classes is never compacted: that would cost more than its own
+# colouring.
 #   - The tree is unchanged: re-indexing keeps the vertex order, so every
 #     colouring takes the same vertices into the same classes and every
 #     branch is on the same vertex.  A node at level l of the subtree stands
@@ -328,24 +347,11 @@ def _induced_conflicts(conflicts: list, m: int, cand: int) -> tuple[list, list]:
     """The vertex ids of `cand`, ascending, and the conflict list of the
     subgraph they induce, in `clique_conflicts`'s format: vertex i of the
     subgraph is ids[i], in the same order."""
-    nbytes = (m + 7) >> 3
-    pad = 8 * nbytes - m  # unpacked column of vertex j: j + pad
-    cols = np.flatnonzero(
-        np.unpackbits(np.frombuffer(cand.to_bytes(nbytes, "big"), dtype=np.uint8))
-    )
-    ids = (cols - pad).tolist()
-    s = len(ids)
-    # subgraph entry k is vertex ids[s - k]: its mask, on the ids' columns
-    rows = b"".join([conflicts[m - v].to_bytes(nbytes, "big") for v in reversed(ids)])
-    table = np.unpackbits(np.frombuffer(rows, dtype=np.uint8).reshape(s, nbytes), axis=1)
-    sbytes = (s + 7) >> 3
-    # whole bytes per row, zero bits first: one flat packbits, no shifts
-    packed = np.zeros((s, 8 * sbytes), dtype=np.uint8)
-    packed[:, 8 * sbytes - s :] = table[:, cols]
-    data = np.packbits(packed).tobytes()
-    return ids, [0, *(
-        int.from_bytes(data[k : k + sbytes], "big") for k in range(0, len(data), sbytes)
-    )]
+    cols = np.flatnonzero(bit_rows([cand], m)[0])
+    ids = cols.tolist()
+    # subgraph entry k is vertex ids[-k]: its mask, on the ids' columns
+    table = bit_rows([conflicts[m - v] for v in reversed(ids)], m)
+    return ids, [0, *int_rows(table[:, cols])]
 
 
 def _solve_induced(

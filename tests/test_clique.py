@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph, reversed_bits
+from cwskit import kernels
 from cwskit.clique import (
     CliqueGraph,
     clique_graphs,
@@ -134,6 +135,21 @@ class TestMakeCliqueGraph:
             reversed_bits(int.from_bytes(bytes.fromhex(ln), "little"), cg.size)
             for ln in lines
         ] == cg.rows
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 128])
+    def test_dump_matches_string_reversal_at_word_edges(self, m):
+        # the reference reverses each high-bit-first row as a binary string
+        rng = np.random.default_rng(m)
+        n = 8
+        verts = np.sort(rng.choice(1 << n, m, replace=False))[None]
+        cl = rng.random((1, 1 << n)) < 0.4
+        cg = CliqueGraph(n, verts[0], kernels.clique_conflicts(verts, cl)[0])
+        nbytes = 8 * ((m + 63) >> 6)
+        expect = [f"vertices={m}"] + [
+            int(format(row, f"0{m}b")[::-1], 2).to_bytes(nbytes, "little").hex()
+            for row in cg.rows
+        ]
+        assert cg.dump() == "\n".join(expect) + "\n"
 
     def test_dump_bytes_pinned(self):
         # ring4, d=2: each row is one little-endian uint64 word

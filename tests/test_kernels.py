@@ -61,6 +61,25 @@ def test_pack_unpack_round_trip():
         assert not unpacked[size:].any()
 
 
+def test_int_rows_and_bit_rows_are_inverse():
+    # column 0 is the top bit, across byte and word edges, for 0, 1 and
+    # several rows, from bool and uint8 tables
+    rng = np.random.default_rng(5)
+    for width in (1, 7, 8, 9, 63, 64, 65, 128, 709):
+        for count in (0, 1, 5):
+            table = rng.random((count, width)) < 0.5
+            # the reference: each row read as a binary numeral
+            values = [int("".join(map(str, row.astype(int))), 2) for row in table]
+            for t in (table, table.astype(np.uint8)):
+                assert K.int_rows(t) == values
+                assert np.array_equal(K.bit_rows(K.int_rows(t), width), t)
+            rows = K.bit_rows(values, width)
+            assert rows.shape == (count, width) and rows.dtype == np.uint8
+            assert K.int_rows(rows) == values
+        edges = [(1 << width) - 1, 1 << (width - 1), 1, 0]
+        assert K.int_rows(K.bit_rows(edges, width)) == edges
+
+
 def test_cl_patterns_match_cl_map():
     # one-row tables: every X-support weight 0..n and the empty error set
     rng = random.Random(1)
@@ -108,9 +127,11 @@ def test_graph_signs_match_edge_list():
 
 
 def test_clique_conflicts_matches_pairwise_loop():
-    # R graphs of m vertices each, one to three words per mask
+    # R graphs of m vertices each, one to four words per mask
     rng = np.random.default_rng(3)
-    for n, m in ((2, 1), (2, 3), (4, 9), (6, 40), (7, 64), (7, 65), (7, 128)):
+    for n, m in (
+        (2, 1), (2, 3), (4, 9), (6, 40), (7, 63), (7, 64), (7, 65), (7, 128), (8, 200)
+    ):
         count = 3
         cl = rng.random((count, 1 << n)) < 0.4
         verts = np.array(
@@ -356,7 +377,7 @@ def test_induced_conflicts_match_clique_conflicts():
     for verts, cl in graphs:
         m = verts.shape[1]
         conflicts = K.clique_conflicts(verts, cl)[0]
-        for s in (1, 8, 9, 64, 65, m // 2, m):
+        for s in (1, 8, 9, 63, 64, 65, m // 2, m):
             chosen = sorted(rng.sample(range(m), s))
             cand = sum(1 << (m - 1 - v) for v in chosen)
             ids, sub = K._induced_conflicts(conflicts, m, cand)
