@@ -283,28 +283,33 @@ def _graph_masks(job: SearchJob) -> list[int]:
     return [masks[0] for masks in lc_orbit_masks(job.n)]
 
 
-def _is_record(obj: dict) -> bool:
-    """Whether `obj` holds the fields of a `GraphRecord`, typed as a search
-    writes them: int masks, m and bestK (never bools), a known status, and a
-    code that is absent, null or a list of ints.  A search stores a code of
+def _record_fields(obj: dict) -> tuple | None:
+    """(raw_mask, canon_mask, m, bestK, status, code) of `obj`, or None
+    unless it holds the fields of a `GraphRecord` typed as a search writes
+    them: int masks, m and bestK (never bools), a known status, and a code
+    that is absent, null or a list of ints.  A search stores a code of
     exactly bestK words, so a non-empty code of another length is refused."""
+    get = obj.get
+    fields = get("raw_mask"), get("canon_mask"), get("m"), get("bestK"), get("status"), get("code")
+    raw, canon, m, best_k, status, code = fields
     if not (
-        type(obj.get("raw_mask")) is int
-        and type(obj.get("canon_mask")) is int
-        and type(obj.get("m")) is int
-        and type(obj.get("bestK")) is int
-        and obj.get("status") in ("exact", "bound")
+        type(raw) is int
+        and type(canon) is int
+        and type(m) is int
+        and type(best_k) is int
+        # a tuple: a list or dict status compares unequal, a set would raise
+        and status in ("exact", "bound")
     ):
-        return False
-    code = obj.get("code")
-    if code is None:
-        return True
-    if type(code) is not list:
-        return False
-    for c in code:
-        if type(c) is not int:
-            return False
-    return not code or len(code) == obj["bestK"]
+        return None
+    if code is not None:
+        if type(code) is not list:
+            return None
+        for c in code:
+            if type(c) is not int:
+                return None
+        if code and len(code) != best_k:
+            return None
+    return fields
 
 
 _DECODER = json.JSONDecoder()  # json.loads's settings, built once
@@ -331,7 +336,9 @@ def _checkpoint_line(ln: bytes, lineno: int) -> dict:
         obj = _decode_line(ln.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"checkpoint line {lineno} cannot be decoded") from exc
-    if not isinstance(obj, dict) or not ("job" in obj if lineno == 1 else _is_record(obj)):
+    if not isinstance(obj, dict) or not (
+        "job" in obj if lineno == 1 else _record_fields(obj) is not None
+    ):
         what = "job header" if lineno == 1 else "record"
         raise ValueError(f"checkpoint line {lineno} is not a {what}")
     return obj
@@ -341,8 +348,11 @@ def _load_checkpoint(path: Path, job: SearchJob) -> dict[int, GraphRecord]:
     """Replay completed records by raw mask; every stored code must re-verify.
 
     The file is read in one pass, one line at a time, and never held whole.
-    Blank lines are skipped; the job header is line 1.  The stored codes are
-    verified together once every line is decoded, by
+    Blank lines are skipped; the job header is line 1.  A record line as a
+    search writes it, one JSON object and its newline, is read by the
+    decoder's scanner, checked and replayed in place; every other line goes
+    to `_checkpoint_line`, which gives it the verdict of `json.loads`.  The
+    stored codes are verified together once every line is decoded, by
     `verify.first_failing_code`: on ints, in chunks, with no Graph or
     ClassicalCode per record.  So a line that does not decode is reported
     before a stored code that fails, wherever the two are in the file.
@@ -354,9 +364,12 @@ def _load_checkpoint(path: Path, job: SearchJob) -> dict[int, GraphRecord]:
     decode, or decodes to something other than a header or a record, is
     corruption, not a torn tail, and raises."""
     done: dict[int, GraphRecord] = {}
-    coded: list[GraphRecord] = []  # records with a code, repeated masks included
+    # the records with a code, repeated masks included
+    masks: list[int] = []
+    codes: list[tuple[int, ...]] = []
     if not path.exists():
         return done
+    n, target_k, scan = job.n, job.target_k, _DECODER.scan_once
     with open(path, "r+b") as f:
         header, read = None, 0  # the decoded header, bytes of complete lines
         for lineno, ln in enumerate(f, start=1):
@@ -372,21 +385,27 @@ def _load_checkpoint(path: Path, job: SearchJob) -> dict[int, GraphRecord]:
                 if header["job"] != job.fingerprint():
                     raise ValueError("checkpoint belongs to a different job")
                 continue
-            obj = _checkpoint_line(ln, lineno)
-            code = obj.get("code")
+            try:
+                text = ln.decode()
+                obj, end = scan(text, 0)
+            except (ValueError, StopIteration):  # not UTF-8, no value, a bad value
+                fields = None
+            else:
+                whole = type(obj) is dict and end == len(text) - 1
+                fields = _record_fields(obj) if whole else None
+            if fields is None:
+                fields = _record_fields(_checkpoint_line(ln, lineno))
+            raw, canon, m, best_k, status, code = fields
             # a search stores no code only where it fell short of a target K,
             # so a null or empty code anywhere else would replay an unshown bestK
-            if not code and (job.target_k is None or obj["bestK"] >= job.target_k):
+            if not code and (target_k is None or best_k >= target_k):
                 raise ValueError(f"checkpoint line {lineno} is not a record")
-            rec = GraphRecord(
-                job.n, obj["canon_mask"], obj["raw_mask"], obj["m"], obj["bestK"],
-                obj["status"], tuple(code) if code else None,
-            )
-            if rec.code:
-                coded.append(rec)
-            done[rec.raw_mask] = rec
-        masks, codes = [r.raw_mask for r in coded], [r.code for r in coded]
-        if first_failing_code(masks, codes, error_set(job.n, job.d)) >= 0:
+            if code:
+                code = tuple(code)  # the decoded list is freed
+                masks.append(raw)
+                codes.append(code)
+            done[raw] = GraphRecord(n, canon, raw, m, best_k, status, code or None)
+        if first_failing_code(masks, codes, error_set(n, job.d)) >= 0:
             raise ValueError("checkpoint contains a code that fails verification")
         keep = read if header else 0
         if keep < f.tell():

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -899,8 +900,9 @@ class TestCheckpoint:
             f"error: checkpoint line {i + 2} is not a record\n"
         )
 
-    def test_is_record_keeps_the_verdict_of_the_generator_form(self):
-        # the record check before it was written as flat tests
+    def test_record_fields_keeps_the_verdict_of_the_generator_form(self):
+        # the record check before it was written as flat tests; an accepted
+        # record's fields are the dict's values
         def reference(obj):
             code = obj.get("code")
             return (
@@ -927,7 +929,13 @@ class TestCheckpoint:
         for code in codes:
             for best_k in (0, 1, 2, 3, True, 2.0):
                 objs.append({**good, "code": code, "bestK": best_k})
-        verdicts = [cwskit.search._is_record(obj) for obj in objs]
+        keys = ("raw_mask", "canon_mask", "m", "bestK", "status", "code")
+        verdicts = []
+        for obj in objs:
+            fields = cwskit.search._record_fields(obj)
+            verdicts.append(fields is not None)
+            if fields is not None:
+                assert fields == tuple(obj.get(k) for k in keys), obj
         assert verdicts == [reference(obj) for obj in objs]
         assert True in verdicts and False in verdicts
 
@@ -969,13 +977,14 @@ class TestCheckpoint:
 
 def json_loads_checkpoint_line(ln: bytes, lineno: int) -> dict:
     """`search._checkpoint_line` as it was with `json.loads` on every line,
-    kept as the reference of the version with one reused decoder."""
+    kept as the reference of the version with one reused decoder and of the
+    loader's scanner path."""
     try:
         obj = json.loads(ln.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"checkpoint line {lineno} cannot be decoded") from exc
     if not isinstance(obj, dict) or not (
-        "job" in obj if lineno == 1 else cwskit.search._is_record(obj)
+        "job" in obj if lineno == 1 else cwskit.search._record_fields(obj) is not None
     ):
         what = "job header" if lineno == 1 else "record"
         raise ValueError(f"checkpoint line {lineno} is not a {what}")
@@ -992,7 +1001,8 @@ def crafted_checkpoint_lines() -> list[bytes]:
     """Complete lines (each ends in a newline) around a header and a record:
     JSON whitespace and other whitespace before and after the value, CRLF
     endings, a UTF-8 BOM, two values or trailing garbage, NaN, floats and
-    bools where ints belong, ints of 70 bits and more, and invalid UTF-8."""
+    bools where ints belong, ints of 70 bits and more, unhashable statuses,
+    and invalid UTF-8."""
     record = DECODE_RECORD
     bodies = [DECODE_HEADER, record, record.replace(b"[0, 6]", b"null"),
               b"{}", b"[]", b"1", b'"x"', b"null", b"NaN", b""]
@@ -1005,7 +1015,9 @@ def crafted_checkpoint_lines() -> list[bytes]:
                      (b'"raw_mask": 5', b'"raw_mask": %d' % -(1 << 75)),
                      (b'[0, 6]', b'[0, %d]' % (1 << 80)),
                      (b'"exact"', b'"ex\\u0061ct"'), (b'"exact"', b'"ex\xffact"'),
-                     (b'"exact"', b'"exact\xc3"'), (b", ", b",\t"), (b": ", b":")]:
+                     (b'"exact"', b'"exact\xc3"'), (b", ", b",\t"), (b": ", b":"),
+                     # unhashable: a status check by set membership would raise
+                     (b'"exact"', b'["exact"]'), (b'"exact"', b'{"s": 1}')]:
         bodies.append(record.replace(old, new))
     lines = []
     for body in bodies:
@@ -1070,12 +1082,18 @@ class TestCheckpointDecode:
             except ValueError as exc:
                 return ("refused", str(exc))
 
+        def no_value(text, idx):
+            raise StopIteration(idx)
+
         messages = set()
         for ln in crafted_checkpoint_lines():
             data = DECODE_HEADER + b"\n" + before + b"\n" + ln + after + b"\n"
             ck.write_bytes(data)
             got = load()
             with monkeypatch.context() as m:
+                # the reference takes every line through json.loads: its
+                # scanner finds no value, so no line takes the scanner path
+                m.setattr(cwskit.search, "_DECODER", SimpleNamespace(scan_once=no_value))
                 m.setattr(cwskit.search, "_checkpoint_line", json_loads_checkpoint_line)
                 ck.write_bytes(data)
                 expect = load()
@@ -1100,6 +1118,21 @@ class TestCheckpointDecode:
 
         monkeypatch.setattr(json, "loads", refuse)
         assert cwskit.search._load_checkpoint(ck, job) == expect
+
+    def test_written_records_take_the_scanner_path(self, complete_n4_checkpoint, monkeypatch):
+        # resuming a checkpoint a search wrote sends only its header through
+        # _checkpoint_line; every record is decoded and checked in the loop
+        job, data, _plain, ck = complete_n4_checkpoint
+        ck.write_bytes(data)
+        seen = []
+
+        def counted(ln, lineno, line=cwskit.search._checkpoint_line):
+            seen.append(lineno)
+            return line(ln, lineno)
+
+        monkeypatch.setattr(cwskit.search, "_checkpoint_line", counted)
+        assert len(cwskit.search._load_checkpoint(ck, job)) == 1 << 6
+        assert seen == [1]
 
 
 class TestCli:
