@@ -283,12 +283,15 @@ def _graph_masks(job: SearchJob) -> list[int]:
     return [masks[0] for masks in lc_orbit_masks(job.n)]
 
 
-def _record_fields(obj: dict) -> tuple | None:
+def _record_fields(obj: object) -> tuple | None:
     """(raw_mask, canon_mask, m, bestK, status, code) of `obj`, or None
-    unless it holds the fields of a `GraphRecord` typed as a search writes
-    them: int masks, m and bestK (never bools), a known status, and a code
-    that is absent, null or a list of ints.  A search stores a code of
-    exactly bestK words, so a non-empty code of another length is refused."""
+    unless it is a dict holding the fields of a `GraphRecord` typed as a
+    search writes them: int masks, m and bestK (never bools), a known
+    status, and a code that is absent, null or a list of ints.  A search
+    stores a code of exactly bestK words, so a non-empty code of another
+    length is refused."""
+    if type(obj) is not dict:
+        return None
     get = obj.get
     fields = get("raw_mask"), get("canon_mask"), get("m"), get("bestK"), get("status"), get("code")
     raw, canon, m, best_k, status, code = fields
@@ -315,43 +318,17 @@ def _record_fields(obj: dict) -> tuple | None:
 _DECODER = json.JSONDecoder()  # json.loads's settings, built once
 
 
-def _decode_line(text: str):
-    """`json.loads(text)` for a line that ends in a newline.
-
-    The line a search writes is one JSON value and its newline; `raw_decode`
-    reads that value without the whitespace scans and checks of `loads`.
-    Any other line (leading or other trailing whitespace, more text, a BOM,
-    no value) is left to `json.loads`, so every line gets its verdict."""
-    try:
-        obj, end = _DECODER.raw_decode(text)
-    except json.JSONDecodeError:
-        return json.loads(text)
-    return obj if text[end:] == "\n" else json.loads(text)
-
-
-def _checkpoint_line(ln: bytes, lineno: int) -> dict:
-    """Complete checkpoint line `lineno`, decoded: the job header on line 1,
-    a record on every later line."""
-    try:
-        obj = _decode_line(ln.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"checkpoint line {lineno} cannot be decoded") from exc
-    if not isinstance(obj, dict) or not (
-        "job" in obj if lineno == 1 else _record_fields(obj) is not None
-    ):
-        what = "job header" if lineno == 1 else "record"
-        raise ValueError(f"checkpoint line {lineno} is not a {what}")
-    return obj
-
-
 def _load_checkpoint(path: Path, job: SearchJob) -> dict[int, GraphRecord]:
     """Replay completed records by raw mask; every stored code must re-verify.
 
     The file is read in one pass, one line at a time, and never held whole.
-    Blank lines are skipped; the job header is line 1.  A record line as a
-    search writes it, one JSON object and its newline, is read by the
-    decoder's scanner, checked and replayed in place; every other line goes
-    to `_checkpoint_line`, which gives it the verdict of `json.loads`.  The
+    Blank lines are skipped; the job header is line 1 and every later line
+    is a record.  Each line is decoded the same way: the C scanner of
+    `_DECODER` reads the line a search writes, one JSON value and its
+    newline, without the whitespace scans and checks of `json.loads`; any
+    other line (no value at its start, or more after the value: whitespace,
+    CRLF, a BOM, a second value) is left to `json.loads`, so every line gets
+    its verdict.  A record's fields are checked by `_record_fields`.  The
     stored codes are verified together once every line is decoded, by
     `verify.first_failing_code`: on ints, in chunks, with no Graph or
     ClassicalCode per record.  So a line that does not decode is reported
@@ -371,35 +348,39 @@ def _load_checkpoint(path: Path, job: SearchJob) -> dict[int, GraphRecord]:
         return done
     n, target_k, scan = job.n, job.target_k, _DECODER.scan_once
     with open(path, "r+b") as f:
-        header, read = None, 0  # the decoded header, bytes of complete lines
+        header, read = False, 0  # a header was read, bytes of complete lines
         for lineno, ln in enumerate(f, start=1):
             if not ln.endswith(b"\n"):
                 break  # the torn tail
             read += len(ln)
             if ln.isspace():
                 continue
-            if header is None:
-                # the first non-blank line: unless it is line 1, line 1 is
-                # blank, and a blank header line does not decode
-                header = _checkpoint_line(ln if lineno == 1 else b"", 1)
-                if header["job"] != job.fingerprint():
-                    raise ValueError("checkpoint belongs to a different job")
-                continue
+            if not header and lineno > 1:  # a blank header line does not decode
+                raise ValueError("checkpoint line 1 cannot be decoded")
             try:
                 text = ln.decode()
-                obj, end = scan(text, 0)
-            except (ValueError, StopIteration):  # not UTF-8, no value, a bad value
-                fields = None
-            else:
-                whole = type(obj) is dict and end == len(text) - 1
-                fields = _record_fields(obj) if whole else None
-            if fields is None:
-                fields = _record_fields(_checkpoint_line(ln, lineno))
-            raw, canon, m, best_k, status, code = fields
-            # a search stores no code only where it fell short of a target K,
-            # so a null or empty code anywhere else would replay an unshown bestK
-            if not code and (target_k is None or best_k >= target_k):
+                try:
+                    obj, end = scan(text, 0)
+                except StopIteration:  # no value at the start of the line
+                    end = 0
+                if end != len(text) - 1:
+                    obj = json.loads(text)
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise ValueError(f"checkpoint line {lineno} cannot be decoded") from exc
+            if lineno == 1:
+                if type(obj) is not dict or "job" not in obj:
+                    raise ValueError("checkpoint line 1 is not a job header")
+                if obj["job"] != job.fingerprint():
+                    raise ValueError("checkpoint belongs to a different job")
+                header = True
+                continue
+            fields = _record_fields(obj)
+            # a search stores no code (fields[5]) only where it fell short of a
+            # target K, so a null or empty code anywhere else would replay an
+            # unshown bestK (fields[3])
+            if fields is None or not fields[5] and (target_k is None or fields[3] >= target_k):
                 raise ValueError(f"checkpoint line {lineno} is not a record")
+            raw, canon, m, best_k, status, code = fields
             if code:
                 code = tuple(code)  # the decoded list is freed
                 masks.append(raw)

@@ -17,6 +17,8 @@ can only let dead code through, never flag live code.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -214,3 +216,20 @@ def test_every_default_is_set_by_a_caller():
         )
     ]
     assert unset == [], "defaults no caller sets; make them constants or drop them"
+
+
+def test_readme_names_only_existing_helpers():
+    # every backticked `module.name` of the package in README.md, with or
+    # without `cwskit.`, resolves
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    cited = re.findall(r"`(?:cwskit\.)?((\w+)\.[\w.]+)`", (ROOT / "README.md").read_text())
+    names = sorted({name for name, module in cited if module in modules})
+    missing = []
+    for name in names:
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"cwskit.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(name)
+    assert names and missing == []

@@ -975,22 +975,6 @@ class TestCheckpoint:
         assert len(lines) == res.total_graphs
 
 
-def json_loads_checkpoint_line(ln: bytes, lineno: int) -> dict:
-    """`search._checkpoint_line` as it was with `json.loads` on every line,
-    kept as the reference of the version with one reused decoder and of the
-    loader's scanner path."""
-    try:
-        obj = json.loads(ln.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"checkpoint line {lineno} cannot be decoded") from exc
-    if not isinstance(obj, dict) or not (
-        "job" in obj if lineno == 1 else cwskit.search._record_fields(obj) is not None
-    ):
-        what = "job header" if lineno == 1 else "record"
-        raise ValueError(f"checkpoint line {lineno} is not a {what}")
-    return obj
-
-
 DECODE_JOB = SearchJob(n=4, d=2, target_k=3, graph_source="all")  # null records below K
 DECODE_HEADER = json.dumps({"job": DECODE_JOB.fingerprint()}).encode()
 DECODE_RECORD = (b'{"raw_mask": 5, "canon_mask": 3, "m": 7, "bestK": 2, '
@@ -1045,70 +1029,85 @@ def crafted_checkpoint_lines() -> list[bytes]:
     return lines
 
 
-def decode_outcome(fn, ln: bytes, lineno: int):
+def crafted_checkpoints(ln: bytes) -> list[bytes]:
+    """Checkpoints of DECODE_JOB holding the crafted line `ln`: as line 1,
+    after a blank line 1, as line 3 between two null records, before a torn
+    tail, and as line 1 before a torn tail."""
+    head = DECODE_HEADER + b"\n"
+    before = DECODE_RECORD.replace(b"[0, 6]", b"null") + b"\n"
+    after = before.replace(b'"raw_mask": 5', b'"raw_mask": 6')
+    torn = after[:20]
+    return [ln + after, b"\n" + ln + after, head + before + ln + after,
+            head + before + ln + torn, ln + torn]
+
+
+def load_outcome(ck: Path, data: bytes) -> tuple:
+    """The replayed records or the message of loading `data` from `ck`,
+    and the file's bytes afterwards."""
+    ck.write_bytes(data)
     try:
-        return ("accepted", repr(fn(ln, lineno)))
+        got = ("loaded", sorted(cwskit.search._load_checkpoint(ck, DECODE_JOB).items()))
     except ValueError as exc:
-        return ("refused", str(exc))
+        got = ("refused", str(exc))
+    return got, ck.read_bytes()
+
+
+# sha256 of the repr of every crafted line's load_outcome in every
+# placement, in the order of test_each_line_keeps_its_outcome_in_every_placement,
+# computed with the loader of commit c01c5f1 (a scanner path for records,
+# raw_decode and then json.loads for every other line)
+CRAFTED_OUTCOMES_SHA256 = "c5a78674c20ff5f0c256be62fa0d30d9cdd9aca9f29e6ae21985f3ca3e185091"
 
 
 class TestCheckpointDecode:
-    def test_each_line_gets_the_verdict_of_json_loads(self):
-        verdicts = set()
-        for ln in crafted_checkpoint_lines():
-            for lineno in (1, 2, 9):
-                expect = decode_outcome(json_loads_checkpoint_line, ln, lineno)
-                got = decode_outcome(cwskit.search._checkpoint_line, ln, lineno)
-                assert got == expect, (ln, lineno)
-                verdicts.add(expect[0] if expect[0] == "accepted" else
-                             expect[1].split(" ", 3)[3])
-        assert verdicts == {"accepted", "cannot be decoded", "is not a record",
-                            "is not a job header"}
-
-    def test_a_blank_first_line_does_not_decode(self):
-        with pytest.raises(ValueError, match="^checkpoint line 1 cannot be decoded$"):
-            cwskit.search._checkpoint_line(b"", 1)
-
-    def test_each_line_as_the_loader_meets_it(self, tmp_path: Path, monkeypatch):
-        # the crafted line as line 3 of a checkpoint, between a valid record
-        # and a valid null record: the same records or the same message
+    def test_each_line_keeps_its_outcome_in_every_placement(self, tmp_path: Path, monkeypatch):
+        # the same records or message, and the same file bytes, as the load
+        # that takes every line through json.loads
         ck = tmp_path / "crafted.ckpt"
-        before = DECODE_RECORD.replace(b"[0, 6]", b"null")
-        after = before.replace(b'"raw_mask": 5', b'"raw_mask": 6')
+        outcomes, messages = [], set()
 
-        def load():
-            try:
-                return ("loaded", sorted(cwskit.search._load_checkpoint(ck, DECODE_JOB).items()))
-            except ValueError as exc:
-                return ("refused", str(exc))
-
-        def no_value(text, idx):
+        def no_value(text, idx):  # a scanner that sends every line to json.loads
             raise StopIteration(idx)
 
-        messages = set()
         for ln in crafted_checkpoint_lines():
-            data = DECODE_HEADER + b"\n" + before + b"\n" + ln + after + b"\n"
-            ck.write_bytes(data)
-            got = load()
-            with monkeypatch.context() as m:
-                # the reference takes every line through json.loads: its
-                # scanner finds no value, so no line takes the scanner path
-                m.setattr(cwskit.search, "_DECODER", SimpleNamespace(scan_once=no_value))
-                m.setattr(cwskit.search, "_checkpoint_line", json_loads_checkpoint_line)
-                ck.write_bytes(data)
-                expect = load()
-            assert got == expect, ln
-            messages.add(expect[1] if expect[0] == "refused" else "loaded")
+            for data in crafted_checkpoints(ln):
+                got = load_outcome(ck, data)
+                with monkeypatch.context() as m:
+                    m.setattr(cwskit.search, "_DECODER", SimpleNamespace(scan_once=no_value))
+                    expect = load_outcome(ck, data)
+                assert got == expect, data
+                outcomes.append(got)
+                messages.add(got[0][1] if got[0][0] == "refused" else "loaded")
         assert messages == {
             "loaded",
+            "checkpoint line 1 cannot be decoded",
+            "checkpoint line 1 is not a job header",
             "checkpoint line 3 cannot be decoded",
             "checkpoint line 3 is not a record",
             "checkpoint contains a code that fails verification",
             f"value {1 << 80} out of range for n=4",
         }
+        digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+        assert digest == CRAFTED_OUTCOMES_SHA256
+
+    def test_a_blank_first_line_does_not_decode(self, tmp_path: Path, monkeypatch):
+        # a blank line 1 is refused before any later line is decoded
+        ck = tmp_path / "blank.ckpt"
+        data = b"\n" + DECODE_HEADER + b"\n" + DECODE_RECORD + b"\n"
+        ck.write_bytes(data)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a line was decoded")
+
+        monkeypatch.setattr(json, "loads", refuse)
+        monkeypatch.setattr(cwskit.search, "_DECODER", SimpleNamespace(scan_once=refuse))
+        with pytest.raises(ValueError, match="^checkpoint line 1 cannot be decoded$"):
+            cwskit.search._load_checkpoint(ck, DECODE_JOB)
+        assert ck.read_bytes() == data
 
     def test_written_lines_take_the_reused_decoder(self, complete_n4_checkpoint, monkeypatch):
-        # every line a search writes is decoded without json.loads
+        # every line a search writes, the header too, is decoded by the
+        # scanner, without json.loads
         job, data, _plain, ck = complete_n4_checkpoint
         ck.write_bytes(data)
         expect = cwskit.search._load_checkpoint(ck, job)
@@ -1118,21 +1117,7 @@ class TestCheckpointDecode:
 
         monkeypatch.setattr(json, "loads", refuse)
         assert cwskit.search._load_checkpoint(ck, job) == expect
-
-    def test_written_records_take_the_scanner_path(self, complete_n4_checkpoint, monkeypatch):
-        # resuming a checkpoint a search wrote sends only its header through
-        # _checkpoint_line; every record is decoded and checked in the loop
-        job, data, _plain, ck = complete_n4_checkpoint
-        ck.write_bytes(data)
-        seen = []
-
-        def counted(ln, lineno, line=cwskit.search._checkpoint_line):
-            seen.append(lineno)
-            return line(ln, lineno)
-
-        monkeypatch.setattr(cwskit.search, "_checkpoint_line", counted)
-        assert len(cwskit.search._load_checkpoint(ck, job)) == 1 << 6
-        assert seen == [1]
+        assert len(expect) == 1 << 6
 
 
 class TestCli:
