@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import kernels
+from . import gf2, kernels
 
 MAX_EXHAUSTIVE_N = 8
 MAX_TABLE_N = 7  # a canon[mask] table has 2^(n(n-1)/2) int32 entries: 8 MB at n=7
@@ -166,6 +166,8 @@ def parse_graph_file(text: str) -> Graph:
         n = int(lines[0].split()[1])
     except (IndexError, ValueError) as exc:
         raise ValueError("bad vertex count line") from exc
+    if not 1 <= n <= gf2.MAX_BITS:  # no command takes more; checked before rows are built
+        raise ValueError(f"vertex count must be in 1..{gf2.MAX_BITS}, got {n}")
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for ln in lines[1:]:
@@ -247,40 +249,37 @@ def _canonical_dfs(n: int, rows: Sequence[int]) -> int:
     """Branch-and-bound search for the minimum edge mask over relabellings
     of the n-vertex graph with adjacency rows `rows`.
 
-    Builds the mask prefix position by position (new vertex k fixes the edge
-    bits towards positions 0..k-1) and prunes branches whose prefix already
-    exceeds the best complete mask found.
+    Builds the mask prefix position by position: the vertex placed at
+    position k fixes the k edge bits towards positions 0..k-1, its *block*.
+    Each free vertex carries its block, and placing a vertex w extends every
+    remaining block by one bit, the free vertex's adjacency to w, so no block
+    is rebuilt from the placed vertices.  A node tries its free vertices in
+    increasing (block, vertex) order.  Increasing blocks are what make the
+    `break` sound: once one child's prefix exceeds the best complete mask
+    found, every later child's does too.  Ties break by vertex number, so
+    the search tree, and with it the node count, depends on nothing but
+    the rows.
     """
     nedge = edge_count(n)
-    best_mask = [None]
+    best = 1 << nedge  # above every mask: nothing is pruned before a leaf
 
-    def descend(assigned: list[int], used: int, prefix: int, bits: int) -> None:
-        k = len(assigned)
-        if k == n:
-            if best_mask[0] is None or prefix < best_mask[0]:
-                best_mask[0] = prefix
+    def descend(free: list[tuple[int, int]], k: int, prefix: int, bits: int) -> None:
+        nonlocal best
+        if not free:
+            best = min(best, prefix)
             return
-        scored = []
-        for w in range(n):
-            if (used >> w) & 1:
-                continue
-            block = 0
-            for t in range(k):
-                block = (block << 1) | ((rows[assigned[t]] >> w) & 1)
-            scored.append((block, w))
-        scored.sort()
-        new_bits = bits + k
-        for block, w in scored:
-            new_prefix = (prefix << k) | block
-            if best_mask[0] is not None:
-                if new_prefix > (best_mask[0] >> (nedge - new_bits)):
-                    break
-            assigned.append(w)
-            descend(assigned, used | (1 << w), new_prefix, new_bits)
-            assigned.pop()
+        free.sort()
+        bits += k
+        for block, w in free:
+            child = (prefix << k) | block
+            if child > best >> (nedge - bits):
+                break
+            row = rows[w]
+            descend([((b << 1) | ((row >> v) & 1), v) for b, v in free if v != w],
+                    k + 1, child, bits)
 
-    descend([], 0, 0, 0)
-    return best_mask[0]
+    descend([(0, v) for v in range(n)], 0, 0, 0)
+    return best
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -288,8 +287,6 @@ def canonical_form(g: Graph) -> CanonicalForm:
     n = g.n
     if n > MAX_CANONICAL_N:
         raise ValueError(f"canonical_form supports n <= {MAX_CANONICAL_N}")
-    if n == 1:
-        return CanonicalForm(1, 0)
     return CanonicalForm(n, _canonical_dfs(n, g.rows))
 
 

@@ -365,7 +365,7 @@ def _load_checkpoint(path: Path, job: SearchJob) -> dict[int, GraphRecord]:
                     end = 0
                 if end != len(text) - 1:
                     obj = json.loads(text)
-            except ValueError as exc:  # not UTF-8, or not JSON
+            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
                 raise ValueError(f"checkpoint line {lineno} cannot be decoded") from exc
             if lineno == 1:
                 if type(obj) is not dict or "job" not in obj:

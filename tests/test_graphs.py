@@ -123,6 +123,13 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             parse_graph_file("n 3\n1 0\n")
 
+    def test_vertex_count_is_bounded_before_rows_are_built(self):
+        # no command takes more than gf2.MAX_BITS vertices
+        for text in ("n 0\n", "n -1\n", "n 25\n"):
+            with pytest.raises(ValueError, match="vertex count must be in 1..24"):
+                parse_graph_file(text)
+        assert parse_graph_file("n 24\n0 23\n") == Graph.from_edges(24, [(0, 23)])
+
 
 class TestEnumeration:
     def test_labelled_counts(self):
@@ -274,6 +281,7 @@ class TestCanonicalForm:
         g = Graph.empty(4)
         cf = canonical_form(g)
         assert cf.mask == 0
+        assert canonical_form(Graph.empty(1)) == CanonicalForm(1, 0)
 
     def test_path_relabellings_share_label(self):
         a = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -301,6 +309,21 @@ class TestCanonicalForm:
         for _ in range(25):
             g = random_graph(5, rng)
             assert canonical_form(g).mask == brute_force_label(g)
+
+    def test_dfs_is_the_least_image_n8(self):
+        # at n=8 the DFS labels every LC neighbour; check it against the
+        # definition, the least of the graph's 40,320 images, for the empty,
+        # complete and ring graphs, sparse and dense ones, and uniform ones
+        weights = _perm_weights(8)
+        rng = random.Random(8)
+        full = (1 << edge_count(8)) - 1
+        masks = [0, full, Graph.ring(8).mask()]
+        for k in (1, 2, 3, 5, 23, 25, 26, 27):
+            masks.append(sum(1 << b for b in rng.sample(range(edge_count(8)), k)))
+        masks += [rng.randrange(full) for _ in range(9)]
+        for mask in masks:
+            images = weights[[b for b in range(edge_count(8)) if (mask >> b) & 1]].sum(axis=0)
+            assert _canonical_dfs(8, Graph.from_mask(8, mask).rows) == int(images.min()), mask
 
     def test_large_n_uses_dfs_path(self):
         # n=9 exceeds the permutation-table range, exercising the search path

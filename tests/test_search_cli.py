@@ -1105,6 +1105,19 @@ class TestCheckpointDecode:
             cwskit.search._load_checkpoint(ck, DECODE_JOB)
         assert ck.read_bytes() == data
 
+    @pytest.mark.parametrize("deep", [b"[" * 100000, b'{"a": ' * 100000],
+                             ids=["array", "object"])
+    def test_a_line_nested_too_deep_does_not_decode(self, tmp_path: Path, deep):
+        # the JSON scanner raises RecursionError on it, not ValueError
+        ck = tmp_path / "deep.ckpt"
+        record = DECODE_RECORD.replace(b"[0, 6]", b"null") + b"\n"
+        for lineno, data in [(1, deep + b"\n" + record),
+                             (3, DECODE_HEADER + b"\n" + record + deep + b"\n")]:
+            ck.write_bytes(data)
+            with pytest.raises(ValueError, match=f"^checkpoint line {lineno} cannot be decoded$"):
+                cwskit.search._load_checkpoint(ck, DECODE_JOB)
+            assert ck.read_bytes() == data
+
     def test_written_lines_take_the_reused_decoder(self, complete_n4_checkpoint, monkeypatch):
         # every line a search writes, the header too, is decoded by the
         # scanner, without json.loads
