@@ -3,7 +3,8 @@
 
 Each case returns ``(name, fn, fn)``: the same callable twice, the tuple
 shape that ``perfbench/kernels.py`` unpacks.  The branch-and-bound cases
-also print nodes/s.
+also print nodes/s.  ``bench_record_path`` alone returns another callable
+second, the run it is measured against, and prints the difference.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeat N]
 """
@@ -208,6 +209,21 @@ def bench_resume_witness(repeat: int):
     return "resume witness (ring9 d=3 file, complete checkpoint)", fn, fn
 
 
+def bench_record_path(repeat: int):
+    """The checkpoint's share of the per-record path: the n=5 d=2 `all`
+    sweep writing a fresh checkpoint in a temporary directory, less the
+    same sweep without one."""
+    job = SearchJob(n=5, d=2, graph_source="all")
+    tmp = tempfile.TemporaryDirectory()  # removed once `fn` is collected
+
+    def fn():
+        ck = Path(tmp.name) / "sweep5.ckpt"
+        ck.unlink(missing_ok=True)
+        return run_search(job, checkpoint=ck)
+
+    return "record path, checkpointed run less plain (n=5 d=2 all)", fn, lambda: run_search(job)
+
+
 # The cases `main` times, in order.
 BENCHES = [
     bench_cl_patterns,
@@ -224,6 +240,7 @@ BENCHES = [
     bench_checkpoint_verify_n7,
     bench_checkpoint_load,
     bench_resume_witness,
+    bench_record_path,
 ]
 
 
@@ -234,8 +251,10 @@ def main() -> None:
 
     print(f"{'kernel':<55} {'time':>10}")
     for bench in BENCHES:
-        name, fn, _same = bench(args.repeat)
+        name, fn, base = bench(args.repeat)
         t = timeit(fn, args.repeat)
+        if base is not fn:
+            t -= timeit(base, args.repeat)
         line = f"{name:<55} {t * 1e3:>8.2f}ms"
         if bench in (bench_bnb, bench_bnb_ring10, bench_bnb_ring11, bench_bnb_ring9):
             nodes = fn()[2]

@@ -9,7 +9,6 @@ cliques through vertex 0, which is adjacent to everything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -24,8 +23,7 @@ MAX_MATERIALIZED_VERTICES = 1 << 16
 MAX_EXACT_VERTICES = 4096
 
 
-@dataclass(frozen=True)
-class Clique:
+class Clique(NamedTuple):
     """Vertex indices into a CliqueGraph, ascending."""
 
     members: tuple[int, ...]
@@ -47,11 +45,13 @@ class CliqueGraph:
     tree is the one the low-bit-first order gives, node for node.
 
     Built by `make_cws_clique_graph`, whose vertices ascend from 0^n and
-    whose vertex 0 is adjacent to every other vertex."""
+    whose vertex 0 is adjacent to every other vertex.  `vertices` holds the
+    vertices' words as an array, `words` the same words as Python ints."""
 
     def __init__(self, n: int, vertices: np.ndarray, conflicts: list[int]) -> None:
         self.n = n
         self.vertices = vertices
+        self.words = vertices.tolist()
         self.conflicts = conflicts
         self.size = len(conflicts) - 1
 
@@ -67,8 +67,9 @@ class CliqueGraph:
         return i != j and not (self.conflicts[self.size - i] >> (self.size - 1 - j)) & 1
 
     def codewords(self, clique: Clique) -> tuple[int, ...]:
-        """The member words of a clique, as ints."""
-        return tuple(self.vertices.take(clique.members).tolist())
+        """The member words of a clique, as Python ints."""
+        words = self.words
+        return tuple([words[i] for i in clique.members])
 
     def dump(self) -> str:
         """Each row as hex little-endian uint64 words, ceil(m/64) of them,

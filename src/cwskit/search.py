@@ -122,8 +122,10 @@ class GraphRecord(NamedTuple):
     def checkpoint_line(self) -> str:
         """The record as one JSON checkpoint line, without its newline: the
         bytes `json.dumps` gives for the dict of keys raw_mask, canon_mask,
-        m, bestK, status and code (a list, or null), formatted directly."""
-        code = "null" if self.code is None else f"[{', '.join(map(str, self.code))}]"
+        m, bestK, status and code (a list, or null), formatted directly.
+        The repr of a list of Python ints is its JSON, so the code's words
+        must be Python ints (a NumPy integer's repr is not)."""
+        code = "null" if self.code is None else list(self.code)
         return (
             f'{{"raw_mask": {self.raw_mask}, "canon_mask": {self.canon_mask}, '
             f'"m": {self.m}, "bestK": {self.best_k}, "status": "{self.status}", '
@@ -215,28 +217,15 @@ def _process_chunk(masks: list[int]) -> list[tuple[int, GraphRecord]]:
 def _process_mask(mask: int, canon: int, cg: CliqueGraph) -> tuple[int, GraphRecord]:
     """(B&B nodes, record) of one graph; the nodes never reach the checkpoint."""
     job: SearchJob = _W["job"]
-    target_k = job.target_k
-    code: tuple[int, ...] | None = None
-
-    if target_k is None:
+    if job.target_k is None:
         res = max_clique(cg, job.budget)
-        best_k, nodes = res.clique.size, res.nodes
-        status = "exact" if res.exact else "bound"
-        code = cg.codewords(res.clique)
-    else:
-        res = find_clique_of_size(cg, target_k, job.budget)
-        nodes = res.nodes
-        if res.found:
-            best_k, status = target_k, "exact"
-            code = cg.codewords(res.clique)
-        else:
-            best_k = res.best_size
-            status = "exact" if res.exhausted else "bound"
-
-    return nodes, GraphRecord(
-        n=job.n, canon_mask=canon, raw_mask=mask, m=cg.size,
-        best_k=best_k, status=status, code=code,
-    )
+        clique, best_k, exact = res.clique, res.clique.size, res.exact
+    else:  # a found clique has best_size (the target K) words, and is exact
+        res = find_clique_of_size(cg, job.target_k, job.budget)
+        clique, best_k, exact = res.clique, res.best_size, res.found or res.exhausted
+    code = None if clique is None else cg.codewords(clique)
+    status = "exact" if exact else "bound"
+    return res.nodes, GraphRecord(job.n, canon, mask, cg.size, best_k, status, code)
 
 
 def _witness(job: SearchJob, rec: GraphRecord, nodes: int | None) -> CWSCode:
@@ -265,6 +254,14 @@ def _witness(job: SearchJob, rec: GraphRecord, nodes: int | None) -> CWSCode:
 
 
 # ---------------------------------------------------------------------------
+
+def _append(f, line: str) -> None:
+    """Append `line` and its newline to the unbuffered file `f`, in one raw
+    write unless the system writes less than asked, when the rest follows."""
+    data = (line + "\n").encode()
+    while data:
+        data = data[f.write(data) :]
+
 
 def _graph_masks(job: SearchJob) -> list[int]:
     if job.graph_source == "file":
@@ -433,29 +430,30 @@ def run_search(
 
     ck_handle = None
     if checkpoint:
-        ck_handle = open(checkpoint, "a", buffering=1)  # line-buffered: no lost records
+        # unbuffered: each record is in the file once its line is appended
+        ck_handle = open(checkpoint, "ab", buffering=0)
         if ck_handle.tell() == 0:
-            ck_handle.write(json.dumps({"job": job.fingerprint()}) + "\n")
+            _append(ck_handle, json.dumps({"job": job.fingerprint()}))
 
-    # the witness candidate: of the records with a code, the one with the
-    # most words, then the lowest sort key; with its B&B nodes, or None for
-    # a record replayed from the checkpoint
-    def rank(rec: GraphRecord) -> tuple[int, int, int]:
-        return (-rec.best_k, rec.canon_mask, rec.raw_mask)
-
-    candidate = min((r for r in records if r.code is not None), key=rank, default=None)
+    # the witness candidate: of the records with a code, one with the most
+    # words, `top`, then the least in record order (n, canon_mask, raw_mask,
+    # with raw masks unique); with its B&B nodes, or None for a record
+    # replayed from the checkpoint.  `top` is 0 while there is none.
+    top = max((r.best_k for r in records if r.code is not None), default=0)
+    candidate = min((r for r in records if r.best_k == top and r.code is not None), default=None)
     candidate_nodes = None
 
     solve_start = time.monotonic()
 
     def consume(stream) -> None:
-        nonlocal candidate, candidate_nodes
+        nonlocal candidate, candidate_nodes, top
         for idx, (nodes, rec) in enumerate(stream):
             records.append(rec)
-            if rec.code is not None and (candidate is None or rank(rec) < rank(candidate)):
-                candidate, candidate_nodes = rec, nodes
+            k = rec.best_k
+            if k >= top and rec.code is not None and (k > top or rec < candidate):
+                candidate, candidate_nodes, top = rec, nodes, k
             if ck_handle:
-                ck_handle.write(rec.checkpoint_line() + "\n")
+                _append(ck_handle, rec.checkpoint_line())
             if progress and (idx + 1) % PROGRESS_EVERY == 0:
                 rate = (idx + 1) / max(time.monotonic() - solve_start, 1e-9)
                 eta = (len(pending) - idx - 1) / rate

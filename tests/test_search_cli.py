@@ -3,6 +3,7 @@ import itertools
 import json
 import multiprocessing as mp
 import os
+import random
 import re
 import subprocess
 import sys
@@ -471,6 +472,43 @@ class TestCheckpoint:
                 "bestK": rec.best_k, "status": rec.status, "code": code,
             })
 
+    def test_checkpoint_line_of_sampled_records(self):
+        # the shapes a search stores: no code, one word and up to 64 words,
+        # masks up to 2^45 - 1 (n=10 `file` graphs), bestK up to 4,096
+        rng = random.Random(39)
+        top = (1 << 45) - 1
+        for i in range(3000):
+            size = [None, 1, 64, rng.randrange(2, 64)][i % 4]
+            code = None if size is None else tuple(
+                [0] + sorted(rng.sample(range(1, 1 << 10), size - 1))
+            )
+            rec = GraphRecord(
+                n=10, canon_mask=rng.choice([0, top, rng.randrange(top)]),
+                raw_mask=rng.choice([0, top, rng.randrange(top)]),
+                m=rng.randrange(1, 4097), best_k=rng.choice([1, 4096, rng.randrange(1, 4097)]),
+                status=rng.choice(["exact", "bound"]), code=code,
+            )
+            assert rec.checkpoint_line() == json.dumps({
+                "raw_mask": rec.raw_mask, "canon_mask": rec.canon_mask, "m": rec.m,
+                "bestK": rec.best_k, "status": rec.status,
+                "code": None if code is None else list(code),
+            })
+
+    @pytest.mark.parametrize(
+        "job",
+        [
+            SearchJob(n=4, d=2, graph_source="all"),  # max_clique
+            SearchJob(n=4, d=2, target_k=4, graph_source="all"),  # find_clique_of_size
+            SearchJob(n=4, d=2, target_k=1, graph_source="iso"),  # its one-word answer
+        ],
+        ids=["n4-d2-all", "n4-d2-k4-all", "n4-d2-k1-iso"],
+    )
+    def test_record_codes_hold_python_ints(self, job):
+        # checkpoint_line formats a code by its list's repr, which is JSON
+        # only for Python ints: a NumPy integer prints as np.int64(3)
+        words = [w for r in run_search(job).records if r.code for w in r.code]
+        assert words and all(type(w) is int for w in words)
+
     def test_checkpoint_torn_line_ignored(self, tmp_path: Path):
         job = SearchJob(n=3, d=2, graph_source="iso")
         ck = tmp_path / "torn.ckpt"
@@ -508,6 +546,55 @@ class TestCheckpoint:
         monkeypatch.setattr(cwskit.search, "_process_mask", checked)
         res = run_search(job, checkpoint=ck)
         assert len(calls) == res.total_graphs == 64
+
+    def test_code_less_records_on_disk_before_next_graph(self, tmp_path: Path, monkeypatch):
+        # the same promise where every record stores "code": null: at n=4
+        # d=3 no graph reaches K=3
+        job = SearchJob(n=4, d=3, target_k=3, graph_source="all")
+        ck = tmp_path / "live.ckpt"
+        process = cwskit.search._process_mask
+        calls = []
+
+        def checked(mask, *args):
+            on_disk = ck.read_text().splitlines()
+            assert len(on_disk) == 1 + len(calls)
+            calls.append(mask)
+            return process(mask, *args)
+
+        monkeypatch.setattr(cwskit.search, "_process_mask", checked)
+        res = run_search(job, checkpoint=ck)
+        assert len(calls) == res.total_graphs == 64
+        records = ck.read_text().splitlines()[1:]
+        assert len(records) == 64 and all(json.loads(ln)["code"] is None for ln in records)
+
+    def test_short_writes_never_tear_a_line(self, tmp_path: Path, monkeypatch):
+        # the system may write fewer bytes than asked; the rest of the line
+        # must follow before the next one starts
+        job = SearchJob(n=4, d=2, graph_source="all")
+        plain = tmp_path / "plain.ckpt"
+        full = run_search(job, checkpoint=plain)
+        asked = []
+
+        def opened(file, mode="r", *args, **kwargs):
+            f = open(file, mode, *args, **kwargs)
+            if "a" in mode:  # the checkpoint's append handle, down to its raw file
+                raw = getattr(getattr(f, "buffer", f), "raw", f)
+                write = raw.write
+
+                def short(data):
+                    asked.append(len(data))
+                    return write(data[:7])
+
+                raw.write = short
+            return f
+
+        monkeypatch.setattr(cwskit.search, "open", opened, raising=False)
+        ck = tmp_path / "short.ckpt"
+        assert render_result(run_search(job, checkpoint=ck)) == render_result(full)
+        assert max(asked) > 7 and ck.read_bytes() == plain.read_bytes()
+        resumed = run_search(job, checkpoint=ck)
+        assert render_result(resumed) == render_result(full)
+        assert resumed.witness == full.witness and ck.read_bytes() == plain.read_bytes()
 
     @pytest.mark.parametrize("kept, refine", [(64, True), (7, True), (64, False)])
     def test_resume_gives_the_same_witness(self, tmp_path: Path, kept, refine):
