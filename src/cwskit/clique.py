@@ -9,6 +9,7 @@ cliques through vertex 0, which is adjacent to everything.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -45,15 +46,19 @@ class CliqueGraph:
     tree is the one the low-bit-first order gives, node for node.
 
     Built by `make_cws_clique_graph`, whose vertices ascend from 0^n and
-    whose vertex 0 is adjacent to every other vertex.  `vertices` holds the
-    vertices' words as an array, `words` the same words as Python ints."""
+    whose vertex 0 is adjacent to every other vertex.  `words` holds the
+    vertices' words as Python ints, `vertices` the same words as an array,
+    made on its first read."""
 
-    def __init__(self, n: int, vertices: np.ndarray, conflicts: list[int]) -> None:
+    def __init__(self, n: int, words: list[int], conflicts: list[int]) -> None:
         self.n = n
-        self.vertices = vertices
-        self.words = vertices.tolist()
+        self.words = words
         self.conflicts = conflicts
         self.size = len(conflicts) - 1
+
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        return np.array(self.words, dtype=np.intp)
 
     @property
     def rows(self) -> list[int]:
@@ -86,8 +91,9 @@ def clique_graphs(n: int, cl: np.ndarray, d: np.ndarray) -> Iterator[CliqueGraph
     compatibility edges.
 
     The vertices of every graph come from one stable argsort; the conflict
-    masks take one ``kernels.clique_conflicts`` call per vertex count m.
-    Each CliqueGraph is made only when the iterator reaches it."""
+    masks take one ``kernels.clique_conflicts`` call and the word lists one
+    ``tolist`` per vertex count m.  Each CliqueGraph is made only when the
+    iterator reaches it."""
     if n > MAX_INDEX_SPACE_N:
         raise ValueError(
             f"clique graphs are materialised only up to n={MAX_INDEX_SPACE_N}"
@@ -102,15 +108,15 @@ def clique_graphs(n: int, cl: np.ndarray, d: np.ndarray) -> Iterator[CliqueGraph
         )
     # each row: its vertices ascending, then the other words
     order = np.argsort(~ok, axis=1, kind="stable")
-    vertices: list = [None] * len(sizes)
+    words: list = [None] * len(sizes)
     conflicts: list = [None] * len(sizes)
     for m in np.unique(sizes).tolist():
         group = np.flatnonzero(sizes == m)
         verts = order[group, :m]
         masks = kernels.clique_conflicts(verts, cl[group])
-        for r, v, mask in zip(group.tolist(), verts, masks):
-            vertices[r], conflicts[r] = v, mask
-    return (CliqueGraph(n, v, mask) for v, mask in zip(vertices, conflicts))
+        for r, w, mask in zip(group.tolist(), verts.tolist(), masks):
+            words[r], conflicts[r] = w, mask
+    return (CliqueGraph(n, w, mask) for w, mask in zip(words, conflicts))
 
 
 def make_cws_clique_graph(arrays: ClArrays) -> CliqueGraph:
@@ -146,13 +152,36 @@ def _bnb_clique(
     return kernels.bnb_clique(cg.conflicts, cg.size, cand, stop_at, budget)
 
 
-def max_clique(cg: CliqueGraph, budget: int = -1) -> CliqueSearchResult:
-    """A maximum clique containing vertex 0; exact unless the budget runs out.
+def solve(
+    cg: CliqueGraph, target_k: int | None = None, budget: int = -1
+) -> tuple[int, list[int] | None, int, bool]:
+    """(best K, member ids, B&B nodes, exhausted) of one branch and bound
+    through vertex 0: the one solve behind `max_clique` and
+    `find_clique_of_size`, in plain values.
 
-    One branch and bound: the members are whichever maximum clique through 0
-    it meets first, not a canonical choice (see `lex_min_clique`)."""
-    _size, members, nodes, exhausted = _bnb_clique(cg, (1 << (cg.size - 1)) - 1, 0, budget)
-    return CliqueSearchResult(Clique(tuple(sorted([0] + members))), exhausted, nodes)
+    With no target: a maximum clique, exact when exhausted; the members are
+    whichever maximum clique the search meets first, not a canonical choice
+    (see `lex_min_clique`).  With a target K: a clique of exactly K members,
+    or, when none is met, no members and the size of the largest clique
+    seen (the true maximum when exhausted; a target above the vertex count
+    simply exhausts without reaching it).  Member ids ascend."""
+    if target_k is not None:
+        if target_k < 1:
+            raise ValueError("clique size must be at least 1")
+        if target_k == 1:
+            return 1, [0], 0, True
+    stop_at = 0 if target_k is None else target_k - 1
+    size, members, nodes, exhausted = _bnb_clique(cg, (1 << (cg.size - 1)) - 1, stop_at, budget)
+    if size < stop_at:
+        return size + 1, None, nodes, exhausted
+    members = sorted(members)[: stop_at or None]  # ids above 0, vertex 0 not a candidate
+    return len(members) + 1, [0, *members], nodes, exhausted
+
+
+def max_clique(cg: CliqueGraph, budget: int = -1) -> CliqueSearchResult:
+    """A maximum clique containing vertex 0; `solve` with no target."""
+    _best, members, nodes, exhausted = solve(cg, None, budget)
+    return CliqueSearchResult(Clique(tuple(members)), exhausted, nodes)
 
 
 def lex_min_clique(
@@ -198,19 +227,11 @@ def lex_min_clique(
 
 
 def find_clique_of_size(cg: CliqueGraph, k: int, budget: int = -1) -> FixedSizeResult:
-    """A clique of size exactly k containing vertex 0, or proven absence.
-
-    On absence with an exhausted search, best_size is the true maximum (a
-    target above the vertex count simply exhausts without reaching it)."""
-    if k < 1:
-        raise ValueError("clique size must be at least 1")
-    if k == 1:
-        return FixedSizeResult(Clique((0,)), True, 0, 1)
-    size, members, nodes, exhausted = _bnb_clique(cg, (1 << (cg.size - 1)) - 1, k - 1, budget)
-    if size >= k - 1:
-        picked = tuple(sorted([0] + sorted(members)[: k - 1]))
-        return FixedSizeResult(Clique(picked), exhausted, nodes, k)
-    return FixedSizeResult(None, exhausted, nodes, size + 1)
+    """A clique of size exactly k containing vertex 0, or proven absence;
+    `solve` with target k."""
+    best, members, nodes, exhausted = solve(cg, k, budget)
+    clique = None if members is None else Clique(tuple(members))
+    return FixedSizeResult(clique, exhausted, nodes, best)
 
 
 def cws_maxclique(errors: ErrorSet, g: Graph) -> ClassicalCode:

@@ -22,10 +22,10 @@ from .clique import (
     CliqueGraph,
     CliqueSearchResult,
     clique_graphs,
-    find_clique_of_size,
     lex_min_clique,
     make_cws_clique_graph,
     max_clique,
+    solve,
 )
 from .errormap import error_set, setup, setup_table
 from .gf2 import ClassicalCode
@@ -217,15 +217,14 @@ def _process_chunk(masks: list[int]) -> list[tuple[int, GraphRecord]]:
 def _process_mask(mask: int, canon: int, cg: CliqueGraph) -> tuple[int, GraphRecord]:
     """(B&B nodes, record) of one graph; the nodes never reach the checkpoint."""
     job: SearchJob = _W["job"]
-    if job.target_k is None:
-        res = max_clique(cg, job.budget)
-        clique, best_k, exact = res.clique, res.clique.size, res.exact
-    else:  # a found clique has best_size (the target K) words, and is exact
-        res = find_clique_of_size(cg, job.target_k, job.budget)
-        clique, best_k, exact = res.clique, res.best_size, res.found or res.exhausted
-    code = None if clique is None else cg.codewords(clique)
-    status = "exact" if exact else "bound"
-    return res.nodes, GraphRecord(job.n, canon, mask, cg.size, best_k, status, code)
+    best_k, members, nodes, exhausted = solve(cg, job.target_k, job.budget)
+    if members is None:
+        code, status = None, "exact" if exhausted else "bound"
+    else:  # a found target K is exact, however early its search stopped
+        words = cg.words
+        code = tuple([words[i] for i in members])
+        status = "exact" if exhausted or job.target_k is not None else "bound"
+    return nodes, GraphRecord(job.n, canon, mask, cg.size, best_k, status, code)
 
 
 def _witness(job: SearchJob, rec: GraphRecord, nodes: int | None) -> CWSCode:
@@ -246,8 +245,8 @@ def _witness(job: SearchJob, rec: GraphRecord, nodes: int | None) -> CWSCode:
         if nodes is None and job.budget >= 0:
             res = max_clique(cg, job.budget)
         else:
-            members = tuple(int(i) for i in cg.vertices.searchsorted(words))
-            res = CliqueSearchResult(Clique(members), True, nodes or 0)
+            index = {w: i for i, w in enumerate(cg.words)}
+            res = CliqueSearchResult(Clique(tuple([index[w] for w in words])), True, nodes or 0)
         res = lex_min_clique(cg, res, job.budget)
         words = cg.codewords(res.clique)
     return CWSCode(g, ClassicalCode.from_ints(job.n, words))

@@ -113,7 +113,7 @@ def test_criterion_05_detection_oracle_agreement():
             res = max_clique(cg)
             assert res.exact
             code = ClassicalCode.from_ints(
-                n, sorted(int(cg.vertices[i]) for i in res.clique.members)
+                n, sorted(cg.words[i] for i in res.clique.members)
             )
             q = CWSCode(g, code)
             assert detection_check(q, errs).detects
@@ -143,7 +143,7 @@ def test_criterion_06_three_word_codes_extend():
                 for j in range(i + 1, cg.size):
                     if not cg.has_edge(i, j):
                         continue
-                    c2, c3 = int(cg.vertices[i]), int(cg.vertices[j])
+                    c2, c3 = cg.words[i], cg.words[j]
                     q = CWSCode(g, ClassicalCode.from_ints(n, sorted([0, c2, c3])))
                     assert detection_check(q, errs).detects
                     out = extend_dim3_to_dim4(q, errs)
@@ -169,7 +169,7 @@ def test_criterion_07_linear_subcode_doubling():
         errs = error_set(n, d)
         cg = make_cws_clique_graph(setup(errs, g))
         res = max_clique(cg)
-        values = sorted(int(cg.vertices[i]) for i in res.clique.members)
+        values = sorted(cg.words[i] for i in res.clique.members)
         if len(values) < 2:
             continue
         q = CWSCode(g, ClassicalCode.from_ints(n, values))

@@ -8,6 +8,7 @@ import pytest
 from conftest import random_graph, reversed_bits
 from cwskit import kernels
 from cwskit.clique import (
+    Clique,
     CliqueGraph,
     clique_graphs,
     cws_maxclique,
@@ -15,10 +16,12 @@ from cwskit.clique import (
     lex_min_clique,
     make_cws_clique_graph,
     max_clique,
+    solve,
 )
 from cwskit.errormap import ClArrays, cl_map, error_set, setup, setup_table
 from cwskit.graphs import Graph, edge_count, rows_table
-from cwskit.search import BUILD_CHUNK
+import cwskit.search
+from cwskit.search import BUILD_CHUNK, GraphRecord, SearchJob
 from cwskit.verify import CWSCode, detection_check, kl_oracle
 
 
@@ -54,7 +57,7 @@ def brute_force_max_clique(cg: CliqueGraph) -> tuple[int, tuple[int, ...]]:
     witnesses = []
     for mask in np.flatnonzero(sizes == best):
         members = tuple(i for i in range(m) if (int(mask) >> i) & 1)
-        witnesses.append(tuple(sorted(int(cg.vertices[i]) for i in members)))
+        witnesses.append(tuple(sorted(cg.words[i] for i in members)))
     return best, min(witnesses)
 
 
@@ -63,7 +66,7 @@ class TestMakeCliqueGraph:
         g = Graph.from_edges(2, [(0, 1)])
         cg = make_cws_clique_graph(setup(error_set(2, 2), g))
         assert cg.size == 1
-        assert list(cg.vertices) == [0]
+        assert cg.words == [0]
         res = max_clique(cg)
         assert res.clique.members == (0,) and res.exact
 
@@ -93,7 +96,7 @@ class TestMakeCliqueGraph:
         rng = random.Random(0)
         for _ in range(20):
             cg = make_cws_clique_graph(random_cl_arrays(3, rng))
-            assert cg.vertices[0] == 0
+            assert cg.words[0] == 0
 
     def test_edges_respect_cl(self):
         rng = random.Random(1)
@@ -102,7 +105,7 @@ class TestMakeCliqueGraph:
             cg = make_cws_clique_graph(arrays)
             for i in range(cg.size):
                 for j in range(i + 1, cg.size):
-                    expect = not arrays.cl[int(cg.vertices[i]) ^ int(cg.vertices[j])]
+                    expect = not arrays.cl[cg.words[i] ^ cg.words[j]]
                     assert cg.has_edge(i, j) == expect
 
     @pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65])
@@ -117,11 +120,11 @@ class TestMakeCliqueGraph:
         d = np.ones(1 << n, dtype=bool)
         d[words] = False
         cg = make_cws_clique_graph(arrays_from_bools(n, cl, d))
-        assert cg.size == m and sorted(cg.vertices) == sorted(words)
+        assert cg.size == m and sorted(cg.words) == sorted(words)
         for i in range(m):
             expect = 0
             for j in range(m):
-                edge = i != j and not cl[int(cg.vertices[i]) ^ int(cg.vertices[j])]
+                edge = i != j and not cl[cg.words[i] ^ cg.words[j]]
                 assert cg.has_edge(i, j) == edge
                 expect |= edge << (m - 1 - j)
             assert cg.rows[i] == expect
@@ -143,7 +146,7 @@ class TestMakeCliqueGraph:
         n = 8
         verts = np.sort(rng.choice(1 << n, m, replace=False))[None]
         cl = rng.random((1, 1 << n)) < 0.4
-        cg = CliqueGraph(n, verts[0], kernels.clique_conflicts(verts, cl)[0])
+        cg = CliqueGraph(n, verts[0].tolist(), kernels.clique_conflicts(verts, cl)[0])
         nbytes = 8 * ((m + 63) >> 6)
         expect = [f"vertices={m}"] + [
             int(format(row, f"0{m}b")[::-1], 2).to_bytes(nbytes, "little").hex()
@@ -312,7 +315,7 @@ class TestMaxClique:
             cg = make_cws_clique_graph(random_cl_arrays(4, rng))
             res = lex_min_clique(cg, max_clique(cg))
             _best, witness = brute_force_max_clique(cg)
-            got = tuple(sorted(int(cg.vertices[i]) for i in res.clique.members))
+            got = tuple(sorted(cg.words[i] for i in res.clique.members))
             assert got == witness
 
     def test_ring9_d3_pinned(self):
@@ -324,7 +327,7 @@ class TestMaxClique:
         assert plain.clique.size == 12
         res = lex_min_clique(cg, plain)
         assert res.exact and res.nodes == 5416
-        words = sorted(int(cg.vertices[i]) for i in res.clique.members)
+        words = sorted(cg.words[i] for i in res.clique.members)
         assert words == [0, 35, 70, 146, 177, 212, 313, 350, 367, 427, 460, 509]
 
     def test_one_vertex_graph_builds_no_tables(self):
@@ -396,9 +399,9 @@ class TestMaxClique:
                 continue
             cg = make_cws_clique_graph(arrays)
             res = max_clique(cg)
-            words = [int(cg.vertices[i]) for i in res.clique.members]
-            admissible = set(int(v) for v in cg.vertices)
-            index_of = {int(v): i for i, v in enumerate(cg.vertices)}
+            words = [cg.words[i] for i in res.clique.members]
+            admissible = set(cg.words)
+            index_of = {v: i for i, v in enumerate(cg.words)}
             for c in words:
                 translated = [w ^ c for w in words]
                 assert set(translated) <= admissible
@@ -444,6 +447,109 @@ class TestFindCliqueOfSize:
         res = find_clique_of_size(cg, 13)
         assert not res.found and res.exhausted
         assert res.nodes == 4566 and res.best_size == 12
+
+
+def old_max_clique(cg: CliqueGraph, budget: int) -> tuple:
+    """`max_clique` then `codewords`, as they were before `solve`: (members,
+    exact, nodes, words), the words read from the vertex array."""
+    m = cg.size
+    _size, members, nodes, exhausted = kernels.bnb_clique(
+        cg.conflicts, m, (1 << (m - 1)) - 1, 0, budget
+    )
+    members = tuple(sorted([0] + members))
+    return members, exhausted, nodes, tuple(int(cg.vertices[i]) for i in members)
+
+
+def old_find_clique_of_size(cg: CliqueGraph, k: int, budget: int) -> tuple:
+    """`find_clique_of_size` as it was before `solve`: (members or None,
+    exhausted, nodes, best size)."""
+    if k == 1:
+        return (0,), True, 0, 1
+    m = cg.size
+    size, members, nodes, exhausted = kernels.bnb_clique(
+        cg.conflicts, m, (1 << (m - 1)) - 1, k - 1, budget
+    )
+    if size >= k - 1:
+        return tuple(sorted([0] + sorted(members)[: k - 1])), exhausted, nodes, k
+    return None, exhausted, nodes, size + 1
+
+
+def old_process_mask(job: SearchJob, mask: int, cg: CliqueGraph) -> tuple:
+    """`search._process_mask` as it was before `solve`, canon = raw mask."""
+    if job.target_k is None:
+        members, exact, nodes, code = old_max_clique(cg, job.budget)
+        best_k = len(members)
+    else:
+        members, exhausted, nodes, best_k = old_find_clique_of_size(cg, job.target_k, job.budget)
+        exact = members is not None or exhausted
+        code = None if members is None else tuple(int(cg.vertices[i]) for i in members)
+    status = "exact" if exact else "bound"
+    return nodes, GraphRecord(job.n, mask, mask, cg.size, best_k, status, code)
+
+
+def solve_instances(name: str) -> list[tuple[int, int, int, CliqueGraph]]:
+    """(n, d, mask, clique graph) of one instance set of the differential."""
+    if name == "rings":
+        return [
+            (n, 3, Graph.ring(n).mask(), make_cws_clique_graph(setup(error_set(n, 3), Graph.ring(n))))
+            for n in (9, 10)
+        ]
+    n, d = int(name[1]), int(name[3])
+    if n < 6:
+        masks = list(range(1 << edge_count(n)))
+    else:
+        rng = random.Random(40 + d)
+        masks = [rng.randrange(1 << edge_count(n)) for _ in range(200)]
+    errors = error_set(n, d)
+    out = []
+    for lo in range(0, len(masks), BUILD_CHUNK):
+        chunk = masks[lo : lo + BUILD_CHUNK]
+        graphs = clique_graphs(n, *setup_table(errors, rows_table(n, chunk)))
+        out += [(n, d, mask, cg) for mask, cg in zip(chunk, graphs)]
+    return out
+
+
+class TestSolveDifferential:
+    """`solve`, its two wrappers and `search._process_mask` against the
+    solver composition they replace, which called the kernel and the
+    NamedTuple results separately: bests, member ids, words, node counts
+    and exhaustion are identical."""
+
+    BUDGETS = (-1, 0, 1, 57, 10_000)
+
+    @pytest.mark.parametrize("name", ["n4d2", "n5d2", "n5d3", "n6d2", "n6d3", "rings"])
+    def test_solve_matches_the_old_solvers(self, name, monkeypatch):
+        instances = solve_instances(name)
+        bound = found = absent = 0
+        for n, d, mask, cg in instances:
+            assert cg.vertices.tolist() == cg.words and cg.vertices is cg.vertices
+            # ring10 does not exhaust in a test's time: its bestK is that of
+            # the largest budget, and its unlimited budget is left out
+            ring10 = n == 10
+            best_k = len(old_max_clique(cg, 10_000 if ring10 else -1)[0])
+            for budget in self.BUDGETS[ring10:]:
+                members, exact, nodes, words = old_max_clique(cg, budget)
+                bound += not exact
+                assert solve(cg, None, budget) == (len(members), list(members), nodes, exact)
+                assert max_clique(cg, budget) == (Clique(members), exact, nodes)
+                for target in [*sorted({1, 2, best_k, best_k + 1}), None]:
+                    if target is not None:
+                        ref = old_find_clique_of_size(cg, target, budget)
+                        got = solve(cg, target, budget)
+                        ids = None if ref[0] is None else list(ref[0])
+                        assert got == (ref[3], ids, ref[2], ref[1])
+                        clique = None if ref[0] is None else Clique(ref[0])
+                        assert find_clique_of_size(cg, target, budget) == (clique, *ref[1:])
+                        found += ref[0] is not None
+                        absent += ref[0] is None and ref[1]
+                    job = SearchJob(n=n, d=d, target_k=target, budget=budget)
+                    monkeypatch.setitem(cwskit.search._W, "job", job)
+                    got = cwskit.search._process_mask(mask, mask, cg)
+                    assert got == old_process_mask(job, mask, cg)
+                    code = got[1].code
+                    assert code is None or all(type(w) is int for w in code)
+        # every outcome of the solvers occurs in the set
+        assert bound and found and absent
 
 
 class TestCwsMaxclique:

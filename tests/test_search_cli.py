@@ -288,7 +288,7 @@ def lex_smallest_max_clique(cg) -> list[int]:
     for k in range(cg.size - 1, -1, -1):
         for rest in itertools.combinations(range(1, cg.size), k):
             if all(cg.has_edge(a, b) for a, b in itertools.combinations(rest, 2)):
-                return [int(cg.vertices[i]) for i in (0, *rest)]
+                return [cg.words[i] for i in (0, *rest)]
 
 
 class TestGraphMasks:

@@ -108,7 +108,7 @@ def _k3_cliques(g: Graph, d: int):
     for i in range(1, cg.size):
         for j in range(i + 1, cg.size):
             if cg.has_edge(i, j):
-                yield (int(cg.vertices[i]), int(cg.vertices[j]))
+                yield (cg.words[i], cg.words[j])
 
 
 class TestExtendDim3:

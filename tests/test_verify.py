@@ -74,7 +74,7 @@ def detection_instances(rng, per_case: int, max_d: int = 8):
                         if (common >> (top - v)) & 1:
                             members.append(v)
                             common &= cg.rows[v]
-                    words = [int(cg.vertices[i]) for i in members]
+                    words = [cg.words[i] for i in members]
                     if kind == 1 and len(words) < 1 << n:
                         extra = rng.randrange(1, 1 << n)
                         while extra in words:
