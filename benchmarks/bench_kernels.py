@@ -94,7 +94,8 @@ def bench_clique_graphs(repeat: int):
             errors = error_set(n, d)
             for lo in range(0, count, BUILD_CHUNK):
                 chunk = list(range(lo, min(count, lo + BUILD_CHUNK)))
-                list(clique_graphs(n, *setup_table(errors, rows_table(n, chunk))))
+                for _cg in clique_graphs(n, *setup_table(errors, rows_table(n, chunk))):
+                    pass  # each graph is dropped before the next is made
 
     return "batched clique-graph build (n=5 d=2, n=7 d=3; 2x1024)", body, body
 
@@ -182,7 +183,7 @@ def bench_checkpoint_verify_n7(repeat: int):
     codes = []
     for lo in range(0, len(masks), BUILD_CHUNK):
         table = rows_table(n, masks[lo : lo + BUILD_CHUNK])
-        codes += [cg.codewords(max_clique(cg).clique)
+        codes += [tuple([cg.words[i] for i in max_clique(cg).clique.members])
                   for cg in clique_graphs(n, *setup_table(errors, table))]
     fn = lambda: first_failing_code(masks, codes, errors)
     return f"checkpoint verify (n=7 d=3, {len(masks)} degenerate records)", fn, fn

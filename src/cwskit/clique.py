@@ -24,16 +24,6 @@ MAX_MATERIALIZED_VERTICES = 1 << 16
 MAX_EXACT_VERTICES = 4096
 
 
-class Clique(NamedTuple):
-    """Vertex indices into a CliqueGraph, ascending."""
-
-    members: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
 class CliqueGraph:
     """The graph is its conflict masks, the one table the branch and bound
     colours and branches on (`kernels.clique_conflicts`): conflicts[m - i]
@@ -70,11 +60,6 @@ class CliqueGraph:
 
     def has_edge(self, i: int, j: int) -> bool:
         return i != j and not (self.conflicts[self.size - i] >> (self.size - 1 - j)) & 1
-
-    def codewords(self, clique: Clique) -> tuple[int, ...]:
-        """The member words of a clique, as Python ints."""
-        words = self.words
-        return tuple([words[i] for i in clique.members])
 
     def dump(self) -> str:
         """Each row as hex little-endian uint64 words, ceil(m/64) of them,
@@ -124,23 +109,6 @@ def make_cws_clique_graph(arrays: ClArrays) -> CliqueGraph:
     return next(clique_graphs(arrays.n, arrays.cl[None], arrays.d[None]))
 
 
-class CliqueSearchResult(NamedTuple):
-    clique: Clique
-    exact: bool
-    nodes: int
-
-
-class FixedSizeResult(NamedTuple):
-    clique: Clique | None
-    exhausted: bool
-    nodes: int
-    best_size: int  # size of the largest clique seen (exact iff exhausted)
-
-    @property
-    def found(self) -> bool:
-        return self.clique is not None
-
-
 def _bnb_clique(
     cg: CliqueGraph, cand: int, stop_at: int, budget: int
 ) -> tuple[int, list, int, bool]:
@@ -156,8 +124,7 @@ def solve(
     cg: CliqueGraph, target_k: int | None = None, budget: int = -1
 ) -> tuple[int, list[int] | None, int, bool]:
     """(best K, member ids, B&B nodes, exhausted) of one branch and bound
-    through vertex 0: the one solve behind `max_clique` and
-    `find_clique_of_size`, in plain values.
+    through vertex 0, in plain values.
 
     With no target: a maximum clique, exact when exhausted; the members are
     whichever maximum clique the search meets first, not a canonical choice
@@ -178,30 +145,22 @@ def solve(
     return len(members) + 1, [0, *members], nodes, exhausted
 
 
-def max_clique(cg: CliqueGraph, budget: int = -1) -> CliqueSearchResult:
-    """A maximum clique containing vertex 0; `solve` with no target."""
-    _best, members, nodes, exhausted = solve(cg, None, budget)
-    return CliqueSearchResult(Clique(tuple(members)), exhausted, nodes)
-
-
 def lex_min_clique(
-    cg: CliqueGraph, res: CliqueSearchResult, budget: int = -1
-) -> CliqueSearchResult:
-    """The lexicographically smallest maximum clique, given `max_clique`'s
-    exact answer `res` on the same graph and budget.
+    cg: CliqueGraph, size: int, nodes: int = 0, budget: int = -1
+) -> tuple[list[int], int] | None:
+    """(member ids, B&B nodes) of the lexicographically smallest clique of
+    `size` members through vertex 0, where `size` is the graph's exact
+    maximum and `nodes` what `solve` spent finding it, under the same budget.
 
     Greedy: each next member is the smallest candidate that still extends
     to a maximum clique, which costs about one more branch and bound per
-    member; its nodes count against `budget` on top of `res.nodes`.  `res`
-    comes back unchanged when it is not exact, has one member, or the
-    budget dies before the choice is settled."""
-    if not res.exact or res.clique.size == 1:
-        return res
-    nodes = res.nodes
+    member; its nodes count against `budget` on top of `nodes`.  None when
+    the budget dies before the choice is settled, or when no clique of
+    `size` members exists."""
     chosen = [0]
     top = cg.size - 1
     p = (1 << top) - 1  # vertices adjacent to every chosen one
-    remaining = res.clique.size - 1
+    remaining = size - 1
     while remaining > 0:
         q = p
         while q:  # candidates in ascending order: the top bit first
@@ -211,19 +170,66 @@ def lex_min_clique(
             pv = p - (1 << b) - (p & cg.conflicts[b + 1])  # v's neighbours in p
             if remaining > 1:
                 sub_budget = -1 if budget < 0 else max(0, budget - nodes)
-                size, _mem, used, exhausted = _bnb_clique(cg, pv, remaining - 1, sub_budget)
+                found, _mem, used, exhausted = _bnb_clique(cg, pv, remaining - 1, sub_budget)
                 nodes += used
-                if size < remaining - 1:
+                if found < remaining - 1:
                     if not exhausted:
-                        return res  # budget died before the question was settled
+                        return None  # budget died before the question was settled
                     continue
             chosen.append(v)
             p = pv
             remaining -= 1
             break
         else:
-            return res
-    return CliqueSearchResult(Clique(tuple(sorted(chosen))), True, nodes)
+            return None
+    return sorted(chosen), nodes
+
+
+def cws_maxclique(errors: ErrorSet, g: Graph) -> ClassicalCode:
+    """Setup -> clique graph -> exact max clique, returned as a classical code."""
+    cg = make_cws_clique_graph(setup(errors, g))
+    best, _members, nodes, _exhausted = solve(cg)
+    members, _nodes = lex_min_clique(cg, best, nodes)
+    return ClassicalCode.from_ints(g.n, [cg.words[i] for i in members])
+
+
+# The solver's result objects and the wrappers that return them.  Only
+# perfbench/pipeline.py, benchmarks/ and the tests call them; every src/
+# path calls `solve` and `lex_min_clique`.  ROADMAP item 1b, which deletes
+# pipeline.py, deletes these too.
+
+
+class Clique(NamedTuple):
+    """Vertex indices into a CliqueGraph, ascending."""
+
+    members: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+
+class CliqueSearchResult(NamedTuple):
+    clique: Clique
+    exact: bool
+    nodes: int
+
+
+class FixedSizeResult(NamedTuple):
+    clique: Clique | None
+    exhausted: bool
+    nodes: int
+    best_size: int  # size of the largest clique seen (exact iff exhausted)
+
+    @property
+    def found(self) -> bool:
+        return self.clique is not None
+
+
+def max_clique(cg: CliqueGraph, budget: int = -1) -> CliqueSearchResult:
+    """A maximum clique containing vertex 0; `solve` with no target."""
+    _best, members, nodes, exhausted = solve(cg, None, budget)
+    return CliqueSearchResult(Clique(tuple(members)), exhausted, nodes)
 
 
 def find_clique_of_size(cg: CliqueGraph, k: int, budget: int = -1) -> FixedSizeResult:
@@ -232,10 +238,3 @@ def find_clique_of_size(cg: CliqueGraph, k: int, budget: int = -1) -> FixedSizeR
     best, members, nodes, exhausted = solve(cg, k, budget)
     clique = None if members is None else Clique(tuple(members))
     return FixedSizeResult(clique, exhausted, nodes, best)
-
-
-def cws_maxclique(errors: ErrorSet, g: Graph) -> ClassicalCode:
-    """Setup -> clique graph -> exact max clique, returned as a classical code."""
-    cg = make_cws_clique_graph(setup(errors, g))
-    result = lex_min_clique(cg, max_clique(cg))
-    return ClassicalCode.from_ints(g.n, cg.codewords(result.clique))

@@ -17,16 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from .clique import (
-    Clique,
-    CliqueGraph,
-    CliqueSearchResult,
-    clique_graphs,
-    lex_min_clique,
-    make_cws_clique_graph,
-    max_clique,
-    solve,
-)
+from .clique import CliqueGraph, clique_graphs, lex_min_clique, make_cws_clique_graph, solve
 from .errormap import error_set, setup, setup_table
 from .gf2 import ClassicalCode
 from .graphs import (
@@ -233,22 +224,21 @@ def _witness(job: SearchJob, rec: GraphRecord, nodes: int | None) -> CWSCode:
     Records carry the solver's first maximum clique.  For an exactly solved
     max-clique record the witness is the lexicographically smallest one,
     refined here once per search instead of once per graph, from the
-    record's code.  Under a finite budget the solve's nodes bound the
+    record's size.  Under a finite budget the solve's nodes bound the
     refining, so a record replayed from a checkpoint (`nodes` None) is
     solved again first; the solve is deterministic, so the budget left is
-    the same.  Under an unlimited budget the nodes are never read, and the
-    refining starts from the stored code."""
+    the same.  Under an unlimited budget the nodes are never read.  Where
+    the budget dies while refining, the solver's clique is reported."""
     g = Graph.from_mask(job.n, rec.raw_mask)
     words = sorted(rec.code)
     if job.target_k is None and rec.status == "exact":
         cg = make_cws_clique_graph(setup(error_set(job.n, job.d), g))
         if nodes is None and job.budget >= 0:
-            res = max_clique(cg, job.budget)
-        else:
-            index = {w: i for i, w in enumerate(cg.words)}
-            res = CliqueSearchResult(Clique(tuple([index[w] for w in words])), True, nodes or 0)
-        res = lex_min_clique(cg, res, job.budget)
-        words = cg.codewords(res.clique)
+            _best, members, nodes, _exhausted = solve(cg, None, job.budget)
+            words = [cg.words[i] for i in members]
+        refined = lex_min_clique(cg, rec.best_k, nodes or 0, job.budget)
+        if refined is not None:
+            words = [cg.words[i] for i in refined[0]]
     return CWSCode(g, ClassicalCode.from_ints(job.n, words))
 
 

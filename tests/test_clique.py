@@ -313,9 +313,10 @@ class TestMaxClique:
         rng = random.Random(4)
         for _ in range(15):
             cg = make_cws_clique_graph(random_cl_arrays(4, rng))
-            res = lex_min_clique(cg, max_clique(cg))
+            plain = max_clique(cg)
+            members, _nodes = lex_min_clique(cg, plain.clique.size, plain.nodes)
             _best, witness = brute_force_max_clique(cg)
-            got = tuple(sorted(cg.words[i] for i in res.clique.members))
+            got = tuple(sorted(cg.words[i] for i in members))
             assert got == witness
 
     def test_ring9_d3_pinned(self):
@@ -325,9 +326,9 @@ class TestMaxClique:
         plain = max_clique(cg)
         assert cg.size == 269 and plain.exact and plain.nodes == 4566
         assert plain.clique.size == 12
-        res = lex_min_clique(cg, plain)
-        assert res.exact and res.nodes == 5416
-        words = sorted(cg.words[i] for i in res.clique.members)
+        members, nodes = lex_min_clique(cg, plain.clique.size, plain.nodes)
+        assert nodes == 5416
+        words = sorted(cg.words[i] for i in members)
         assert words == [0, 35, 70, 146, 177, 212, 313, 350, 367, 427, 460, 509]
 
     def test_one_vertex_graph_builds_no_tables(self):
@@ -338,7 +339,7 @@ class TestMaxClique:
         for budget in (-1, 0):
             res = max_clique(cg, budget)
             assert (res.clique.members, res.exact, res.nodes) == ((0,), True, 0)
-            assert lex_min_clique(cg, res, budget) is res
+            assert lex_min_clique(cg, res.clique.size, res.nodes, budget) == ([0], 0)
             one = find_clique_of_size(cg, 1, budget)
             assert (one.clique.members, one.exhausted, one.nodes, one.best_size) == ((0,), True, 0, 1)
             for k in (2, 3):
@@ -357,19 +358,51 @@ class TestMaxClique:
         with pytest.raises(ValueError, match=message):
             find_clique_of_size(cg, 2)
         with pytest.raises(ValueError, match=message):
-            lex_min_clique(cg, exact)
+            lex_min_clique(cg, exact.clique.size, exact.nodes)
         assert find_clique_of_size(cg, 1).clique.members == (0,)
 
     def test_refinement_without_an_exact_answer_or_budget_is_a_no_op(self):
         cg = make_cws_clique_graph(setup(error_set(9, 3), Graph.ring(9)))
         bound = max_clique(cg, budget=1000)
         assert not bound.exact
-        assert lex_min_clique(cg, bound, 1000) is bound
+        assert lex_min_clique(cg, bound.clique.size, bound.nodes, 1000) is None
         # 4566 nodes settle the size; the budget dies while refining it
         plain = max_clique(cg, budget=5000)
         assert plain.exact and plain.nodes == 4566
-        assert lex_min_clique(cg, plain, 5000) is plain
-        assert lex_min_clique(cg, plain, 5416).nodes == 5416
+        assert lex_min_clique(cg, plain.clique.size, plain.nodes, 5000) is None
+        assert lex_min_clique(cg, plain.clique.size, plain.nodes, 5416)[1] == 5416
+
+    def test_refinement_above_the_maximum_is_none(self, monkeypatch):
+        # every candidate fails, so the refinement gives up instead of
+        # retrying the same candidates: no more B&B calls than vertices
+        calls = []
+        bnb = cwskit.clique._bnb_clique
+
+        def counted(cg, *args):
+            calls.append(1)
+            if len(calls) > cg.size:
+                raise RuntimeError("the refinement loops")
+            return bnb(cg, *args)
+
+        rng = random.Random(5)
+        graphs = [make_cws_clique_graph(setup(error_set(5, 2), Graph.ring(5)))]
+        graphs += [make_cws_clique_graph(random_cl_arrays(4, rng)) for _ in range(10)]
+        solved = [(cg, *solve(cg)) for cg in graphs]
+        monkeypatch.setattr("cwskit.clique._bnb_clique", counted)
+        for cg, best, _members, nodes, _exhausted in solved:
+            calls.clear()
+            assert lex_min_clique(cg, best + 1, nodes) is None
+
+    def test_refinement_of_one_member_runs_no_branch_and_bound(self, monkeypatch):
+        cg = make_cws_clique_graph(setup(error_set(5, 2), Graph.ring(5)))
+        assert cg.size > 1
+
+        def refuse(*args):
+            raise AssertionError("a one-member refinement called the B&B")
+
+        monkeypatch.setattr("cwskit.clique._bnb_clique", refuse)
+        assert lex_min_clique(cg, 1) == ([0], 0)
+        assert lex_min_clique(cg, 1, 7, 3) == ([0], 7)
 
     def test_budget_flagged(self):
         cl = np.zeros(1 << 4, dtype=bool)

@@ -1254,6 +1254,16 @@ class TestCli:
         cg = make_cws_clique_graph(setup(error_set(4, 2), Graph.ring(4)))
         assert out.read_text() == cg.dump()
 
+    @pytest.mark.parametrize("action", ["map-errors", "clique-graph"])
+    def test_dump_without_out_goes_to_stdout(self, action, tmp_path: Path, capsys):
+        # the stdout dump is the file --out writes, byte for byte
+        gf = self._graph_file(tmp_path, Graph.ring(5))
+        out = tmp_path / "dump.txt"
+        assert main([action, "--graph", gf, "--d", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main([action, "--graph", gf, "--d", "3"]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
     def test_search_cli_absence(self, tmp_path: Path):
         out = tmp_path / "res.txt"
         rc = main(
@@ -1643,6 +1653,33 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_structure_cli_linear_reports_a_violating_pair(self, tmp_path: Path, capsys):
+        from cwskit.verify import write_code_file
+
+        q = CWSCode(
+            Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+            ClassicalCode.from_texts(["0000", "0110", "0101"]),
+        )
+        write_code_file(tmp_path / "c.code", q, "c.graph")
+        assert main(["structure", "linear", "--code", str(tmp_path / "c.code")]) == 0
+        assert capsys.readouterr().out == "is_linear=false\nviolating_pair=0110,0101\n"
+
+    def test_structure_cli_double(self, tmp_path: Path, capsys):
+        from cwskit.verify import parse_code_file, write_code_file
+
+        q = CWSCode(Graph.ring(5), ClassicalCode.from_texts(["00000", "11111"]))
+        write_code_file(tmp_path / "q.code", q, "q.graph")
+        rc = main(
+            ["structure", "double", "--code", str(tmp_path / "q.code"), "--d", "3",
+             "--subcode", "00000", "--v", "11111", "--out", str(tmp_path / "doubled")]
+        )
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "n=5\nK=2\ncodeword=00000\ncodeword=11111\noracle_distance=3\n"
+        )
+        back = parse_code_file(tmp_path / "doubled.code")
+        assert back.graph == q.graph and set(back.code.values) == {0, 0b11111}
 
     def test_structure_cli_extend(self, tmp_path: Path, capsys):
         from cwskit.gf2 import ClassicalCode

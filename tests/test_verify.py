@@ -576,7 +576,7 @@ def first_codes(n: int, d: int, count: int) -> tuple[list[int], list[tuple[int, 
     for lo in range(0, count, 256):
         table = rows_table(n, masks[lo : lo + 256])
         for cg in clique_graphs(n, *setup_table(errors, table)):
-            codes.append(cg.codewords(max_clique(cg).clique))
+            codes.append(tuple([cg.words[i] for i in max_clique(cg).clique.members]))
     return masks, codes
 
 
