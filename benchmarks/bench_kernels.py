@@ -20,7 +20,7 @@ import numpy as np
 
 import cwskit.kernels as K
 from cwskit.clique import clique_graphs, make_cws_clique_graph, max_clique
-from cwskit.errormap import error_set, setup, setup_table
+from cwskit.errormap import error_set, setup, setup_table, triple_counts
 from cwskit.graphs import (
     Graph,
     class_table,
@@ -98,6 +98,16 @@ def bench_clique_graphs(repeat: int):
                     pass  # each graph is dropped before the next is made
 
     return "batched clique-graph build (n=5 d=2, n=7 d=3; 2x1024)", body, body
+
+
+def bench_triple_counts(repeat: int):
+    """The triple count by which a target-K >= 3 search decides that a graph
+    has no 3-word code, over the first BUILD_CHUNK graphs of the n=7 d=3
+    `all` sweep, whose CL/D arrays are built beforehand."""
+    n = 7
+    cl, d = setup_table(error_set(n, 3), rows_table(n, list(range(BUILD_CHUNK))))
+    fn = lambda: triple_counts(cl, d)
+    return f"triple counts (n=7 d=3, {BUILD_CHUNK} graphs)", fn, fn
 
 
 def bench_bnb(repeat: int):
@@ -248,6 +258,7 @@ BENCHES = [
     bench_graph_signs,
     bench_clique_adjacency,
     bench_clique_graphs,
+    bench_triple_counts,
     bench_bnb,
     bench_bnb_ring10,
     bench_bnb_ring11,

@@ -5,6 +5,11 @@ Workers take slices of the raw graph ids (edge masks) and deliver records
 in graph order, so the checkpoint of a pool run is that of a serial run; the
 result sorts them by canonical id.  Absence of a target dimension is only
 concluded from an exact, fully exhausted run over a class-covering source.
+
+For a target K >= 3, a record without a code may come from the triple count
+of the K = 3 structure theorem rather than the branch and bound: a graph
+whose clique graph has no codewords a, b, a ^ b besides 0 has no 3-word code,
+and gets the same record the exhausted branch and bound would write.
 """
 
 from __future__ import annotations
@@ -17,8 +22,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
+import numpy as np
+
 from .clique import CliqueGraph, clique_graphs, lex_min_clique, make_cws_clique_graph, solve
-from .errormap import error_set, setup, setup_table
+from .errormap import error_set, setup, setup_table, triple_counts
 from .gf2 import ClassicalCode
 from .graphs import (
     MAX_CANONICAL_N,
@@ -188,16 +195,37 @@ def _canon_masks(masks: list[int]) -> list[int]:
 
 
 def _processed(masks: list[int]) -> Iterator[tuple[int, GraphRecord]]:
-    """`_process_mask` of each graph, in order, built BUILD_CHUNK at a time.
+    """(B&B nodes, record) of each graph, in order, built BUILD_CHUNK at a
+    time: `_process_mask` of its clique graph, or, for a target K >= 3, the
+    record of a graph with no triple a, b, a ^ b in V (`errormap.triple_counts`,
+    T = 0), whose clique number is then 2, or 1 with V empty, by the K = 3
+    structure theorem: no clique graph and no B&B, but the record the
+    exhausted B&B writes, with 0 nodes.  At budget 0 the B&B of a non-empty
+    V stops at its root and writes a bound record, so there every graph is
+    solved.
 
     A graph is solved only when the iterator reaches it, and its clique
     graph is dropped before the next one is solved."""
-    n = _W["job"].n
+    job: SearchJob = _W["job"]
+    n = job.n
+    decide = job.target_k is not None and job.target_k >= 3 and job.budget != 0
     for lo in range(0, len(masks), BUILD_CHUNK):
         chunk = masks[lo : lo + BUILD_CHUNK]
-        graphs = clique_graphs(n, *setup_table(_W["errors"], rows_table(n, chunk)))
-        for mask, canon, cg in zip(chunk, _canon_masks(chunk), graphs):
-            yield _process_mask(mask, canon, cg)
+        cl, d = setup_table(_W["errors"], rows_table(n, chunk))
+        if decide:
+            triples, sizes = triple_counts(cl, d)
+        else:  # every graph goes to the B&B, and no size is read
+            triples = sizes = np.ones(len(chunk), np.int64)
+        solved = triples > 0
+        graphs = clique_graphs(n, cl[solved], d[solved])
+        for mask, canon, solve_it, v_size in zip(
+            chunk, _canon_masks(chunk), solved.tolist(), sizes.tolist()
+        ):
+            if solve_it:
+                yield _process_mask(mask, canon, next(graphs))
+            else:
+                m = v_size + 1
+                yield 0, GraphRecord(n, canon, mask, m, min(m, 2), "exact", None)
 
 
 def _process_chunk(masks: list[int]) -> list[tuple[int, GraphRecord]]:

@@ -6,6 +6,11 @@ four-word linear code by adjoining the XOR of its nonzero words, and any
 linear subcode doubles through an outside codeword.  The optimality filter
 turns externally supplied "no additive ((n,2K,d)) exists" facts into pruning
 verdicts for the search.
+
+The search applies the three-word extension as a count, not through this
+module: `errormap.triple_counts` gives each graph's number of codeword
+triples {a, b, a ^ b}, and a graph with none has no three-word code, so a
+target-K >= 3 search skips its branch and bound (`search._processed`).
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ def test_every_case_runs_once(bench_kernels, capsys, monkeypatch):
     bench_kernels.main()
     header, *lines = capsys.readouterr().out.splitlines()
     assert header.split() == ["kernel", "time"]
-    assert len(lines) == len(bench_kernels.BENCHES) == 15
+    assert len(lines) == len(bench_kernels.BENCHES) == 16
     assert all(line.split()[-1].endswith(("ms", "nodes/s")) for line in lines)
 
 

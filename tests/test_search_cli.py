@@ -11,6 +11,7 @@ import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,8 @@ from cwskit.clique import cws_maxclique, make_cws_clique_graph
 from cwskit.graphs import (
     Graph,
     canonical_form,
+    class_table,
+    edge_count,
     isomorphism_classes,
     lc_orbit_masks,
     write_graph_file,
@@ -39,7 +42,7 @@ from cwskit.search import (
     run_search,
 )
 from cwskit.verify import CWSCode, VerificationReport, detection_check
-from cwskit.errormap import cl_map, error_set, setup
+from cwskit.errormap import cl_map, error_set, setup, triple_counts
 from cwskit.gf2 import BitString, ClassicalCode
 
 RECORD_RE = re.compile(
@@ -217,6 +220,73 @@ class TestRunSearch:
             run_search(SearchJob(n=3, d=2, graph_source="iso"))
 
 
+class TestTripleDecision:
+    """A target-K >= 3 search writes the record of a graph without codeword
+    triples (T = 0) from V, with no B&B: each record must be the one the B&B
+    writes, at every budget.  Outputs alone cannot tell a broken count, which
+    only sends graphs to the B&B, so the number decided is pinned too."""
+
+    BUDGETS = (-1, 0, 1, 3)
+
+    @staticmethod
+    def records(monkeypatch, job: SearchJob, masks: list[int]) -> tuple[list, int]:
+        """`_processed` records of `masks` under `job`, and how many were
+        decided without `_process_mask`."""
+        state = {"job": job, "errors": error_set(job.n, job.d)}
+        if job.graph_source == "all":
+            state["canon"] = class_table(job.n)[0]
+        monkeypatch.setattr(cwskit.search, "_W", state)
+        solved = 0
+        process = cwskit.search._process_mask
+
+        def counted(*args):
+            nonlocal solved
+            solved += 1
+            return process(*args)
+
+        monkeypatch.setattr(cwskit.search, "_process_mask", counted)
+        recs = [rec for _nodes, rec in cwskit.search._processed(masks)]
+        return recs, len(masks) - solved
+
+    def assert_decision_moves_no_record(self, monkeypatch, n, d, k, source, masks):
+        """The records with and without the decision, at every budget; the
+        number decided at budget -1, which every budget but 0 matches."""
+        decided_at = {}
+        for budget in self.BUDGETS:
+            job = SearchJob(n=n, d=d, target_k=k, graph_source=source, budget=budget)
+            with monkeypatch.context() as m:
+                m.setattr(cwskit.search, "triple_counts", lambda cl, dd: (
+                    np.ones(len(cl), dtype=np.int64), triple_counts(cl, dd)[1]))
+                solved_all, none_decided = self.records(m, job, masks)
+            with monkeypatch.context() as m:
+                decided, decided_at[budget] = self.records(m, job, masks)
+            assert none_decided == 0
+            assert decided == solved_all, (n, d, k, budget)
+        assert decided_at[0] == 0
+        assert decided_at[1] == decided_at[3] == decided_at[-1]
+        return decided_at[-1]
+
+    # at d = 2 every graph decided has an empty V; at d = 3 many have a
+    # non-empty V without triples (8,712 of the 32,768 at n = 6)
+    @pytest.mark.parametrize(
+        "n, d, k, decided", [(5, 2, 3, 51), (5, 2, 4, 51), (5, 3, 3, 1024), (6, 3, 3, 32768)]
+    )
+    def test_every_graph(self, monkeypatch, n, d, k, decided):
+        masks = list(range(1 << edge_count(n)))
+        assert self.assert_decision_moves_no_record(monkeypatch, n, d, k, "all", masks) == decided
+
+    @pytest.mark.parametrize("source", ["iso", "lc"])
+    def test_n7_d3_representatives(self, monkeypatch, source):
+        masks = cwskit.search._graph_masks(SearchJob(n=7, d=3, graph_source=source))
+        decided = self.assert_decision_moves_no_record(monkeypatch, 7, 3, 3, source, masks)
+        assert decided == len(masks)
+
+    def test_seeded_n6_d2_sample(self, monkeypatch):
+        rng = random.Random(18)
+        masks = [rng.randrange(1 << edge_count(6)) for _ in range(2000)]
+        assert self.assert_decision_moves_no_record(monkeypatch, 6, 2, 3, "all", masks) == 7
+
+
 # sha256 of exit code, stdout, result file and checkpoint of a checkpointed
 # `cwskit search` run and of its resume from the complete checkpoint
 RUN_PINS = {
@@ -252,11 +322,19 @@ RUN_PINS = {
     "n6-d3-k3-lc": (
         ["--n", "6", "--d", "3", "--k", "3", "--graphs", "lc"],
         "538f29e8656edb49d49c0535060ecc6176a313c30843f4e2a31ef16680fa2922"),
+    # 973 graphs solved and 51 decided by their triple count
+    "n5-d2-k3-all": (
+        ["--n", "5", "--d", "2", "--k", "3", "--graphs", "all"],
+        "6a823ef6f2acc41fdfebb043322c303c5d9e9f05a6ba40c8fb991987aac4aabe"),
+    # at budget 0 no graph is decided: 132 records are bound
+    "n5-d3-k3-all-budget0": (
+        ["--n", "5", "--d", "3", "--k", "3", "--graphs", "all", "--budget", "0"],
+        "27779008716701511a4ad289f84059f5039a686df9337f11436fdf687acd8b32"),
 }
 # a pool delivers records in graph order: its outputs are the serial run's
 RUN_PINS.update(
     (f"{key}-jobs2", ([*RUN_PINS[key][0], "--jobs", "2"], RUN_PINS[key][1]))
-    for key in ("n5-d2-all", "n6-d2-iso", "n6-d3-k3-lc")
+    for key in ("n5-d2-all", "n6-d2-iso", "n6-d3-k3-lc", "n5-d2-k3-all")
 )
 
 
@@ -549,21 +627,23 @@ class TestCheckpoint:
 
     def test_code_less_records_on_disk_before_next_graph(self, tmp_path: Path, monkeypatch):
         # the same promise where every record stores "code": null: at n=4
-        # d=3 no graph reaches K=3
-        job = SearchJob(n=4, d=3, target_k=3, graph_source="all")
+        # d=2 no graph reaches K=5.  The 23 graphs without a codeword triple
+        # are decided with no solve, so the graph solved as mask k finds the
+        # records of all k graphs before it, decided or solved, on disk
+        job = SearchJob(n=4, d=2, target_k=5, graph_source="all")
         ck = tmp_path / "live.ckpt"
         process = cwskit.search._process_mask
         calls = []
 
         def checked(mask, *args):
             on_disk = ck.read_text().splitlines()
-            assert len(on_disk) == 1 + len(calls)
+            assert len(on_disk) == 1 + mask
             calls.append(mask)
             return process(mask, *args)
 
         monkeypatch.setattr(cwskit.search, "_process_mask", checked)
         res = run_search(job, checkpoint=ck)
-        assert len(calls) == res.total_graphs == 64
+        assert len(calls) == 41 and res.total_graphs == 64
         records = ck.read_text().splitlines()[1:]
         assert len(records) == 64 and all(json.loads(ln)["code"] is None for ln in records)
 

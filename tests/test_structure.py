@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_graph
 from cwskit.clique import clique_graphs, cws_maxclique, make_cws_clique_graph, solve
-from cwskit.errormap import error_set, setup, setup_table
+from cwskit.errormap import error_set, setup, setup_table, triple_counts
 from cwskit.gf2 import BitString, ClassicalCode
 from cwskit.graphs import Graph, edge_count, isomorphism_class_minima, lc_orbit_masks, rows_table
 from cwskit.structure import (
@@ -297,23 +297,9 @@ class TestOptimalityFilter:
             parse_registry("nonsense line\n")
 
 
-def triple_counts(cl: np.ndarray, dd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(T, V) of each graph, from its row of the CL and D arrays: V the
-    vertices of its clique graph other than 0, as a bool row, and
-    T = #{(a, b): a, b, a ^ b in V} counted as 2^-n sum_chi V^(chi)^3, V^ the
-    +-1 Walsh-Hadamard transform of V.  One float64 matmul; exact, since
-    |V^| < 2^n and the cube sum stays far below 2^53."""
-    v = ~cl & ~dd
-    v[:, 0] = False
-    x = np.arange(cl.shape[1])
-    hadamard = 1 - 2 * (np.bitwise_count(x[:, None] & x[None, :]) & 1).astype(np.float64)
-    vhat = v.astype(np.float64) @ hadamard
-    cubes = (vhat**3).sum(axis=1) / len(x)
-    return np.rint(cubes).astype(np.int64), v
-
-
 class TestTripleCount:
-    """The K = 3 structure theorem as a count: a verified {0, a, b} extends
+    """The K = 3 structure theorem as a count, `errormap.triple_counts`,
+    which target-K >= 3 searches decide by: a verified {0, a, b} extends
     to the linear {0, a, b, a ^ b}, so omega >= 3 exactly when some a, b in
     V have a ^ b in V, that is when T > 0."""
 
@@ -326,7 +312,7 @@ class TestTripleCount:
         for lo in range(0, len(masks), self.CHUNK):
             chunk = masks[lo : lo + self.CHUNK]
             cl, dd = setup_table(error_set(n, d), rows_table(n, chunk))
-            t, _v = triple_counts(cl, dd)
+            t, _size = triple_counts(cl, dd)
             found = [solve(cg, 3)[1] is not None for cg in clique_graphs(n, cl, dd)]
             assert (t > 0).tolist() == found, (n, d)
             positive += int(np.count_nonzero(t > 0))
@@ -336,9 +322,13 @@ class TestTripleCount:
         for n in (2, 3, 4):
             for d in (2, 3):
                 rows = rows_table(n, range(1 << edge_count(n)))
-                t, v = triple_counts(*setup_table(error_set(n, d), rows))
-                for count, row in zip(t.tolist(), v):
+                cl, dd = setup_table(error_set(n, d), rows)
+                t, size = triple_counts(cl, dd)
+                v = ~cl & ~dd
+                v[:, 0] = False
+                for count, words_in_v, row in zip(t.tolist(), size.tolist(), v):
                     words = np.flatnonzero(row).tolist()
+                    assert words_in_v == len(words)
                     assert count == sum(row[a ^ b] for a in words for b in words)
 
     @pytest.mark.parametrize("n, d, positive", [(5, 2, 973), (5, 3, 0), (6, 3, 0)])
