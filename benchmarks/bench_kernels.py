@@ -18,13 +18,19 @@ from pathlib import Path
 
 import numpy as np
 
-import cwskit.kernels as K
-from cwskit.clique import clique_graphs, make_cws_clique_graph, max_clique
-from cwskit.errormap import error_set, setup, setup_table, triple_counts
+from cwskit.clique import (
+    bnb_clique,
+    clique_conflicts,
+    clique_graphs,
+    make_cws_clique_graph,
+    max_clique,
+)
+from cwskit.errormap import cl_patterns, error_set, setup, setup_table, triple_counts
 from cwskit.graphs import (
     Graph,
     class_table,
     edge_count,
+    graph_signs,
     lc_orbit_masks,
     rows_table,
     write_graph_file,
@@ -56,7 +62,7 @@ def bench_cl_patterns(repeat: int):
     errs = error_set(n, 3)
     masks = rng.integers(0, 1 << edge_count(n), 400)
     rows = rows_table(n, masks.tolist())
-    fn = lambda: K.cl_patterns(errs.xcols, errs.v, rows)
+    fn = lambda: cl_patterns(errs.xcols, errs.v, rows)
     return "cl_patterns (400 graphs x 210 errors)", fn, fn
 
 
@@ -65,19 +71,19 @@ def bench_graph_signs(repeat: int):
     n = 11
     g = Graph.from_mask(n, rng.randrange(1 << edge_count(n)))
     rows = g.rows_array()
-    fn = lambda: K.graph_signs(rows, n)
+    fn = lambda: graph_signs(rows, n)
     return f"graph_signs (n={n}, 2^{n} entries)", fn, fn
 
 
 def bench_clique_adjacency(repeat: int):
-    """`clique_conflicts` on one n=10 graph; the case keeps its old name,
-    which perfbench/kernels.py loads it by."""
+    """`clique.clique_conflicts` on one n=10 graph; the case keeps its old
+    name, which perfbench/kernels.py loads it by."""
     rng = np.random.default_rng(2)
     n = 10
     cl = rng.random((1, 1 << n)) < 0.6
     cl[:, 0] = False
     verts = np.flatnonzero(~cl[0])[None]
-    fn = lambda: K.clique_conflicts(verts, cl)
+    fn = lambda: clique_conflicts(verts, cl)
     return f"clique_conflicts ({verts.shape[1]} vertices)", fn, fn
 
 
@@ -113,15 +119,15 @@ def bench_triple_counts(repeat: int):
 def bench_bnb(repeat: int):
     rng = random.Random(3)
     m = 70
-    # conflicts[m - i]: vertex i's non-neighbours, high bit first (vertex j
-    # is bit m-1-j); conflicts[0] is 0
+    # the conflict list of `clique.clique_conflicts`: entry m - i holds
+    # vertex i's non-neighbours
     conflicts = [0] * (m + 1)
     for i in range(m):
         for j in range(i + 1, m):
             if rng.random() >= 0.55:
                 conflicts[m - i] |= 1 << (m - 1 - j)
                 conflicts[m - j] |= 1 << (m - 1 - i)
-    fn = lambda: K.bnb_clique(conflicts, m, (1 << m) - 1, 0, -1)
+    fn = lambda: bnb_clique(conflicts, m, (1 << m) - 1, 0, -1)
     return f"max clique branch and bound (m={m}, p=0.55)", fn, fn
 
 
@@ -132,7 +138,7 @@ def bench_bnb_ring10(repeat: int):
     """The d=3 clique graph of the ring on 10 qubits, as a search builds it."""
     cg = make_cws_clique_graph(setup(error_set(10, 3), Graph.ring(10)))
     m = cg.size
-    fn = lambda: K.bnb_clique(cg.conflicts, m, (1 << (m - 1)) - 1, 0, RING10_BUDGET)
+    fn = lambda: bnb_clique(cg.conflicts, m, (1 << (m - 1)) - 1, 0, RING10_BUDGET)
     return f"branch and bound, ring10 d=3 (m={m}, {RING10_BUDGET} nodes)", fn, fn
 
 
@@ -144,7 +150,7 @@ def bench_bnb_ring11(repeat: int):
     search solves its wide, sparse subtrees on their own vertices."""
     cg = make_cws_clique_graph(setup(error_set(11, 3), Graph.ring(11)))
     m = cg.size
-    fn = lambda: K.bnb_clique(cg.conflicts, m, (1 << (m - 1)) - 1, 0, RING11_BUDGET)
+    fn = lambda: bnb_clique(cg.conflicts, m, (1 << (m - 1)) - 1, 0, RING11_BUDGET)
     return f"branch and bound, ring11 d=3 (m={m}, {RING11_BUDGET} nodes)", fn, fn
 
 
@@ -153,7 +159,7 @@ def bench_bnb_ring9(repeat: int):
     search exhausts after 4,566 nodes."""
     cg = make_cws_clique_graph(setup(error_set(9, 3), Graph.ring(9)))
     m = cg.size
-    fn = lambda: K.bnb_clique(cg.conflicts, m, (1 << (m - 1)) - 1, 0, -1)
+    fn = lambda: bnb_clique(cg.conflicts, m, (1 << (m - 1)) - 1, 0, -1)
     return f"branch and bound, ring9 d=3 (m={m}, exact)", fn, fn
 
 

@@ -16,7 +16,6 @@ from typing import Iterator
 
 import numpy as np
 
-from . import kernels
 from .gf2 import BitString, PauliOp
 from .graphs import Graph
 
@@ -37,7 +36,7 @@ class ErrorSet:
 
     The per-error arrays every graph of a search reads are built once, here,
     and are read-only: ``u`` and ``v`` as int64, and ``xcols``, the int64
-    index arrays ``kernels.cl_patterns`` gathers adjacency rows by.  Row k
+    index arrays ``cl_patterns`` gathers adjacency rows by.  Row k
     of ``xcols`` holds, for each error, its k-th X-support qubit in
     ascending order, or ``n`` (a zero row) once the support runs out; there
     are as many rows as the largest X support has qubits.  ``xorder`` lists
@@ -114,6 +113,28 @@ def error_set(n: int, d: int) -> ErrorSet:
 
 
 # ---------------------------------------------------------------------------
+# bit-array helpers
+
+def pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Pack a boolean array into little-endian uint64 words, the word format
+    of the CL/D and clique-graph dumps."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    nwords = (bits.size + 63) >> 6
+    padded = np.zeros(nwords * 64, dtype=np.uint8)
+    padded[: bits.size] = bits
+    bytes_ = np.packbits(padded, bitorder="little")
+    return bytes_.view(np.uint64)
+
+
+def parity_of_and(values: np.ndarray, mask: int | np.ndarray) -> np.ndarray:
+    """Elementwise parity of popcount(values & mask), as bool; an int64
+    array ``mask`` broadcasts against ``values``."""
+    # bitwise_count gives uint8, so its low bit reads as bool in place
+    return (np.bitwise_count(values & np.int64(mask)) & 1).view(bool)
+
+
+# ---------------------------------------------------------------------------
+# induced classical error patterns: v XOR (XOR of adjacency rows under u)
 
 def cl_map(e: PauliOp, g: Graph) -> BitString:
     """Classical pattern induced by e through g; the phase is ignored."""
@@ -126,6 +147,21 @@ def cl_map(e: PauliOp, g: Graph) -> BitString:
         t &= t - 1
         acc ^= g.rows[l]
     return BitString(g.n, acc)
+
+
+def cl_patterns(xcols: np.ndarray, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Pattern of each error through each of R graphs, as an (R, E) array:
+    ``v`` holds the errors' Z supports and ``xcols`` their X-support qubits,
+    one index array per support position, padded with n (see ``ErrorSet``);
+    ``rows`` is the (R, n) int64 adjacency row table (``graphs.rows_table``)."""
+    # graphs along the last axis, so that table[col] gathers row col of every
+    # graph; row n is the zero padding
+    table = np.zeros((rows.shape[1] + 1, rows.shape[0]), dtype=np.int64)
+    table[:-1] = rows.T
+    pat = np.repeat(v[:, None], rows.shape[0], axis=1)
+    for col in xcols:
+        pat ^= table[col]
+    return pat.T
 
 
 @dataclass(eq=False)
@@ -144,8 +180,8 @@ class ClArrays:
     def dump(self) -> str:
         """Each array as hex little-endian uint64 words of packed bits."""
         return (
-            f"n={self.n} which=CL\n{kernels.pack_bits(self.cl).tobytes().hex()}\n"
-            f"n={self.n} which=D\n{kernels.pack_bits(self.d).tobytes().hex()}\n"
+            f"n={self.n} which=CL\n{pack_bits(self.cl).tobytes().hex()}\n"
+            f"n={self.n} which=D\n{pack_bits(self.d).tobytes().hex()}\n"
         )
 
 
@@ -154,7 +190,7 @@ def setup_table(errors: ErrorSet, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
     adjacency row table (``graphs.rows_table``): two (R, 2^n) bool arrays,
     row r those of graph r.
 
-    One ``kernels.cl_patterns`` call maps every error through every graph.
+    One ``cl_patterns`` call maps every error through every graph.
     D is computed only for degenerate graphs (CL holds 0): D[i] = 1 iff i
     has odd overlap with some trivially-mapping X support, equivalently with
     some vector of a basis of their span, which has at most n vectors.  A
@@ -175,7 +211,7 @@ def setup_table(errors: ErrorSet, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
     d = np.zeros((count, size), dtype=bool)
     if not len(errors) or not count:
         return cl, d
-    patterns = kernels.cl_patterns(errors.xcols, errors.v, rows)
+    patterns = cl_patterns(errors.xcols, errors.v, rows)
     cl[np.arange(count)[:, None], patterns] = True
     degenerate = np.flatnonzero(cl[:, 0])
     if degenerate.size:
@@ -196,7 +232,7 @@ def setup_table(errors: ErrorSet, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
             x = np.arange(lo, hi, dtype=np.int64)
             acc = np.zeros((degenerate.size, hi - lo), dtype=bool)
             for b in basis:
-                acc |= kernels.parity_of_and(x, b)
+                acc |= parity_of_and(x, b)
             d[degenerate, lo:hi] = acc
     return cl, d
 

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import gf2, kernels
+from . import gf2
 
 MAX_EXHAUSTIVE_N = 8
 MAX_TABLE_N = 7  # a canon[mask] table has 2^(n(n-1)/2) int32 entries: 8 MB at n=7
@@ -475,10 +475,23 @@ def lc_orbit_masks(n: int) -> Iterator[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # graph states
 
+def graph_signs(rows: np.ndarray, n: int) -> np.ndarray:
+    """(-1)^q(x) for all basis strings x, as int8, from the graph's
+    adjacency rows: q(x) = sum_{i<j} adj[i][j] x_i x_j."""
+    x = np.arange(1 << n, dtype=np.int64)
+    q = np.zeros(1 << n, dtype=np.uint8)
+    for i in range(n):
+        ri = int(rows[i])
+        for j in range(i + 1, n):
+            if (ri >> j) & 1:
+                q ^= ((x >> i) & (x >> j) & 1).astype(np.uint8)
+    return (1 - 2 * q.astype(np.int8)).astype(np.int8)
+
+
 def graph_state_amplitudes(g: Graph) -> np.ndarray:
     """Amplitudes of |G>: entry x is (-1)^q(x) / 2^(n/2) with
     q(x) = sum_{i<j} adj[i][j] x_i x_j."""
     if g.n > MAX_AMPLITUDE_N:
         raise ValueError(f"graph_state_amplitudes supports n <= {MAX_AMPLITUDE_N}")
-    signs = kernels.graph_signs(g.rows_array(), g.n)
+    signs = graph_signs(g.rows_array(), g.n)
     return signs.astype(np.float64) / math.sqrt(2.0**g.n)

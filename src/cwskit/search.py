@@ -52,7 +52,8 @@ PROGRESS_EVERY = 5000  # --progress prints a line per this many solved graphs
 
 
 class SearchAborted(RuntimeError):
-    """A worker failed; partial results are not a conclusion."""
+    """A worker failed or a record failed a check; partial results are not a
+    conclusion."""
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,9 @@ def _processed(masks: list[int]) -> Iterator[tuple[int, GraphRecord]]:
     structure theorem: no clique graph and no B&B, but the record the
     exhausted B&B writes, with 0 nodes.  At budget 0 the B&B of a non-empty
     V stops at its root and writes a bound record, so there every graph is
-    solved.
+    solved.  A graph with T > 0 has a 3-clique, so an exact record of it with
+    bestK < 3 is a branch and bound that exhausted without one: the search
+    aborts rather than let it through.
 
     A graph is solved only when the iterator reaches it, and its clique
     graph is dropped before the next one is solved."""
@@ -222,7 +225,13 @@ def _processed(masks: list[int]) -> Iterator[tuple[int, GraphRecord]]:
             chunk, _canon_masks(chunk), solved.tolist(), sizes.tolist()
         ):
             if solve_it:
-                yield _process_mask(mask, canon, next(graphs))
+                nodes, rec = _process_mask(mask, canon, next(graphs))
+                if decide and rec.status == "exact" and rec.best_k < 3:
+                    raise SearchAborted(
+                        f"graph {mask_hex(n, mask)}: the triple count finds a 3-clique"
+                        " that the branch and bound did not"
+                    )
+                yield nodes, rec
             else:
                 m = v_size + 1
                 yield 0, GraphRecord(n, canon, mask, m, min(m, 2), "exact", None)
@@ -495,6 +504,8 @@ def run_search(
                 # in task order, so records reach the checkpoint in graph order
                 results = pool.imap(_process_chunk, tasks, chunksize=1)
                 consume(itertools.chain.from_iterable(results))
+    except SearchAborted:  # a reason of its own, also from a pool worker
+        raise
     except Exception as exc:
         raise SearchAborted(f"worker failure: {exc}") from exc
     finally:

@@ -3,10 +3,10 @@
 Two routes that must agree: a combinatorial detection check driven by the
 induced error patterns, and a dense Knill-Laflamme oracle that builds the
 basis states Z^c |G> explicitly and checks <b_i| E |b_j> = lambda_E
-delta_ij.  The oracle takes graph-state signs from ``kernels.graph_signs``,
+delta_ij.  The oracle takes graph-state signs from ``graphs.graph_signs``,
 which evaluates the graph's quadratic form and is not pattern machinery: it
-shares no code with the ``cl_patterns`` route of ``detection_check``, so the
-two sides stay independent.
+shares no code with ``errormap.cl_patterns``, the route of
+``detection_check`` and of the search, so the two sides stay independent.
 
 All amplitudes involved are +-2^(-n/2), so the oracle works on integer
 scaled vectors and every comparison is exact.
@@ -21,10 +21,12 @@ from typing import Sequence
 
 import numpy as np
 
-from . import kernels
-from .errormap import ErrorSet, _weight_errors
+# cl_patterns is looked up on its module at each call, so detection_check
+# and the search's setup_table always call the same function
+from . import errormap
+from .errormap import ErrorSet, _weight_errors, parity_of_and
 from .gf2 import BitString, ClassicalCode, PauliOp, parity
-from .graphs import Graph, parse_graph_file, rows_table, write_graph_file
+from .graphs import Graph, graph_signs, parse_graph_file, rows_table, write_graph_file
 
 MAX_ORACLE_N = 12
 
@@ -103,7 +105,7 @@ def detection_check(q: CWSCode, errors: ErrorSet) -> VerificationReport:
         raise ValueError("error set does not match code size")
     words = q.code.values
     table = q.graph.rows_array()[None]
-    patterns = kernels.cl_patterns(errors.xcols, errors.v, table)[0].tolist()
+    patterns = errormap.cl_patterns(errors.xcols, errors.v, table)[0].tolist()
     degenerate = 0 in patterns
     idx = _first_violation(words, patterns, errors)
     if idx < 0:
@@ -193,7 +195,7 @@ def _chunk_failure(
     fail[row[out]] = True
     words[out] = 0
 
-    patterns = kernels.cl_patterns(errors.xcols, errors.v, rows_table(n, masks))
+    patterns = errormap.cl_patterns(errors.xcols, errors.v, rows_table(n, masks))
     bad = np.zeros((count, 1 << n), dtype=bool)
     bad[:, 0] = True
     bad[np.arange(count)[:, None], patterns] = True
@@ -202,7 +204,7 @@ def _chunk_failure(
     key = row << n | words  # the entry of each word in its row of bad
     flat = bad.ravel()
     for e in np.flatnonzero(zero.any(axis=0)):
-        anti = zero[row, e] & kernels.parity_of_and(words, errors.u[e])
+        anti = zero[row, e] & parity_of_and(words, errors.u[e])
         flat[key[anti]] = True
 
     # key ^ w is the entry, in the row of key's code, of the XOR with w
@@ -218,12 +220,12 @@ def _chunk_failure(
 def _z_signs(x: np.ndarray, z: int) -> np.ndarray:
     """(-1)^(popcount(x & z)) for each basis string of ``x``, as int64: the
     sign Z^z puts on |x>."""
-    return 1 - 2 * kernels.parity_of_and(x, z).astype(np.int64)
+    return 1 - 2 * parity_of_and(x, z).astype(np.int64)
 
 
 def _basis_matrix(q: CWSCode) -> np.ndarray:
     """Rows are the integer-scaled vectors of Z^c |G> over the codewords."""
-    signs = kernels.graph_signs(q.graph.rows_array(), q.n)
+    signs = graph_signs(q.graph.rows_array(), q.n)
     x = np.arange(1 << q.n, dtype=np.int64)
     return np.array([signs * _z_signs(x, c) for c in q.code.values], dtype=np.int64)
 

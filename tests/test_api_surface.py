@@ -233,3 +233,34 @@ def test_readme_names_only_existing_helpers():
         if obj is None:
             missing.append(name)
     assert names and missing == []
+
+
+def _imports_kernels(node: ast.AST) -> bool:
+    """`from . import kernels`, `from .kernels import ...`, `import
+    cwskit.kernels` and their absolute forms."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "cwskit.kernels" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        if module in ("kernels", "cwskit.kernels"):
+            return True
+        return module in ("", "cwskit") and any(a.name == "kernels" for a in node.names)
+    return False
+
+
+def test_no_module_imports_kernels():
+    # each kernel lives in the module whose format it reads; kernels.py
+    # only holds the two names perfbench/ reads until it is deleted
+    importers = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if any(_imports_kernels(node) for node in ast.walk(ast.parse(path.read_text())))
+    )
+    assert importers == []
+    # any other statement, an import included, shows up as "?"
+    statements = ast.parse((PACKAGE / "kernels.py").read_text()).body[1:]  # after the docstring
+    names = [
+        node.targets[0].id if isinstance(node, ast.Assign) else getattr(node, "name", "?")
+        for node in statements
+    ]
+    assert names == ["HAVE_NUMBA", "warmup"]

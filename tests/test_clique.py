@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conftest import random_graph, reversed_bits
-from cwskit import kernels
 from cwskit.clique import (
     Clique,
     CliqueGraph,
@@ -146,7 +145,7 @@ class TestMakeCliqueGraph:
         n = 8
         verts = np.sort(rng.choice(1 << n, m, replace=False))[None]
         cl = rng.random((1, 1 << n)) < 0.4
-        cg = CliqueGraph(n, verts[0].tolist(), kernels.clique_conflicts(verts, cl)[0])
+        cg = CliqueGraph(n, verts[0].tolist(), cwskit.clique.clique_conflicts(verts, cl)[0])
         nbytes = 8 * ((m + 63) >> 6)
         expect = [f"vertices={m}"] + [
             int(format(row, f"0{m}b")[::-1], 2).to_bytes(nbytes, "little").hex()
@@ -376,19 +375,19 @@ class TestMaxClique:
         # every candidate fails, so the refinement gives up instead of
         # retrying the same candidates: no more B&B calls than vertices
         calls = []
-        bnb = cwskit.clique._bnb_clique
+        bnb = cwskit.clique.bnb_clique
 
-        def counted(cg, *args):
+        def counted(conflicts, m, *args):
             calls.append(1)
-            if len(calls) > cg.size:
+            if len(calls) > m:
                 raise RuntimeError("the refinement loops")
-            return bnb(cg, *args)
+            return bnb(conflicts, m, *args)
 
         rng = random.Random(5)
         graphs = [make_cws_clique_graph(setup(error_set(5, 2), Graph.ring(5)))]
         graphs += [make_cws_clique_graph(random_cl_arrays(4, rng)) for _ in range(10)]
         solved = [(cg, *solve(cg)) for cg in graphs]
-        monkeypatch.setattr("cwskit.clique._bnb_clique", counted)
+        monkeypatch.setattr("cwskit.clique.bnb_clique", counted)
         for cg, best, _members, nodes, _exhausted in solved:
             calls.clear()
             assert lex_min_clique(cg, best + 1, nodes) is None
@@ -400,7 +399,7 @@ class TestMaxClique:
         def refuse(*args):
             raise AssertionError("a one-member refinement called the B&B")
 
-        monkeypatch.setattr("cwskit.clique._bnb_clique", refuse)
+        monkeypatch.setattr("cwskit.clique.bnb_clique", refuse)
         assert lex_min_clique(cg, 1) == ([0], 0)
         assert lex_min_clique(cg, 1, 7, 3) == ([0], 7)
 
@@ -486,7 +485,7 @@ def old_max_clique(cg: CliqueGraph, budget: int) -> tuple:
     """`max_clique` then `codewords`, as they were before `solve`: (members,
     exact, nodes, words), the words read from the vertex array."""
     m = cg.size
-    _size, members, nodes, exhausted = kernels.bnb_clique(
+    _size, members, nodes, exhausted = cwskit.clique.bnb_clique(
         cg.conflicts, m, (1 << (m - 1)) - 1, 0, budget
     )
     members = tuple(sorted([0] + members))
@@ -499,7 +498,7 @@ def old_find_clique_of_size(cg: CliqueGraph, k: int, budget: int) -> tuple:
     if k == 1:
         return (0,), True, 0, 1
     m = cg.size
-    size, members, nodes, exhausted = kernels.bnb_clique(
+    size, members, nodes, exhausted = cwskit.clique.bnb_clique(
         cg.conflicts, m, (1 << (m - 1)) - 1, k - 1, budget
     )
     if size >= k - 1:

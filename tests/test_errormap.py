@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
-from cwskit import kernels
+from cwskit import errormap
 from cwskit.errormap import (
     ClArrays,
     ErrorSet,
@@ -246,13 +246,13 @@ def per_graph_setup(errors: ErrorSet, rows: np.ndarray) -> tuple[np.ndarray, np.
     `xor_basis` of the graph's own zero-pattern X supports: the reference
     the chunk-wide elimination of `setup_table` must match."""
     n = len(rows)
-    patterns = kernels.cl_patterns(errors.xcols, errors.v, rows[None])[0]
+    patterns = errormap.cl_patterns(errors.xcols, errors.v, rows[None])[0]
     cl = np.zeros(1 << n, dtype=bool)
     cl[patterns] = True
     d = np.zeros(1 << n, dtype=bool)
     x = np.arange(1 << n, dtype=np.int64)
     for b in xor_basis(errors.u[patterns == 0].tolist()):
-        d |= kernels.parity_of_and(x, b)
+        d |= errormap.parity_of_and(x, b)
     return cl, d
 
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 
 from conftest import random_graph, reversed_bits
-import cwskit.kernels as K
+from cwskit import clique, errormap, graphs
 from cwskit.clique import MAX_EXACT_VERTICES, make_cws_clique_graph
 from cwskit.errormap import ErrorSet, cl_map, error_set, setup
 from cwskit.gf2 import PauliOp
@@ -31,7 +31,7 @@ def _bnb(rows_int, m, cand, stop_at, budget, best_size=0):
     conflicts = [0] + [
         reversed_bits(full ^ rows_int[v] ^ (1 << v), m) for v in reversed(range(m))
     ]
-    return K.bnb_clique(conflicts, m, reversed_bits(cand, m), stop_at, budget, best_size)
+    return clique.bnb_clique(conflicts, m, reversed_bits(cand, m), stop_at, budget, best_size)
 
 
 def _brute_force_max_clique(rows_int, m):
@@ -54,7 +54,7 @@ def test_pack_unpack_round_trip():
     rng = np.random.default_rng(0)
     for size in (1, 63, 64, 65, 1000):
         bits = rng.random(size) < 0.3
-        words = K.pack_bits(bits)
+        words = errormap.pack_bits(bits)
         assert words.dtype == np.uint64 and words.size == (size + 63) // 64
         unpacked = np.unpackbits(words.view(np.uint8), bitorder="little")
         assert np.array_equal(unpacked[:size].astype(bool), bits)
@@ -71,13 +71,13 @@ def test_int_rows_and_bit_rows_are_inverse():
             # the reference: each row read as a binary numeral
             values = [int("".join(map(str, row.astype(int))), 2) for row in table]
             for t in (table, table.astype(np.uint8)):
-                assert K.int_rows(t) == values
-                assert np.array_equal(K.bit_rows(K.int_rows(t), width), t)
-            rows = K.bit_rows(values, width)
+                assert clique.int_rows(t) == values
+                assert np.array_equal(clique.bit_rows(clique.int_rows(t), width), t)
+            rows = clique.bit_rows(values, width)
             assert rows.shape == (count, width) and rows.dtype == np.uint8
-            assert K.int_rows(rows) == values
+            assert clique.int_rows(rows) == values
         edges = [(1 << width) - 1, 1 << (width - 1), 1, 0]
-        assert K.int_rows(K.bit_rows(edges, width)) == edges
+        assert clique.int_rows(clique.bit_rows(edges, width)) == edges
 
 
 def test_cl_patterns_match_cl_map():
@@ -94,12 +94,12 @@ def test_cl_patterns_match_cl_map():
         paulis = [p for p in paulis if p.u or p.v]
         errs = ErrorSet(n, tuple(paulis))
         assert {p.u.bit_count() for p in paulis} == set(range(n + 1))
-        got = K.cl_patterns(errs.xcols, errs.v, g.rows_array()[None])
+        got = errormap.cl_patterns(errs.xcols, errs.v, g.rows_array()[None])
         assert got.shape == (1, len(paulis))
         assert got[0].tolist() == [cl_map(p, g).value for p in paulis]
     empty = ErrorSet(3, ())
     table = Graph.ring(3).rows_array()[None]
-    assert K.cl_patterns(empty.xcols, empty.v, table).shape == (1, 0)
+    assert errormap.cl_patterns(empty.xcols, empty.v, table).shape == (1, 0)
 
 
 def test_cl_patterns_of_a_row_table_stack_the_single_graph_patterns():
@@ -107,12 +107,12 @@ def test_cl_patterns_of_a_row_table_stack_the_single_graph_patterns():
     for n, d in [(1, 2), (4, 1), (4, 3), (7, 3), (7, 8)]:
         errs = error_set(n, d)
         masks = [rng.randrange(1 << edge_count(n)) for _ in range(9)]
-        got = K.cl_patterns(errs.xcols, errs.v, rows_table(n, masks))
+        got = errormap.cl_patterns(errs.xcols, errs.v, rows_table(n, masks))
         assert got.shape == (len(masks), len(errs))
         for mask, row in zip(masks, got.tolist()):
             g = Graph.from_mask(n, mask)
             assert row == [cl_map(p, g).value for p in errs.paulis]
-    assert K.cl_patterns(errs.xcols, errs.v, rows_table(7, [])).shape == (0, len(errs))
+    assert errormap.cl_patterns(errs.xcols, errs.v, rows_table(7, [])).shape == (0, len(errs))
 
 
 def test_graph_signs_match_edge_list():
@@ -123,7 +123,7 @@ def test_graph_signs_match_edge_list():
         expected = [
             (-1) ** sum((x >> i) & (x >> j) & 1 for i, j in edges) for x in range(1 << n)
         ]
-        assert K.graph_signs(g.rows_array(), n).tolist() == expected
+        assert graphs.graph_signs(g.rows_array(), n).tolist() == expected
 
 
 def test_clique_conflicts_matches_pairwise_loop():
@@ -137,7 +137,7 @@ def test_clique_conflicts_matches_pairwise_loop():
         verts = np.array(
             [np.sort(rng.choice(1 << n, m, replace=False)) for _ in range(count)]
         )
-        conflicts = K.clique_conflicts(verts, cl)
+        conflicts = clique.clique_conflicts(verts, cl)
         assert len(conflicts) == count
         for r in range(count):
             assert len(conflicts[r]) == m + 1 and conflicts[r][0] == 0
@@ -183,9 +183,9 @@ def test_bnb_best_size_is_the_incumbent():
         assert _bnb(rows_int, m, 0, 0, -1, 3) == (3, [], 0, True)
     cg = make_cws_clique_graph(setup(error_set(9, 3), Graph.ring(9)))
     full = (1 << (cg.size - 1)) - 1
-    size, _members, nodes, exhausted = K.bnb_clique(cg.conflicts, cg.size, full, 0, -1)
+    size, _members, nodes, exhausted = clique.bnb_clique(cg.conflicts, cg.size, full, 0, -1)
     assert (size, nodes, exhausted) == (11, 4566, True)  # K = 12 with vertex 0
-    size, members, fewer, exhausted = K.bnb_clique(cg.conflicts, cg.size, full, 0, -1, 11)
+    size, members, fewer, exhausted = clique.bnb_clique(cg.conflicts, cg.size, full, 0, -1, 11)
     assert (size, members, exhausted) == (11, [], True) and fewer < nodes
 
 
@@ -238,7 +238,7 @@ def test_bnb_search_tree_pinned():
 def test_bnb_ring10_d3_budget_pinned():
     cg = make_cws_clique_graph(setup(error_set(10, 3), Graph.ring(10)))
     assert cg.size == 709
-    size, members, nodes, exhausted = K.bnb_clique(
+    size, members, nodes, exhausted = clique.bnb_clique(
         cg.conflicts, 709, (1 << 708) - 1, 0, 10_000
     )
     assert (size, nodes, exhausted) == (16, 10_001, False)  # K = 17 with vertex 0
@@ -260,7 +260,7 @@ def _cws_instances(seed=9):
         cg = make_cws_clique_graph(setup(error_set(g.n, 3), g))
         m = cg.size
         for cand in ((1 << (m - 1)) - 1, rng.getrandbits(m - 1)):
-            k = K.bnb_clique(cg.conflicts, m, cand, 0, 2500)[0]
+            k = clique.bnb_clique(cg.conflicts, m, cand, 0, 2500)[0]
             for stop_at in (0, k - 1, k):
                 for budget in (0, 1, 57, 2500):
                     yield cg.conflicts, m, cand, stop_at, budget
@@ -273,7 +273,7 @@ def test_bnb_cws_search_tree_pinned():
     sizes = set()
     for args in _cws_instances():
         sizes.add(args[1])
-        h.update(repr((args[1:], K.bnb_clique(*args))).encode())
+        h.update(repr((args[1:], clique.bnb_clique(*args))).encode())
     assert sizes == {269, 709, 670, 662}
     assert h.hexdigest() == "f78c8a2d11d815c2a63ac7239852f62db209a7f30e35a0cecc2bb6ab6a078634"
 
@@ -334,7 +334,7 @@ def _compaction_instances(seed=10):
     for cg in graphs:
         m = cg.size
         for cand in ((1 << (m - 1)) - 1, rng.getrandbits(m - 1) & rng.getrandbits(m - 1)):
-            k = K.bnb_clique(cg.conflicts, m, cand, 0, 10_000)[0]
+            k = clique.bnb_clique(cg.conflicts, m, cand, 0, 10_000)[0]
             for stop_at in (0, k - 1, k):
                 for budget in (0, 1, 57, 10_000):
                     yield cg.conflicts, m, cand, stop_at, budget
@@ -345,19 +345,19 @@ def test_compaction_keeps_the_search_tree(monkeypatch):
     # solved on their own vertices and with no subtree compacted
     instances = list(_compaction_instances())
     compacted = []
-    induced = K._induced_conflicts
+    induced = clique._induced_conflicts
 
     def counted(conflicts, m, cand):
         compacted.append(m)
         return induced(conflicts, m, cand)
 
-    monkeypatch.setattr(K, "_induced_conflicts", counted)
-    on = [K.bnb_clique(*args) for args in instances]
+    monkeypatch.setattr(clique, "_induced_conflicts", counted)
+    on = [clique.bnb_clique(*args) for args in instances]
     sizes = {args[1] for args in instances}
     assert len(sizes) == 4 and sizes <= set(compacted)  # every graph compacts
-    monkeypatch.setattr(K, "_COMPACT_BITS", MAX_EXACT_VERTICES + 1)
+    monkeypatch.setattr(clique, "_COMPACT_BITS", MAX_EXACT_VERTICES + 1)
     compacted.clear()
-    off = [K.bnb_clique(*args) for args in instances]
+    off = [clique.bnb_clique(*args) for args in instances]
     assert compacted == []
     assert on == off
 
@@ -376,20 +376,20 @@ def test_induced_conflicts_match_clique_conflicts():
     graphs.append((cg.vertices[None], arrays.cl[None]))
     for verts, cl in graphs:
         m = verts.shape[1]
-        conflicts = K.clique_conflicts(verts, cl)[0]
+        conflicts = clique.clique_conflicts(verts, cl)[0]
         for s in (1, 8, 9, 63, 64, 65, m // 2, m):
             chosen = sorted(rng.sample(range(m), s))
             cand = sum(1 << (m - 1 - v) for v in chosen)
-            ids, sub = K._induced_conflicts(conflicts, m, cand)
+            ids, sub = clique._induced_conflicts(conflicts, m, cand)
             assert ids == chosen
-            assert sub == K.clique_conflicts(verts[:, ids], cl)[0]
+            assert sub == clique.clique_conflicts(verts[:, ids], cl)[0]
 
 
 def _nested_calls(m):
     """The most compacted calls nested below a search of m vertices: each
     call at least halves the width, and compacts only above the constant."""
     count = 0
-    while m > K._COMPACT_BITS:
+    while m > clique._COMPACT_BITS:
         m //= 2
         count += 1
     return count
@@ -398,7 +398,7 @@ def _nested_calls(m):
 def test_compaction_depth_is_bounded(monkeypatch):
     assert _nested_calls(MAX_EXACT_VERTICES) == 4
     depth = deepest = 0
-    kernel = K.bnb_clique
+    kernel = clique.bnb_clique
 
     def tracked(*args):
         nonlocal depth, deepest
@@ -409,7 +409,7 @@ def test_compaction_depth_is_bounded(monkeypatch):
         finally:
             depth -= 1
 
-    monkeypatch.setattr(K, "bnb_clique", tracked)
+    monkeypatch.setattr(clique, "bnb_clique", tracked)
     # a random graph of adjacency density 0.4 on 2,048 vertices: each
     # branch keeps about 0.4 of its parent's vertices, so the walk down the
     # first branches compacts 2,048 -> ~820 -> ~330 -> ~130 vertices, the
@@ -422,10 +422,10 @@ def test_compaction_depth_is_bounded(monkeypatch):
     np.fill_diagonal(conflict, False)
     rows = np.packbits(conflict[::-1], axis=1)  # entry k: vertex m - k
     conflicts = [0] + [int.from_bytes(row.tobytes(), "big") for row in rows]
-    K.bnb_clique(conflicts, m, (1 << m) - 1, 0, 100)
+    clique.bnb_clique(conflicts, m, (1 << m) - 1, 0, 100)
     assert deepest == 1 + _nested_calls(m) == 4
     for n in (10, 11):
         cg = make_cws_clique_graph(setup(error_set(n, 3), Graph.ring(n)))
         deepest = 0
-        K.bnb_clique(cg.conflicts, cg.size, (1 << (cg.size - 1)) - 1, 0, 10_000)
+        clique.bnb_clique(cg.conflicts, cg.size, (1 << (cg.size - 1)) - 1, 0, 10_000)
         assert 2 <= deepest <= 1 + _nested_calls(cg.size)

@@ -1,7 +1,7 @@
 """An exact solver independent of `bnb_clique`, used only in tests.
 
 Every bestK, and every exit 3, rests on the one branch and bound of
-`kernels.bnb_clique`.  HiGHS, through `scipy.optimize.milp`, solves the same
+`clique.bnb_clique`.  HiGHS, through `scipy.optimize.milp`, solves the same
 problem by another route: the edge formulation of maximum clique, maximise
 sum x over binary x with x_0 = 1 (a code in standard form holds 0^n, and
 vertex 0 is adjacent to every vertex) and x_u + x_v <= 1 for each non-edge.

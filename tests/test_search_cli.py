@@ -17,9 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cwskit.cli
-from cwskit import kernels
+from cwskit import clique, errormap
 from cwskit.cli import main
-from cwskit.clique import cws_maxclique, make_cws_clique_graph
+from cwskit.clique import clique_graphs, cws_maxclique, make_cws_clique_graph
 from cwskit.graphs import (
     Graph,
     canonical_form,
@@ -27,6 +27,7 @@ from cwskit.graphs import (
     edge_count,
     isomorphism_classes,
     lc_orbit_masks,
+    rows_table,
     write_graph_file,
 )
 import cwskit.graphs
@@ -42,7 +43,7 @@ from cwskit.search import (
     run_search,
 )
 from cwskit.verify import CWSCode, VerificationReport, detection_check
-from cwskit.errormap import cl_map, error_set, setup, triple_counts
+from cwskit.errormap import cl_map, error_set, setup, setup_table
 from cwskit.gf2 import BitString, ClassicalCode
 
 RECORD_RE = re.compile(
@@ -229,13 +230,28 @@ class TestTripleDecision:
     BUDGETS = (-1, 0, 1, 3)
 
     @staticmethod
-    def records(monkeypatch, job: SearchJob, masks: list[int]) -> tuple[list, int]:
-        """`_processed` records of `masks` under `job`, and how many were
-        decided without `_process_mask`."""
+    def search_state(monkeypatch, job: SearchJob) -> dict:
+        """The state `run_search` gives `_processed`, set for `job`."""
         state = {"job": job, "errors": error_set(job.n, job.d)}
         if job.graph_source == "all":
             state["canon"] = class_table(job.n)[0]
         monkeypatch.setattr(cwskit.search, "_W", state)
+        return state
+
+    def solved_records(self, monkeypatch, job: SearchJob, masks: list[int]) -> list:
+        """The `_process_mask` record of each of `masks` under `job`: every
+        graph through the B&B, with no triple count.  (`_processed` with a
+        count faked to T > 0 would abort on the graphs whose T is 0.)"""
+        state = self.search_state(monkeypatch, job)
+        cl, d = setup_table(state["errors"], rows_table(job.n, masks))
+        canon = cwskit.search._canon_masks(masks)
+        graphs = clique_graphs(job.n, cl, d)
+        return [cwskit.search._process_mask(*args)[1] for args in zip(masks, canon, graphs)]
+
+    def records(self, monkeypatch, job: SearchJob, masks: list[int]) -> tuple[list, int]:
+        """`_processed` records of `masks` under `job`, and how many were
+        decided without `_process_mask`."""
+        self.search_state(monkeypatch, job)
         solved = 0
         process = cwskit.search._process_mask
 
@@ -255,12 +271,9 @@ class TestTripleDecision:
         for budget in self.BUDGETS:
             job = SearchJob(n=n, d=d, target_k=k, graph_source=source, budget=budget)
             with monkeypatch.context() as m:
-                m.setattr(cwskit.search, "triple_counts", lambda cl, dd: (
-                    np.ones(len(cl), dtype=np.int64), triple_counts(cl, dd)[1]))
-                solved_all, none_decided = self.records(m, job, masks)
+                solved_all = self.solved_records(m, job, masks)
             with monkeypatch.context() as m:
                 decided, decided_at[budget] = self.records(m, job, masks)
-            assert none_decided == 0
             assert decided == solved_all, (n, d, k, budget)
         assert decided_at[0] == 0
         assert decided_at[1] == decided_at[3] == decided_at[-1]
@@ -285,6 +298,18 @@ class TestTripleDecision:
         rng = random.Random(18)
         masks = [rng.randrange(1 << edge_count(6)) for _ in range(2000)]
         assert self.assert_decision_moves_no_record(monkeypatch, 6, 2, 3, "all", masks) == 7
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_exhausted_below_3_with_triples_aborts(self, capsys, monkeypatch, jobs):
+        # a B&B that exhausts without the 3-clique that T > 0 guarantees:
+        # mask 007 is the first (5,2) graph with a triple
+        monkeypatch.setattr(cwskit.search, "solve", lambda *_args: (2, None, 1, True))
+        argv = ["search", "--n", "5", "--d", "2", "--k", "3", "--graphs", "all"]
+        assert main([*argv, "--jobs", jobs]) == 4
+        assert capsys.readouterr().err == (
+            "aborted: graph 007: the triple count finds a 3-clique"
+            " that the branch and bound did not\n"
+        )
 
 
 # sha256 of exit code, stdout, result file and checkpoint of a checkpointed
@@ -717,14 +742,14 @@ class TestCheckpoint:
         job = SearchJob(n=9, d=3, graph_source="file", graph_file=str(gf), budget=budget)
         ck = tmp_path / "ring9.ckpt"
         nodes = []
-        bnb = kernels.bnb_clique
+        bnb = clique.bnb_clique
 
         def counted(*args):
             out = bnb(*args)
             nodes.append(out[2])
             return out
 
-        monkeypatch.setattr(kernels, "bnb_clique", counted)
+        monkeypatch.setattr(clique, "bnb_clique", counted)
         run = run_search(job, checkpoint=ck)
         assert sum(nodes) == run_nodes
         nodes.clear()
@@ -1469,16 +1494,16 @@ class TestCli:
     def test_witness_failing_kl_oracle_never_exits_0(self, tmp_path: Path, capsys,
                                                      monkeypatch):
         # hiding one error pattern fools the search and detection_check alike,
-        # since both read kernels.cl_patterns: ((5,8,2)) does not exist, and
+        # since both read errormap.cl_patterns: ((5,8,2)) does not exist, and
         # only the Knill-Laflamme oracle sees that
-        cl_patterns = kernels.cl_patterns
+        cl_patterns = errormap.cl_patterns
 
         def hide_last(xcols, v, rows):
             patterns = cl_patterns(xcols, v, rows)
             patterns[..., -1] = patterns[..., 0]  # per graph, also for a row table
             return patterns
 
-        monkeypatch.setattr(kernels, "cl_patterns", hide_last)
+        monkeypatch.setattr(errormap, "cl_patterns", hide_last)
         out = tmp_path / "res.txt"
         rc = main(["search", "--n", "5", "--d", "2", "--graphs", "lc", "--out", str(out)])
         assert rc == 4

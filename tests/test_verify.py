@@ -8,7 +8,7 @@ import pytest
 
 import cwskit.verify
 from conftest import dense_pauli, random_graph
-from cwskit import kernels
+from cwskit import errormap
 from cwskit.clique import clique_graphs, cws_maxclique, make_cws_clique_graph, max_clique
 from cwskit.errormap import (
     ErrorSet,
@@ -425,7 +425,7 @@ def per_code_first_failing_code(masks, codes, errors: ErrorSet) -> int:
     code fails when a nonzero pattern of its graph is the XOR of two of its
     words, or a zero pattern's error anticommutes with one of its words."""
     n = errors.n
-    patterns = kernels.cl_patterns(errors.xcols, errors.v, rows_table(n, masks))
+    patterns = errormap.cl_patterns(errors.xcols, errors.v, rows_table(n, masks))
     for i, (words, pats) in enumerate(zip(codes, patterns.tolist())):
         CWSCode(Graph.empty(n), ClassicalCode.from_ints(n, sorted(words)))
         hits = {a ^ b for a in words for b in words}
@@ -443,7 +443,7 @@ def corrupted(words: list[int], g: Graph, errors: ErrorSet, kind: str, rng) -> l
     are returned unchanged when the graph has no zero pattern to break."""
     n = g.n
     words = list(words)
-    patterns = kernels.cl_patterns(errors.xcols, errors.v, g.rows_array()[None])[0]
+    patterns = errormap.cl_patterns(errors.xcols, errors.v, g.rows_array()[None])[0]
     if kind == "negative":
         words.append(rng.choice([-1, -rng.randrange(1, 1 << n), -(1 << 63)]))
     elif kind == "high":
@@ -617,7 +617,7 @@ class TestFirstFailingCodeDegenerate:
     def chunk(self):
         masks, codes = first_codes(7, 3, 4096)
         errors = error_set(7, 3)
-        zeros = kernels.cl_patterns(errors.xcols, errors.v, rows_table(7, masks)) == 0
+        zeros = errormap.cl_patterns(errors.xcols, errors.v, rows_table(7, masks)) == 0
         assert int(zeros.sum()) == 22_784
         return masks, [list(words) for words in codes], errors
 
@@ -628,7 +628,7 @@ class TestFirstFailingCodeDegenerate:
 
     def test_agrees_with_the_per_code_loop_on_corruptions(self, chunk):
         masks, codes, errors = chunk
-        patterns = kernels.cl_patterns(errors.xcols, errors.v, rows_table(7, masks))
+        patterns = errormap.cl_patterns(errors.xcols, errors.v, rows_table(7, masks))
         degenerate = np.flatnonzero((patterns == 0).any(axis=1)).tolist()
         rng = random.Random(7)
         for kind in CORRUPTIONS:
