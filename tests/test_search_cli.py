@@ -1803,6 +1803,50 @@ class TestCli:
         assert "K=4" in out
         assert "oracle_distance=2" in out
 
+    def test_structure_cli_extend_output_pinned(self, tmp_path: Path, capsys):
+        from cwskit.verify import write_code_file
+
+        res = run_search(SearchJob(n=5, d=2, target_k=3, graph_source="iso"))
+        write_code_file(tmp_path / "k3.code", res.witness, "k3.graph")
+        assert (tmp_path / "k3.code").read_text() == (
+            "n=5\ngraph=k3.graph\n00000\n01101\n01011\n"
+        )
+        rc = main(
+            ["structure", "extend-dim3", "--code", str(tmp_path / "k3.code"),
+             "--d", "2", "--out", str(tmp_path / "k4")]
+        )
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "n=5\nK=4\ncodeword=00000\ncodeword=00110\ncodeword=01101\n"
+            "codeword=01011\noracle_distance=2\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "k3.code", "k3.graph", "k4.code", "k4.graph"
+        ]
+        assert (tmp_path / "k4.code").read_text() == (
+            "n=5\ngraph=k4.graph\n00000\n00110\n01101\n01011\n"
+        )
+        assert (tmp_path / "k4.graph").read_text() == "n 5\n1 4\n2 4\n3 4\n"
+
+    @pytest.mark.parametrize(
+        "fact, argv, reason",
+        [
+            ("n=9 K=1 d=5 optimal=yes source=x", ["--n", "9", "--k", "2", "--d", "5"],
+             "optimal additive ((9,1,5)) forbids K>1 (x)"),
+            ("n=7 K=2 d=3 optimal=yes source=published tables",
+             ["--n", "7", "--k", "3", "--d", "3"],
+             "optimal additive ((7,2,3)) forbids K>2 (published tables)"),
+        ],
+        ids=["k1", "k2"],
+    )
+    def test_structure_cli_filter_reason_pinned(
+        self, fact, argv, reason, tmp_path: Path, capsys
+    ):
+        reg = tmp_path / "reg.txt"
+        reg.write_text(fact + "\n")
+        assert main(["structure", "filter", "--registry", str(reg)] + argv) == 0
+        assert capsys.readouterr().out == f"verdict=pruned\nreason={reason}\n"
+
     def test_orbit_cli(self, tmp_path: Path, capsys):
         gf = self._graph_file(tmp_path, Graph.ring(5))
         assert main(["orbit", "--graph", gf]) == 0
