@@ -285,8 +285,6 @@ def stabilizer_to_graph(s: StabilizerState) -> tuple[Graph, LCRecord]:
 
 def change_generators(r: GF2Matrix, c: ClassicalCode) -> ClassicalCode:
     """Transform codewords as row vectors under an invertible generator change."""
-    if r.nrows != r.ncols:
-        raise ValueError("generator change matrix must be square")
     if r.invert() is None:
         raise ValueError("generator change matrix is singular")
     return c.mul_matrix(r)

@@ -168,12 +168,20 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-# the options each structure action cannot do without
+# the options each structure action cannot do without, and those it can
 _STRUCTURE_NEEDS = {
     "linear": ("code",),
     "extend-dim3": ("code",),
     "double": ("code", "subcode", "v"),
     "filter": ("registry", "n", "k"),
+}
+_STRUCTURE_OPTIONAL = {"extend-dim3": ("d", "out"), "double": ("d", "out"), "filter": ("d",)}
+_STRUCTURE_SETTINGS = {
+    "d": {"type": int, "default": 2},
+    "n": {"type": int},
+    "k": {"type": int},
+    "subcode": {"help": "comma-separated subcode words"},
+    "v": {"help": "codeword outside the subcode"},
 }
 
 
@@ -277,15 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("structure", help="linearity tools and code constructions")
-    p.add_argument("action", choices=["linear", "extend-dim3", "double", "filter"])
-    p.add_argument("--code")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--registry")
-    p.add_argument("--subcode", help="comma-separated subcode words for 'double'")
-    p.add_argument("--v", help="codeword outside the subcode for 'double'")
-    p.add_argument("--out")
+    actions = p.add_subparsers(dest="action", required=True)
+    for action, needs in _STRUCTURE_NEEDS.items():
+        a = actions.add_parser(action)
+        for name in needs + _STRUCTURE_OPTIONAL.get(action, ()):
+            a.add_argument(f"--{name}", **_STRUCTURE_SETTINGS.get(name, {}))
     p.set_defaults(func=_cmd_structure)
 
     p = sub.add_parser("orbit", help="list the LC orbit of a graph")

@@ -1,11 +1,12 @@
 """Structure results on CWS codes used as search-space filters.
 
 Linear classical codes give additive (stabilizer) quantum codes, every
-two-word code is linear, any verified three-word code extends to a verified
-four-word linear code by adjoining the XOR of its nonzero words, and any
-linear subcode doubles through an outside codeword.  The optimality filter
-turns externally supplied "no additive ((n,2K,d)) exists" facts into pruning
-verdicts for the search.
+two-word code is linear, and any linear subcode doubles through an outside
+codeword into a verified linear code.  A verified three-word code {0, a, b}
+is the doubling of its subcode {0, a} through b, so it extends to the
+verified four-word linear {0, a, b, a ^ b}.  The optimality filter turns
+externally supplied optimal additive ((n,1,d)) and ((n,2,d)) facts, one rule
+for both, into pruning verdicts for the search.
 
 The search applies the three-word extension as a count, not through this
 module: `errormap.triple_counts` gives each graph's number of codeword
@@ -57,23 +58,15 @@ def additivity_label(c: ClassicalCode) -> str:
 
 
 def extend_dim3_to_dim4(q: CWSCode, errors: ErrorSet) -> CWSCode:
-    """Extend a verified three-word code by the XOR of its nonzero words.
-
-    The result is linear, has four words, and detects the same error set;
-    both facts are asserted before returning."""
+    """Extend a verified three-word code {0, c2, c3} to the linear
+    {0, c2, c3, c2 ^ c3}: the doubling of its subcode {0, c2} through c3,
+    verified against the same error set."""
     if q.code.size != 3:
         raise ValueError(f"expected a K=3 code, got K={q.code.size}")
-    if not detection_check(q, errors).detects:
-        raise ValueError("input code fails detection for the given error set")
-    nonzero = [w for w in q.code.values if w]
-    c2, c3 = nonzero
-    extended = ClassicalCode.from_ints(q.n, sorted([0, c2, c3, c2 ^ c3]))
-    out = CWSCode(q.graph, extended)
-    if not detection_check(out, errors).detects:
-        raise RuntimeError("extended code unexpectedly fails detection")
-    if not is_linear(extended).is_linear:
-        raise RuntimeError("extended code is unexpectedly nonlinear")
-    return out
+    c2, c3 = (w for w in q.code.values if w)
+    return double_linear_subcode(
+        q, ClassicalCode.from_ints(q.n, [0, c2]), BitString(q.n, c3), errors
+    )
 
 
 def double_linear_subcode(
@@ -154,8 +147,11 @@ def optimality_filter(
 ) -> FilterVerdict:
     """Prune (n, K, d) when a registry fact rules it out.
 
-    An optimal additive ((n,1,d)) rules out every K > 1; an optimal additive
-    ((n,2,d)) rules out every K > 2.  Nothing else prunes."""
+    An optimal additive ((n,k,d)) with k = 1 or 2 says no additive ((n,2k,d))
+    exists, and so rules out every K > k: a code of K > k words holds k + 1
+    words with 0 among them, which for k = 1 are a two-word code, additive,
+    and for k = 2 a three-word code, which extends to an additive four-word
+    code.  Nothing else prunes."""
     if n < 1 or k < 1:
         raise ValueError(f"n and K must be positive, got n={n}, K={k}")
     if not 1 <= d <= n + 1:
@@ -163,12 +159,9 @@ def optimality_filter(
     for entry in registry:
         if entry.n != n or entry.d != d or not entry.optimal:
             continue
-        if entry.k == 1 and k > 1:
+        if entry.k in (1, 2) and k > entry.k:
             return FilterVerdict(
-                "pruned", f"optimal additive (({n},1,{d})) forbids K>1 ({entry.source})"
-            )
-        if entry.k == 2 and k > 2:
-            return FilterVerdict(
-                "pruned", f"optimal additive (({n},2,{d})) forbids K>2 ({entry.source})"
+                "pruned",
+                f"optimal additive (({n},{entry.k},{d})) forbids K>{entry.k} ({entry.source})",
             )
     return FilterVerdict("open", "no registry fact applies")

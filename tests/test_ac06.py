@@ -370,6 +370,12 @@ class TestChangeGenerators:
         with pytest.raises(ValueError):
             change_generators(GF2Matrix(2, (0b11, 0b11)), code)
 
+    def test_non_square_refused(self):
+        # GF2Matrix.invert refuses it
+        code = ClassicalCode.from_texts(["00", "10"])
+        with pytest.raises(ValueError, match="square"):
+            change_generators(GF2Matrix(2, (0b01, 0b10, 0b11)), code)
+
     def test_invariance_under_generator_change(self):
         # transformed (generators, code) pairs describe the same code space
         res = ac06_to_standard_form(ex2_data(fixed=True))

@@ -21,6 +21,10 @@ import importlib
 import re
 from pathlib import Path
 
+import pytest
+
+from cwskit.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cwskit"
 USERS = (
@@ -233,6 +237,29 @@ def test_readme_names_only_existing_helpers():
         if obj is None:
             missing.append(name)
     assert names and missing == []
+
+
+def test_readme_structure_lines_name_each_actions_options(capsys):
+    # README "Command line" gives each structure action one line (and its
+    # indented continuations) naming exactly the options its parser takes
+    block = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    block = block.split("```", 2)[1]
+    commands = re.split(r"\n(?=cwskit )", block.strip())
+    readme = {
+        line.split()[2]: sorted(set(re.findall(r"--[\w-]+", line)))
+        for line in commands
+        if line.startswith("cwskit structure ")
+    }
+    with pytest.raises(SystemExit):
+        main(["structure", "--help"])
+    actions = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1)
+    parsers = {}
+    for action in actions.split(","):
+        with pytest.raises(SystemExit):
+            main(["structure", action, "--help"])
+        usage = capsys.readouterr().out.split("\n\n", 1)[0]
+        parsers[action] = sorted(set(re.findall(r"--[\w-]+", usage)))
+    assert readme == parsers
 
 
 def _imports_kernels(node: ast.AST) -> bool:

@@ -1847,6 +1847,60 @@ class TestCli:
         assert main(["structure", "filter", "--registry", str(reg)] + argv) == 0
         assert capsys.readouterr().out == f"verdict=pruned\nreason={reason}\n"
 
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            (["linear", "--code", "K4"], ["--out", "OUT"]),
+            (["filter", "--registry", "REG", "--n", "7", "--k", "3", "--d", "3"],
+             ["--code", "K4"]),
+            (["filter", "--registry", "REG", "--n", "7", "--k", "3", "--d", "3"],
+             ["--out", "OUT"]),
+            (["extend-dim3", "--code", "K3", "--d", "2", "--out", "OUT"],
+             ["--subcode", "0000,0110"]),
+            (["double", "--code", "K4", "--subcode", "0000,0110", "--v", "0101",
+              "--d", "2", "--out", "OUT"], ["--registry", "REG"]),
+        ],
+        ids=["linear-out", "filter-code", "filter-out", "extend-dim3-subcode",
+             "double-registry"],
+    )
+    def test_structure_option_outside_its_action_is_usage_error(
+        self, argv, extra, tmp_path: Path, capsys
+    ):
+        # each action's parser holds only the options that action reads, so
+        # an option it would ignore exits 2 before any file is read or written
+        from cwskit.verify import write_code_file
+
+        graph = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        words = ["0000", "0110", "0101", "0011"]
+        write_code_file(tmp_path / "k4.code", CWSCode(graph, ClassicalCode.from_texts(words)),
+                        "k4.graph")
+        write_code_file(tmp_path / "k3.code",
+                        CWSCode(graph, ClassicalCode.from_texts(words[:3])), "k3.graph")
+        (tmp_path / "reg.txt").write_text("n=7 K=2 d=3 optimal=yes source=tables\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        paths = {"K4": str(tmp_path / "k4.code"), "K3": str(tmp_path / "k3.code"),
+                 "REG": str(tmp_path / "reg.txt"), "OUT": str(tmp_path / "out")}
+        extra = [paths.get(a, a) for a in extra]
+        with pytest.raises(SystemExit) as exc:
+            main(["structure"] + [paths.get(a, a) for a in argv] + extra)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(extra)}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        # without the extra option the same call runs
+        assert main(["structure"] + [paths.get(a, a) for a in argv]) == 0
+
+    def test_structure_options_go_after_the_action(self, tmp_path: Path, capsys):
+        from cwskit.verify import write_code_file
+
+        q = CWSCode(Graph.ring(5), ClassicalCode.from_texts(["00000", "11111"]))
+        write_code_file(tmp_path / "q.code", q, "q.graph")
+        with pytest.raises(SystemExit) as exc:
+            main(["structure", "--code", str(tmp_path / "q.code"), "linear"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_orbit_cli(self, tmp_path: Path, capsys):
         gf = self._graph_file(tmp_path, Graph.ring(5))
         assert main(["orbit", "--graph", gf]) == 0
